@@ -12,7 +12,7 @@ from .graphs import (Graph, ConcliquePartition, LatticeIndexSet,
                      knn_geometric_graph, eigen_bounds, eta_range, concliques,
                      connected_split)
 from .gmrf import (GmrfSpec, FieldSample, ChainConfig, tau_from_eta,
-                   conditional_params, gibbs_chain, gibbs_chain_coupled,
+                   conditional_params, gibbs_chain, gibbs_chains,
                    direct_sample, joint_covariance, coupled_innovation_pairs,
                    to_uniform, field_to_csv, field_from_csv)
 from .wavelets import (ScalingFilter, PhiTable, WaveletSieve, haar_filter,
@@ -29,6 +29,6 @@ from .experiment import (ExperimentConfig, ResultRow, ResultTable,
                          m_bivariate, m_univariate, run_experiment,
                          emit_table, load_table, format_table,
                          config_from_dict, config_to_dict)
-from .rng import stream, child_seed, polar_normals, normal_cdf
+from .rng import stream, child_seed, polar_normals, polar_normal_rows, normal_cdf
 
 __version__ = "0.1.0"

@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gmrf import (ChainConfig, GmrfSpec, gibbs_chain, gibbs_chain_coupled,
-                   to_uniform)
+from .gmrf import ChainConfig, FieldSample, GmrfSpec, gibbs_chains, to_uniform
 from .graphs import (concliques, connected_split, eta_range,
                      knn_geometric_graph, load_graph, torus_lattice,
                      torus_with_chords)
@@ -202,7 +201,8 @@ def config_to_dict(cfg):
 # the run itself
 
 def _context(cfg):
-    """Validated shared state: graph, concliques, filters with phi tables."""
+    """Validated shared state: graph, concliques, one GmrfSpec per component
+    (built once per distinct eta), filters with phi tables."""
     graph = _build_graph(cfg.graph)
     lo, hi = eta_range(graph)
     for eta in cfg.etas:
@@ -218,41 +218,31 @@ def _context(cfg):
         filt = filter_by_name(name)
         tables[name] = (filt, cascade(filt))
     partition = concliques(graph)
-    return graph, partition, tables, m_true, d
+    by_eta = {eta: GmrfSpec(graph, eta) for eta in dict.fromkeys(cfg.etas)}
+    specs = tuple(by_eta[eta] for eta in cfg.etas)
+    return graph, partition, specs, tables, m_true, d
 
 
-def _simulate_design(cfg, graph, partition, rep):
-    """Design components mapped to the unit cube, plus the noise component."""
-    d = len(cfg.etas) - 1
-    specs = [GmrfSpec(graph, eta) for eta in cfg.etas]
-    design_cc = cfg.chain_config(child_seed(cfg.seed, _SLOT_DESIGN, rep))
-    noise_cc = cfg.chain_config(child_seed(cfg.seed, _SLOT_NOISE, rep))
-
-    if d == 2:
-        if cfg.coupling == "innovations":
-            za, zb = gibbs_chain_coupled(specs[0], specs[1], partition,
-                                         design_cc, cfg.copula_rho)
-        else:
-            za, _ = gibbs_chain(specs[0], partition, design_cc)
-            zb_raw, _ = gibbs_chain(
-                specs[1], partition,
-                cfg.chain_config(child_seed(cfg.seed, _SLOT_DESIGN, rep, 1)))
-            mix = math.sqrt(1.0 - cfg.copula_rho ** 2)
-            zb = type(za)(cfg.copula_rho * za.values + mix * zb_raw.values, "coupled_b")
-        design = [za, zb]
-    elif d == 1:
-        za, _ = gibbs_chain(specs[0], partition, design_cc)
-        design = [za]
+def _simulate_design(cfg, partition, specs, rep):
+    """Design components mapped to the unit cube, plus the noise component,
+    all simulated as one batch of chains.  The `innovations` pair shares the
+    design stream; otherwise design component i owns the stream keyed
+    (rep, i), or (rep,) for the first one when d <= 2."""
+    d = len(specs) - 1
+    chain = cfg.chain_config(child_seed(cfg.seed, _SLOT_NOISE, rep))
+    if d == 2 and cfg.coupling == "innovations":
+        streams = [(child_seed(cfg.seed, _SLOT_DESIGN, rep), cfg.copula_rho)]
     else:
-        design = []
-        for i in range(d):
-            z, _ = gibbs_chain(
-                specs[i], partition,
-                cfg.chain_config(child_seed(cfg.seed, _SLOT_DESIGN, rep, i)))
-            design.append(z)
-    noise, _ = gibbs_chain(specs[-1], partition, noise_cc)
-    X = np.column_stack([to_uniform(z).values for z in design])
-    return X, noise.values
+        keys = [(rep, i) if i or d > 2 else (rep,) for i in range(d)]
+        streams = [(child_seed(cfg.seed, _SLOT_DESIGN, *key), None) for key in keys]
+    fields, _ = gibbs_chains(specs, partition, streams + [(chain.seed, None)],
+                             chain.iterations)
+    design = list(fields[:d])
+    if d == 2 and cfg.coupling == "final":
+        mix = math.sqrt(1.0 - cfg.copula_rho ** 2)
+        design[1] = cfg.copula_rho * design[0] + mix * design[1]
+    X = np.column_stack([to_uniform(FieldSample(z)).values for z in design])
+    return X, fields[-1]
 
 
 def _fit_errors(cfg, tables, m_true, X_learn, y_learn, X_test):
@@ -277,8 +267,8 @@ def _fit_errors(cfg, tables, m_true, X_learn, y_learn, X_test):
 
 
 def _replicate(cfg, ctx, rep):
-    graph, partition, tables, m_true, d = ctx
-    X, noise = _simulate_design(cfg, graph, partition, rep)
+    graph, partition, specs, tables, m_true, d = ctx
+    X, noise = _simulate_design(cfg, partition, specs, rep)
     y = np.array([m_true(*row) for row in X]) + cfg.noise_scale * noise
     learn, test = connected_split(graph, cfg.test_fraction,
                                   child_seed(cfg.seed, _SLOT_SPLIT, rep))
@@ -295,33 +285,31 @@ def _replicate(cfg, ctx, rep):
     return field_err, ref_err
 
 
-def _replicate_job(args):
-    cfg, rep = args
-    ctx = _context(cfg)
+def _attempt(cfg, ctx, rep):
+    """(rep, field errors, reference errors, None), or the error text in place
+    of the errors."""
     try:
-        field_err, ref_err = _replicate(cfg, ctx, rep)
-        return rep, field_err, ref_err, None
+        return (rep, *_replicate(cfg, ctx, rep), None)
     except Exception as exc:   # a failed replication is recorded, not fatal
         return rep, None, None, f"{type(exc).__name__}: {exc}"
+
+
+def _replicate_job(args):
+    cfg, rep = args
+    return _attempt(cfg, _context(cfg), rep)
 
 
 def run_experiment(cfg):
     """Run all replications, aggregate to a ResultTable, and (when out_dir is
     set) write results.csv, results.json and replications.log."""
     ctx = _context(cfg)
-    jobs = [(cfg, rep) for rep in range(cfg.replications)]
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and cfg.replications > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_job, jobs))
+            outcomes = list(pool.map(_replicate_job,
+                                     [(cfg, rep) for rep in range(cfg.replications)]))
     else:
-        outcomes = []
-        for cfg_i, rep in jobs:
-            try:
-                field_err, ref_err = _replicate(cfg_i, ctx, rep)
-                outcomes.append((rep, field_err, ref_err, None))
-            except Exception as exc:
-                outcomes.append((rep, None, None, f"{type(exc).__name__}: {exc}"))
+        outcomes = [_attempt(cfg, ctx, rep) for rep in range(cfg.replications)]
     outcomes.sort(key=lambda item: item[0])
 
     rows = []

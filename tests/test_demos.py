@@ -1,0 +1,19 @@
+"""Smoke runs of the demo scripts that drive the chain engine."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["02_gmrf_sampling.py", "05_field_experiment.py"])
+def test_demo_runs(script, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

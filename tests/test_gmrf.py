@@ -4,10 +4,10 @@ import pytest
 from wavesieve.gmrf import (ChainConfig, FieldSample, GmrfSpec,
                             conditional_params, coupled_innovation_pairs,
                             direct_sample, field_from_csv, field_to_csv,
-                            gibbs_chain, gibbs_chain_coupled,
+                            gibbs_chain, gibbs_chains,
                             joint_covariance, tau_from_eta, to_uniform)
-from wavesieve.graphs import Graph, concliques, torus_lattice
-from wavesieve.rng import stream
+from wavesieve.graphs import Graph, concliques, torus_lattice, torus_with_chords
+from wavesieve.rng import polar_normals, stream
 
 
 def single_edge():
@@ -147,7 +147,6 @@ def test_gibbs_matches_analytic_covariance_small():
 def test_gibbs_sweep_agrees_with_conditional_params():
     # one sweep by hand, replaying the chain's innovations through the
     # per-node conditional oracle
-    from wavesieve.rng import polar_normals
     g = torus_lattice(3, 3)
     spec = GmrfSpec(g, 0.1)
     part = concliques(g)
@@ -164,6 +163,96 @@ def test_gibbs_sweep_agrees_with_conditional_params():
             x[s] = mean + np.sqrt(var) * z[pos + offset]
         pos += cls.size
     assert np.allclose(final.values, x, atol=1e-12)
+
+
+def reference_sweeps(specs, partition, innovations, iterations):
+    """Per-chain, per-class Gibbs sweeps in the engine's summation order
+    (cumulative sums over each class's neighbour lists); `innovations()`
+    returns the next sweep's standard normals, one row per chain."""
+    xs = [spec.alpha.copy() for spec in specs]
+    for _ in range(iterations):
+        z = innovations()
+        pos = 0
+        for cls in partition.classes:
+            for x, spec, zc in zip(xs, specs, z):
+                nbrs = np.concatenate([spec.graph.neighbors[s] for s in cls])
+                bounds = np.concatenate(([0], np.cumsum(spec.graph.degrees[cls])))
+                csum = np.concatenate(([0.0], np.cumsum((x - spec.alpha)[nbrs])))
+                mean = spec.alpha[cls] + spec.eta * (csum[bounds[1:]] - csum[bounds[:-1]])
+                x[cls] = mean + np.sqrt(spec.tau2[cls]) * zc[pos:pos + cls.size]
+            pos += cls.size
+    return np.array(xs)
+
+
+def test_gibbs_chains_match_per_chain_sweeps_bitwise():
+    # coupled pair plus an independent chain, over enough sweeps to cross
+    # the engine's innovation blocks
+    g = torus_with_chords(4, 5, 6, 2)
+    part = concliques(g)
+    specs = [GmrfSpec(g, 0.1, alpha=0.5), GmrfSpec(g, -0.15), GmrfSpec(g, 0.2, alpha=-1.0)]
+    rho, iterations = 0.6, 3500
+    got, _ = gibbs_chains(specs, part, [(31, rho), (32, None)], iterations)
+
+    coupled, single = stream(31, 21), stream(32, 21)
+
+    def innovations():
+        u = polar_normals(coupled, g.node_count)
+        v = polar_normals(coupled, g.node_count)
+        return u, rho * u + np.sqrt(1.0 - rho * rho) * v, polar_normals(single, g.node_count)
+
+    assert np.array_equal(got, reference_sweeps(specs, part, innovations, iterations))
+
+
+def test_gibbs_chains_batched_equal_one_chain_runs():
+    g = torus_with_chords(6, 6, 8, 1)
+    part = concliques(g)
+    specs = [GmrfSpec(g, eta, alpha=a) for eta, a in ((0.12, 0.0), (-0.18, 2.0), (0.05, -1.0))]
+    seeds = (3, 4, 5)
+    batched, trace = gibbs_chains(specs, part, [(s, None) for s in seeds], 120,
+                                  burn_in=20, trace_every=25)
+    assert trace.shape == (4, 3, g.node_count)
+    for c, (spec, seed) in enumerate(zip(specs, seeds)):
+        one, one_trace = gibbs_chain(spec, part, ChainConfig(120, 20, seed), trace_every=25)
+        assert np.array_equal(batched[c], one.values)
+        assert np.array_equal(trace[:, c], one_trace)
+
+
+def test_gibbs_chains_sweeps_agree_with_conditional_params():
+    # several chains and sweeps by hand through the per-node conditional
+    # oracle, replaying each stream's innovations (u then v for the pair)
+    g = torus_lattice(3, 4)
+    part = concliques(g)
+    specs = [GmrfSpec(g, 0.1), GmrfSpec(g, -0.2, alpha=1.5), GmrfSpec(g, 0.15, alpha=-0.5)]
+    rho = -0.4
+    got, _ = gibbs_chains(specs, part, [(77, rho), (78, None)], 3)
+
+    pair, single = stream(77, 21), stream(78, 21)
+    xs = [spec.alpha.copy() for spec in specs]
+    for _ in range(3):
+        u, v = polar_normals(pair, 12), polar_normals(pair, 12)
+        zs = (u, rho * u + np.sqrt(1.0 - rho * rho) * v, polar_normals(single, 12))
+        pos = 0
+        for cls in part.classes:
+            for x, spec, z in zip(xs, specs, zs):
+                snapshot = x.copy()
+                for offset, s in enumerate(cls):
+                    mean, var = conditional_params(spec, snapshot, int(s))
+                    x[s] = mean + np.sqrt(var) * z[pos + offset]
+            pos += cls.size
+    assert np.allclose(got, np.array(xs), atol=1e-12)
+
+
+def test_gibbs_chains_rejects_bad_streams():
+    g = torus_lattice(3, 3)
+    part = concliques(g)
+    spec = GmrfSpec(g, 0.1)
+    with pytest.raises(ValueError, match="rho"):
+        gibbs_chains([spec, spec], part, [(1, 1.0)], 5)
+    with pytest.raises(ValueError, match="one chain per spec"):
+        gibbs_chains([spec, spec], part, [(1, None)], 5)
+    with pytest.raises(ValueError, match="one graph"):
+        gibbs_chains([spec, GmrfSpec(torus_lattice(3, 3), 0.1)], part,
+                     [(1, None), (2, None)], 5)
 
 
 def test_direct_sample_eta_zero_iid():
@@ -258,12 +347,12 @@ def test_coupled_pairs_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_gibbs_chain_coupled_correlates_innovations():
+def test_gibbs_chains_coupled_correlates_innovations():
     g = torus_lattice(6, 6)
     spec = GmrfSpec(g, 0.0)    # eta 0 so final values are exactly the innovations
-    za, zb = gibbs_chain_coupled(spec, spec, concliques(g), ChainConfig(1, 0, 9), 0.7)
+    x, _ = gibbs_chains([spec, spec], concliques(g), [(9, 0.7)], 1)
     # one sweep at eta 0 leaves x = z, correlated pairs per node
-    r = np.corrcoef(za.values, zb.values)[0, 1]
+    r = np.corrcoef(x[0], x[1])[0, 1]
     assert r == pytest.approx(0.7, abs=0.35)   # only 36 nodes, loose check
 
 
