@@ -7,7 +7,7 @@ truncated least squares via SVD, level selection and Monte Carlo error.
 A configuration-driven experiment runner ties the two together.
 """
 
-from .graphs import (Graph, ConcliquePartition, LatticeIndexSet,
+from .graphs import (Graph, ConcliquePartition,
                      load_graph, save_graph, torus_lattice, torus_with_chords,
                      knn_geometric_graph, eigen_bounds, eta_range, concliques,
                      connected_split)

@@ -86,6 +86,7 @@ class ExperimentConfig:
             raise ValueError("wavelets must be nonempty")
         if self.coupling not in ("innovations", "final"):
             raise ValueError("coupling must be 'innovations' or 'final'")
+        self.chain_config(0)   # rejects burn_in >= iterations before any run
 
     def chain_config(self, seed):
         burn = self.iterations // 5 if self.burn_in is None else self.burn_in

@@ -33,6 +33,10 @@ _TAG_PAIRS = 23
 # sweeps; 1 MiB was no faster on the paper config and raised its peak RSS 5%
 _BLOCK_BYTES = 1 << 18
 
+# triangular blocks up to this order are inverted directly; larger ones are
+# split so the work goes to matrix products
+_TRIANGULAR_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -60,20 +64,43 @@ class ChainConfig:
 def tau_from_eta(graph, eta):
     """Conditional variances making every marginal variance of the joint equal one.
 
-    tau2_s = 1 / [(I - eta*H)^{-1}]_{ss}; requires eta strictly inside the
+    tau2_s = 1 / [(I - eta*H)^{-1}]_{ss}, read off the inverse Cholesky
+    factor as column sums of squares; requires eta strictly inside the
     admissible range of the graph.
     """
     _check_eta(graph, eta)
-    n = graph.node_count
-    M = np.eye(n) - eta * graph.adjacency()
+    inv_factor = _inverse_cholesky(graph, eta)
+    return 1.0 / np.einsum("ij,ij->j", inv_factor, inv_factor)
+
+
+def _inverse_cholesky(graph, eta):
+    """L^{-1} for the Cholesky factor L L^T = I - eta*H, so that
+    (I - eta*H)^{-1} = L^{-T} L^{-1}.  The factor is inverted in place, so
+    past the factorization the only n x n arrays alive are the cached
+    adjacency and L; nothing keeps L after the caller drops it."""
+    M = graph.adjacency() * -eta
+    M.flat[::graph.node_count + 1] += 1.0
     try:
-        inv = np.linalg.inv(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("I - eta*H is singular") from exc
-    diag = np.diag(inv)
-    if np.any(diag <= 0.0):
-        raise ValueError("non-positive diagonal in (I - eta*H)^{-1}")
-    return 1.0 / diag
+        raise ValueError("I - eta*H is not positive definite") from exc
+    del M
+    _invert_lower_in_place(L)
+    return L
+
+
+def _invert_lower_in_place(L):
+    """Overwrite lower-triangular L with its inverse by recursive blocking:
+    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]."""
+    n = L.shape[0]
+    if n <= _TRIANGULAR_BLOCK:
+        L[...] = np.tril(np.linalg.inv(L))
+        return
+    h = n // 2
+    _invert_lower_in_place(L[:h, :h])
+    _invert_lower_in_place(L[h:, h:])
+    L[h:, :h] = L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
+    np.negative(L[h:, :h], out=L[h:, :h])
 
 
 def _check_eta(graph, eta):
@@ -203,10 +230,11 @@ def joint_covariance(spec):
     incompatible and the symmetrized matrix is returned together with the
     max entrywise asymmetry residual.
     """
-    n = spec.graph.node_count
-    M = np.eye(n) - spec.eta * spec.graph.adjacency()
-    A = np.linalg.solve(M, np.diag(spec.tau2)) * spec.sigma2
-    resid = float(np.max(np.abs(A - A.T))) if n else 0.0
+    inv_factor = _inverse_cholesky(spec.graph, spec.eta)
+    A = inv_factor.T @ inv_factor
+    del inv_factor
+    A *= spec.tau2 * spec.sigma2
+    resid = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     return 0.5 * (A + A.T), resid
 
 

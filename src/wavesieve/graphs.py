@@ -1,7 +1,7 @@
 """Finite undirected graphs and lattices.
 
-Construction and edge-list file io, extreme adjacency eigenvalues by power
-iteration, the admissible dependence range they induce, conclique (proper
+Construction and edge-list file io, extreme adjacency eigenvalues by
+Lanczos, the admissible dependence range they induce, conclique (proper
 color class) partitions, and connected learn/test splits grown by BFS.
 """
 
@@ -15,14 +15,17 @@ import numpy as np
 from .rng import stream
 
 __all__ = [
-    "Graph", "ConcliquePartition", "LatticeIndexSet", "PowerIterationError",
+    "Graph", "ConcliquePartition", "PowerIterationError",
     "load_graph", "save_graph", "torus_lattice", "torus_with_chords",
     "knn_geometric_graph", "eigen_bounds", "eta_range", "concliques",
     "connected_split",
 ]
 
 DENSE_NODE_LIMIT = 5000
-POWER_ITERATION_CAP = 100_000
+
+# Ritz values are checked every this many Lanczos steps: the dense
+# tridiagonal eigh per check would otherwise cost more than the steps
+_LANCZOS_CHECK_EVERY = 8
 
 # internal stream tags so one root seed can serve several operations
 _TAG_KNN = 11
@@ -32,7 +35,7 @@ _TAG_POWER = 14
 
 
 class PowerIterationError(RuntimeError):
-    """Raised when power iteration fails to reach tolerance within the cap."""
+    """Raised when the eigenvalue iteration fails to reach tolerance within the cap."""
 
 
 class Graph:
@@ -128,29 +131,6 @@ class ConcliquePartition:
             for s in cls:
                 if members.intersection(graph.neighbors[s].tolist()):
                     raise ValueError(f"class containing node {s} is not independent")
-
-
-@dataclass(frozen=True)
-class LatticeIndexSet:
-    """Integer rectangle {s : (1,...,1) <= s <= n} in Z^N."""
-    n: tuple
-
-    @property
-    def N(self):
-        return len(self.n)
-
-    @property
-    def size(self):
-        return int(np.prod(self.n)) if self.n else 0
-
-    def points(self):
-        """All members, one row per point, lexicographic order, 1-based."""
-        axes = [np.arange(1, ni + 1) for ni in self.n]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=1)
-
-    def __contains__(self, s):
-        return len(s) == self.N and all(1 <= si <= ni for si, ni in zip(s, self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +238,16 @@ def knn_geometric_graph(points, k, seed):
 # ---------------------------------------------------------------------------
 # spectrum and dependence range
 
-def _power_top(matvec, n, tol, rng):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
-
-    Stops when the residual ||Av - rho v|| drops below tol, which bounds the
-    eigenvalue error by tol for symmetric matrices.
-    """
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(POWER_ITERATION_CAP):
-        w = matvec(v)
-        rho = float(v @ w)
-        if np.linalg.norm(w - rho * v) <= tol:
-            return rho
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    raise PowerIterationError(
-        f"power iteration did not reach tol={tol} in {POWER_ITERATION_CAP} iterations")
-
-
 def eigen_bounds(graph, tol=1e-8):
     """(h0, hm): smallest and largest adjacency eigenvalue, each within ~tol.
 
-    Power iteration on H + max_degree*I gives hm (the shift keeps bipartite
-    +/- pairs from stalling convergence); a second iteration on hm*I - H
-    gives h0.  Cached on the graph per tolerance.
+    Lanczos on H with full reorthogonalisation (Paige 1971; Golub & Van Loan
+    sec. 10.1), started from a fixed random vector.  Every few steps the
+    extreme Ritz pairs (theta, y) of the tridiagonal T_m are checked; it
+    stops once both residuals ||H Q y - theta Q y|| = beta_m |y_m| are
+    <= tol, which bounds each eigenvalue error by tol for symmetric H.  The
+    Krylov dimension n caps the iteration.  Cached on the graph per
+    tolerance.
     """
     if graph.edge_count == 0:
         raise ValueError("eigen bounds need at least one edge")
@@ -293,14 +255,29 @@ def eigen_bounds(graph, tol=1e-8):
     if cached is not None:
         return cached
     n = graph.node_count
-    shift = float(graph.degrees.max())
-    rng = stream(_TAG_POWER)
-
-    hm = _power_top(lambda v: graph.neighbor_sums(v) + shift * v, n, tol, rng) - shift
-    spread = _power_top(lambda v: hm * v - graph.neighbor_sums(v), n, tol, rng)
-    h0 = hm - spread
-    graph._eigen_cache[tol] = (h0, hm)
-    return h0, hm
+    v = stream(_TAG_POWER).standard_normal(n)
+    basis = np.empty((min(n, 64), n))
+    basis[0] = v / np.linalg.norm(v)
+    diag, off = np.empty(n), np.empty(n)
+    for m in range(n):
+        q = basis[m]
+        w = graph.neighbor_sums(q)
+        diag[m] = q @ w
+        for _ in range(2):   # classical Gram-Schmidt twice keeps the basis orthonormal
+            w -= basis[:m + 1].T @ (basis[:m + 1] @ w)
+        off[m] = np.linalg.norm(w)
+        if m % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1 or m == n - 1:
+            T = np.diag(diag[:m + 1]) + np.diag(off[:m], 1) + np.diag(off[:m], -1)
+            theta, y = np.linalg.eigh(T)
+            if off[m] * max(abs(y[m, 0]), abs(y[m, -1])) <= tol:
+                bounds = (float(theta[0]), float(theta[-1]))
+                graph._eigen_cache[tol] = bounds
+                return bounds
+        if m + 1 == len(basis) < n:   # double the storage, up to n rows
+            basis = np.concatenate((basis, np.empty((min(m + 1, n - m - 1), n))))
+        if m + 1 < n:
+            basis[m + 1] = w / off[m]
+    raise PowerIterationError(f"Lanczos did not reach tol={tol} in {n} steps")
 
 
 def eta_range(graph):

@@ -82,6 +82,13 @@ def test_config_validation():
         small_config(coupling="sideways")
 
 
+def test_config_rejects_burn_in_not_below_iterations():
+    doc = config_to_dict(small_config())
+    doc["chain"] = {"iterations": 100, "burn_in": 150}
+    with pytest.raises(ValueError, match="burn_in"):
+        config_from_dict(doc)
+
+
 def test_config_eta_range_checked_at_run():
     cfg = small_config(etas=(0.6, 0.15))   # torus range is (-0.25, 0.25)
     with pytest.raises(ValueError, match="admissible"):
@@ -264,28 +271,28 @@ def test_failed_replications_are_logged_not_fatal(tmp_path):
 
 # sha256 of results.csv for one small config per stream layout (the d = 2
 # `innovations` pair, d = 2 `final`, d = 1 and d >= 3), recorded with
-# numpy 2.4.6 from the one-chain-at-a-time samplers that the batched chain
-# engine replaced.  Byte identity is promised only for the same numpy version.
+# numpy 2.4.6 once tau2 came from the Cholesky factor of I - eta*H.  Byte
+# identity is promised only for the same numpy version.
 GOLDEN_NUMPY = "2.4.6"
 _TORUS = {"kind": "torus", "rows": 18, "cols": 18, "chords": 60, "chord_seed": 1}
 GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "98658e41aa2d27e65881c615d07e52cefb99ad27c0e97f20437b48ea46e7f5c4"),
+        "849e3ef69b77ace6e3b08b4c1d6617e8be7ad02da1384d3e1dfde996f1bb11ac"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "6eff8c26bd1ebfeb22691d9505fb4a535cf9abba3719505d7093140c543c0717"),
+        "5150cc0ab2c1e9aa0a49239f72822094623a3fcc2fd57b53e418caa3761610fb"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "e77b6a414b1b24a2889c3c46db536f839471260dcdd19bc8f8e03cdf1dfbae32"),
+        "c175887206349a376d17675197d6ecc72e4ecf9ed2305cc2a9eaabf2349fadeb"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "0998bfd934e7bca1c2712d0452bc2a729c9ca689ecc2332b5b17409605a215c1"),
+        "cf4f76a155e4d9ee8efe1379fef63833a03072d5bb333fdce6a4bd75f1507d59"),
 }
 
 

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from wavesieve.graphs import (Graph, concliques, connected_split,
-                              eigen_bounds, eta_range, knn_geometric_graph,
+from wavesieve.graphs import (Graph, PowerIterationError, concliques,
+                              connected_split, eigen_bounds, eta_range, knn_geometric_graph,
                               load_graph, save_graph, torus_lattice,
                               torus_with_chords)
 from wavesieve.rng import stream
@@ -162,8 +162,9 @@ def test_eigen_bounds_even_torus():
 
 
 def test_eigen_bounds_match_dense_oracle():
-    for seed in range(5):
-        g = random_graph(30, 0.2, seed=seed)
+    graphs = [random_graph(30, 0.2, seed=seed) for seed in range(5)]
+    graphs += [torus_with_chords(18, 18, 60, seed=1), knn_geometric_graph(300, 6, seed=3)]
+    for g in graphs:
         if g.edge_count == 0:
             continue
         vals = np.linalg.eigvalsh(g.adjacency())
@@ -181,6 +182,12 @@ def test_eigen_bounds_rayleigh_property():
         x /= np.linalg.norm(x)
         q = x @ g.neighbor_sums(x)
         assert h0 - 1e-8 <= q <= hm + 1e-8
+
+
+def test_eigen_bounds_raises_when_the_krylov_cap_is_reached():
+    # no residual reaches 1e-300, so Lanczos exhausts all n steps
+    with pytest.raises(PowerIterationError):
+        eigen_bounds(random_graph(30, 0.2, seed=1), tol=1e-300)
 
 
 def test_eigen_bounds_needs_an_edge():
@@ -318,19 +325,3 @@ def test_connected_split_rejects_bad_fraction():
     for frac in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError):
             connected_split(g, frac, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# lattice index set
-
-def test_lattice_index_set():
-    from wavesieve.graphs import LatticeIndexSet
-    box = LatticeIndexSet((3, 2))
-    assert box.N == 2
-    assert box.size == 6
-    pts = box.points()
-    assert pts.shape == (6, 2)
-    assert pts.min() == 1
-    assert pts[:, 0].max() == 3 and pts[:, 1].max() == 2
-    assert (1, 1) in box and (3, 2) in box
-    assert (0, 1) not in box and (4, 1) not in box
