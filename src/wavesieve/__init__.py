@@ -29,6 +29,6 @@ from .experiment import (ExperimentConfig, ResultRow, ResultTable,
                          m_bivariate, m_univariate, run_experiment,
                          emit_table, load_table, format_table,
                          config_from_dict, config_to_dict)
-from .rng import stream, child_seed, polar_normals, polar_normal_rows, normal_cdf
+from .rng import stream, child_seed, polar_normals, normal_cdf
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .graphs import (concliques, connected_split, eta_range,
                      knn_geometric_graph, load_graph, torus_lattice,
                      torus_with_chords)
 from .regression import Dataset, auto_rho, fit, l2_error_mc
-from .rng import child_seed, polar_normals, stream
+from .rng import child_seed, stream
 from .wavelets import cascade, covering_sieve, filter_by_name
 
 __all__ = [
@@ -280,7 +280,7 @@ def _replicate(cfg, ctx, rep):
     n = graph.node_count
     X_ref = rng.uniform(0.0, 1.0, size=(n, d))
     y_ref = (np.array([m_true(*row) for row in X_ref])
-             + cfg.noise_scale * polar_normals(rng, n))
+             + cfg.noise_scale * rng.standard_normal(n))
     nl = learn.size
     ref_err = _fit_errors(cfg, tables, m_true, X_ref[:nl], y_ref[:nl], X_ref[nl:])
     return field_err, ref_err
@@ -295,23 +295,24 @@ def _attempt(cfg, ctx, rep):
         return rep, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _replicate_job(args):
-    cfg, rep = args
-    return _attempt(cfg, _context(cfg), rep)
+def _replicate_chunk(args):
+    """Build the context once, then attempt every replication of the chunk."""
+    cfg, reps = args
+    ctx = _context(cfg)
+    return [_attempt(cfg, ctx, rep) for rep in reps]
 
 
 def run_experiment(cfg):
     """Run all replications, aggregate to a ResultTable, and (when out_dir is
     set) write results.csv, results.json and replications.log."""
-    ctx = _context(cfg)
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1 and cfg.replications > 1:
+    workers = max(1, min(int(os.environ.get(WORKERS_ENV, "1")), cfg.replications))
+    chunks = [(cfg, range(w, cfg.replications, workers)) for w in range(workers)]
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_job,
-                                     [(cfg, rep) for rep in range(cfg.replications)]))
+            done = list(pool.map(_replicate_chunk, chunks))
     else:
-        outcomes = [_attempt(cfg, ctx, rep) for rep in range(cfg.replications)]
-    outcomes.sort(key=lambda item: item[0])
+        done = [_replicate_chunk(chunks[0])]
+    outcomes = sorted((o for chunk in done for o in chunk), key=lambda item: item[0])
 
     rows = []
     for name in cfg.wavelets:

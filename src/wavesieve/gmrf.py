@@ -7,7 +7,8 @@ the unit interval.
 
 Conditionals per node: value | rest ~ N(alpha_s + eta * sum_{t ~ s}(x_t -
 alpha_t), tau2_s).  With tau2 from `tau_from_eta` the marginal variances of
-the joint law equal one exactly.
+the joint law equal one exactly.  Every sampler draws its standard normals
+with `Generator.standard_normal` from the keyed stream of its seed and tag.
 """
 
 import warnings
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import eta_range
-from .rng import normal_cdf, polar_normal_rows, polar_normals, stream
+from .rng import normal_cdf, stream
 
 __all__ = [
     "GmrfSpec", "FieldSample", "ChainConfig",
@@ -29,7 +30,7 @@ _TAG_CHAIN = 21
 _TAG_DIRECT = 22
 _TAG_PAIRS = 23
 
-# bound on the bytes of uniforms one innovation stream draws per block of
+# bound on the bytes of standard normals drawn for all chains per block of
 # sweeps; 1 MiB was no faster on the paper config and raised its peak RSS 5%
 _BLOCK_BYTES = 1 << 18
 
@@ -160,9 +161,11 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     order and redraws every node of a class from its conditional given the
     frozen rest (an exact joint update: members are mutually non-adjacent).
     `streams` holds one (seed, rho) per innovation stream, in chain order:
-    rho None feeds one chain, one `polar_normals(n)` call per sweep; a float
-    feeds two, drawing u then v per sweep, with u driving the first chain and
-    rho*u + sqrt(1 - rho^2)*v the second.  Returns the (chains, n) final
+    rho None feeds one chain, n standard normals per sweep; a float feeds two,
+    drawing u then v (n each) per sweep, with u driving the first chain and
+    rho*u + sqrt(1 - rho^2)*v the second.  A block of k sweeps is one
+    `standard_normal((k, n))` or `((k, 2, n))` call per stream, which gives the
+    same values as one call per sweep.  Returns the (chains, n) final
     states and the stack of every `trace_every`-th post-burn-in state, shape
     (kept, chains, n), or None when trace_every == 0.
     """
@@ -190,17 +193,16 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     order = np.concatenate([np.empty(0, np.int64), *partition.classes])
     sd = np.sqrt(np.array([spec.tau2 for spec in specs]))[:, order]
     rngs = [(stream(seed, _TAG_CHAIN), rho) for seed, rho in streams]
-    calls = 1 if all(rho is None for _, rho in streams) else 2
-    block = max(1, _BLOCK_BYTES // (16 * ((n * 7) // 10 + 8) * calls))
+    block = max(1, _BLOCK_BYTES // (8 * n * chains))
     z = np.empty((min(block, iterations), chains, n))
     kept = []
     for start in range(0, iterations, block):
         k, c = min(block, iterations - start), 0
         for rng, rho in rngs:
             if rho is None:
-                z[:k, c] = polar_normal_rows(rng, n, k)
+                z[:k, c] = rng.standard_normal((k, n))
             else:
-                u, v = polar_normal_rows(rng, n, 2 * k).reshape(k, 2, n).transpose(1, 0, 2)
+                u, v = rng.standard_normal((k, 2, n)).transpose(1, 0, 2)
                 z[:k, c], z[:k, c + 1] = u, rho * u + np.sqrt(1.0 - rho * rho) * v
             c += 1 if rho is None else 2
         np.multiply(z[:k], sd, out=z[:k])
@@ -255,9 +257,8 @@ def direct_sample(spec, seed, count=None, component_id="field"):
     rng = stream(seed, _TAG_DIRECT)
     n = spec.graph.node_count
     if count is None:
-        z = polar_normals(rng, n)
-        return FieldSample(spec.alpha + L @ z, component_id)
-    z = polar_normals(rng, int(count) * n).reshape(int(count), n)
+        return FieldSample(spec.alpha + L @ rng.standard_normal(n), component_id)
+    z = rng.standard_normal((int(count), n))
     return spec.alpha[None, :] + z @ L.T
 
 
@@ -269,7 +270,7 @@ def coupled_innovation_pairs(rho, count, seed):
     if not -1.0 < rho < 1.0:
         raise ValueError("|rho| must be below 1")
     rng = stream(seed, _TAG_PAIRS)
-    u, v = polar_normal_rows(rng, count, 2)
+    u, v = rng.standard_normal((2, count))
     return np.column_stack([u, rho * u + np.sqrt(1.0 - rho * rho) * v])
 
 

@@ -1,16 +1,17 @@
-"""Seedable random streams, polar-method normal sampling and a normal CDF.
+"""Seedable random streams, a polar-method normal sampler and a normal CDF.
 
 Every stochastic routine in the package draws from a numpy PCG64 generator
 derived from a root seed plus an explicit integer key path.  The derivation
 (`stream`, `child_seed`) is the single splitting rule used everywhere, so
 distinct chains, replications and components own independent streams and any
-run is reproducible bit for bit from its root seed.
+run is reproducible bit for bit from its root seed.  The samplers draw their
+normals with `Generator.standard_normal`; `polar_normals` is kept for callers
+that need its exact bits, such as the rate criterion of the acceptance tests.
 """
 
 import numpy as np
 
-__all__ = ["stream", "child_seed", "polar_normals", "polar_normal_rows",
-           "normal_cdf"]
+__all__ = ["stream", "child_seed", "polar_normals", "normal_cdf"]
 
 
 def _entropy(root_seed, keys):
@@ -42,56 +43,20 @@ def polar_normals(rng, size):
     end of a call are discarded.  Given the same generator state and the same
     sequence of requested sizes the output is identical on every run.
     """
-    return polar_normal_rows(rng, size, 1)[0]
-
-
-def polar_normal_rows(rng, size, rows):
-    """`rows` successive `polar_normals(rng, size)` calls as one (rows, size) array.
-
-    The first batch of candidate pairs of every call is drawn at once.  A call
-    whose batch falls short draws the rest of its size as one more call would,
-    from the uniforms drawn ahead for the calls after it and then from `rng`,
-    so uniforms are consumed and rows filled exactly as by the single calls.
-    """
-    size, rows = int(size), int(rows)
-    out = np.empty((rows, size))
-    # acceptance rate is pi/4, each accepted pair yields two normals
-    m, pairs = (size * 7) // 10 + 8, (size + 1) // 2
-    done = 0
-    while done < rows and size:
-        u = rng.uniform(-1.0, 1.0, size=(rows - done, m, 2))
-        s = u[..., 0] ** 2 + u[..., 1] ** 2
+    size = int(size)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        need = size - filled
+        # acceptance rate is pi/4, each accepted pair yields two normals
+        u = rng.uniform(-1.0, 1.0, size=((need * 7) // 10 + 8, 2))
+        s = u[:, 0] ** 2 + u[:, 1] ** 2
         ok = (s > 0.0) & (s < 1.0)
-        short = np.flatnonzero(np.count_nonzero(ok, axis=1) < pairs)
-        full = int(short[0]) if short.size else rows - done
-        # the first `pairs` accepted pairs of each full call, then all those
-        # of the short call
-        idx = np.flatnonzero(ok[:full + 1] & (np.cumsum(ok[:full + 1], axis=1) <= pairs))
-        sa = np.take(s, idx)
-        f = np.sqrt(-2.0 * np.log(sa) / sa)
-        z = (np.take(u.reshape(-1, 2), idx, axis=0) * f[:, None]).reshape(-1)
-        out[done:done + full] = z[:2 * pairs * full].reshape(full, 2 * pairs)[:, :size]
-        done += full
-        if done < rows:
-            rng = _Prefetched(rng, u[full + 1:])
-            z = z[2 * pairs * full:]
-            out[done] = np.concatenate((z, polar_normals(rng, size - z.size)))
-            done += 1
+        sa = s[ok]
+        z = (u[ok] * np.sqrt(-2.0 * np.log(sa) / sa)[:, None]).reshape(-1)[:need]
+        out[filled:filled + z.size] = z
+        filled += z.size
     return out
-
-
-class _Prefetched:
-    """`rng` with uniform pairs it already drew served ahead of fresh ones."""
-
-    def __init__(self, rng, pairs):
-        self.rng, self.pairs = rng, pairs.reshape(-1, 2)
-
-    def uniform(self, low, high, size):
-        k = int(np.prod(size)) // 2
-        head, self.pairs = self.pairs[:k], self.pairs[k:]
-        if len(head) < k:
-            head = np.concatenate([head, self.rng.uniform(low, high, size=(k - len(head), 2))])
-        return head.reshape(size)
 
 
 # Hart rational approximation of the standard normal CDF (double precision,

@@ -1,4 +1,4 @@
-"""Smoke runs of the demo scripts that drive the chain engine."""
+"""Smoke runs of every demo script."""
 
 import os
 import subprocess
@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["02_gmrf_sampling.py", "05_field_experiment.py"])
+@pytest.mark.parametrize("script", ["01_graphs_and_spectra.py", "02_gmrf_sampling.py",
+                                    "03_scaling_functions.py", "04_sieve_regression.py",
+                                    "05_field_experiment.py"])
 def test_demo_runs(script, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=tmp_path,

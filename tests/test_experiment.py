@@ -246,13 +246,17 @@ def test_cli_minimal_invocation(tmp_path, capsys):
 
 
 def test_run_parallel_workers_match_sequential(tmp_path, monkeypatch):
+    # 5 replications split unevenly over the chunks of 2 workers
     from wavesieve.experiment import WORKERS_ENV
-    seq = run_experiment(small_config(out_dir=str(tmp_path / "seq")))
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    par = run_experiment(small_config(out_dir=str(tmp_path / "par")))
-    assert par.rows == seq.rows
-    assert (tmp_path / "seq" / "results.csv").read_bytes() == \
-        (tmp_path / "par" / "results.csv").read_bytes()
+    for reps in (2, 5):
+        seq, par = tmp_path / f"seq{reps}", tmp_path / f"par{reps}"
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        seq_table = run_experiment(small_config(replications=reps, out_dir=str(seq)))
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        par_table = run_experiment(small_config(replications=reps, out_dir=str(par)))
+        assert par_table.rows == seq_table.rows
+        for name in ("results.csv", "replications.log"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
 def test_failed_replications_are_logged_not_fatal(tmp_path):
@@ -271,28 +275,30 @@ def test_failed_replications_are_logged_not_fatal(tmp_path):
 
 # sha256 of results.csv for one small config per stream layout (the d = 2
 # `innovations` pair, d = 2 `final`, d = 1 and d >= 3), recorded with
-# numpy 2.4.6 once tau2 came from the Cholesky factor of I - eta*H.  Byte
-# identity is promised only for the same numpy version.
+# numpy 2.4.6 once the samplers drew Generator.standard_normal.  Byte
+# identity is promised only for the same numpy version and the same OpenBLAS
+# thread count: these were recorded under OpenBLAS's default thread count on
+# a 2-core host, and 1 thread gives other bits.
 GOLDEN_NUMPY = "2.4.6"
 _TORUS = {"kind": "torus", "rows": 18, "cols": 18, "chords": 60, "chord_seed": 1}
 GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "849e3ef69b77ace6e3b08b4c1d6617e8be7ad02da1384d3e1dfde996f1bb11ac"),
+        "b2da9467cf0ed57998f8d46f3a4755ab011c842028b7075220432d70685d873c"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "5150cc0ab2c1e9aa0a49239f72822094623a3fcc2fd57b53e418caa3761610fb"),
+        "2bb9edc808e9eb3644f1201f77eb89ede79671808aa5f0df68fd547e0899ba19"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "c175887206349a376d17675197d6ecc72e4ecf9ed2305cc2a9eaabf2349fadeb"),
+        "966c3d83d90b544c7ef91724b4cca234339958c1581d2340359b3a517a6a93d9"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "cf4f76a155e4d9ee8efe1379fef63833a03072d5bb333fdce6a4bd75f1507d59"),
+        "6276436666644f37af7d064b64aaecfd4f48f1b403836c0883aefcac16fe5ec7"),
 }
 
 

@@ -8,7 +8,7 @@ from wavesieve.gmrf import (ChainConfig, FieldSample, GmrfSpec,
                             joint_covariance, tau_from_eta, to_uniform)
 from wavesieve.graphs import (Graph, concliques, knn_geometric_graph, torus_lattice,
                               torus_with_chords)
-from wavesieve.rng import polar_normals, stream
+from wavesieve.rng import stream
 
 
 def single_edge():
@@ -186,7 +186,7 @@ def test_gibbs_sweep_agrees_with_conditional_params():
     cfg = ChainConfig(1, 0, 77)
     final, _ = gibbs_chain(spec, part, cfg)
 
-    z = polar_normals(stream(cfg.seed, 21), g.node_count)   # chain stream tag
+    z = stream(cfg.seed, 21).standard_normal(g.node_count)   # chain stream tag
     x = spec.alpha.copy()
     pos = 0
     for cls in part.classes:
@@ -229,9 +229,8 @@ def test_gibbs_chains_match_per_chain_sweeps_bitwise():
     coupled, single = stream(31, 21), stream(32, 21)
 
     def innovations():
-        u = polar_normals(coupled, g.node_count)
-        v = polar_normals(coupled, g.node_count)
-        return u, rho * u + np.sqrt(1.0 - rho * rho) * v, polar_normals(single, g.node_count)
+        u, v = coupled.standard_normal((2, g.node_count))
+        return u, rho * u + np.sqrt(1.0 - rho * rho) * v, single.standard_normal(g.node_count)
 
     assert np.array_equal(got, reference_sweeps(specs, part, innovations, iterations))
 
@@ -262,8 +261,8 @@ def test_gibbs_chains_sweeps_agree_with_conditional_params():
     pair, single = stream(77, 21), stream(78, 21)
     xs = [spec.alpha.copy() for spec in specs]
     for _ in range(3):
-        u, v = polar_normals(pair, 12), polar_normals(pair, 12)
-        zs = (u, rho * u + np.sqrt(1.0 - rho * rho) * v, polar_normals(single, 12))
+        u, v = pair.standard_normal(12), pair.standard_normal(12)
+        zs = (u, rho * u + np.sqrt(1.0 - rho * rho) * v, single.standard_normal(12))
         pos = 0
         for cls in part.classes:
             for x, spec, z in zip(xs, specs, zs):

@@ -1,53 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from wavesieve.rng import (child_seed, normal_cdf, polar_normal_rows,
-                           polar_normals, stream)
-
-
-def reference_polar(rng, size):
-    """The polar method one call at a time, batch by batch: the reference
-    the block sampler must reproduce bit for bit."""
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        need = size - filled
-        m = (need * 7) // 10 + 8
-        u = rng.uniform(-1.0, 1.0, size=(m, 2))
-        s = u[:, 0] ** 2 + u[:, 1] ** 2
-        ok = (s > 0.0) & (s < 1.0)
-        ua, sa = u[ok], s[ok]
-        f = np.sqrt(-2.0 * np.log(sa) / sa)
-        z = np.empty(2 * sa.size)
-        z[0::2] = ua[:, 0] * f
-        z[1::2] = ua[:, 1] * f
-        take = min(z.size, need)
-        out[filled:filled + take] = z[:take]
-        filled += take
-    return out
-
-
-class RejectingUniforms:
-    """Stand-in generator whose uniform stream is a fixed sequence in which
-    most candidate pairs fall outside the unit disc, so nearly every polar
-    call needs more than its first batch.  Records how many values it served."""
-
-    def __init__(self, seed, accept=0.3, length=400_000):
-        rng = np.random.default_rng(seed)
-        pairs = rng.uniform(-0.7, 0.7, size=(length // 2, 2))
-        reject = rng.random(length // 2) > accept
-        pairs[reject] = rng.uniform(0.75, 1.0, size=(int(reject.sum()), 2))
-        self.values = pairs.reshape(-1) * np.where(rng.random(length) < 0.5, -1.0, 1.0)
-        self.served = 0
-
-    def uniform(self, low, high, size):
-        assert (low, high) == (-1.0, 1.0)
-        k = int(np.prod(size))
-        out = self.values[self.served:self.served + k]
-        self.served += k
-        return out.reshape(size)
+from wavesieve.rng import child_seed, normal_cdf, polar_normals, stream
 
 
 def test_normal_cdf_against_reference():
@@ -93,33 +51,27 @@ def test_polar_normals_distribution():
         assert emp == pytest.approx(normal_cdf(q), abs=0.005)
 
 
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="bits recorded with numpy 2.4.6")
+def test_polar_normals_bits_pinned():
+    # sha256 of successive calls on one stream; the rate criterion of the
+    # acceptance tests draws its noise this way
+    rng = stream(707, 5)
+    z = np.concatenate([polar_normals(rng, n) for n in (0, 1, 7, 256, 333, 4096)])
+    assert hashlib.sha256(z.astype("<f8").tobytes()).hexdigest() == \
+        "6e3b74cefd22033f639c7b92cf316b6308b14005e9c6a94084b74d800a2b6625"
+    assert rng.random() == 0.4621563372799664
+
+
 @settings(max_examples=60, deadline=None)
-@given(size=st.integers(0, 400), rows=st.integers(0, 12), seed=st.integers(0, 2**32))
-def test_polar_normal_rows_match_successive_calls(size, rows, seed):
-    block_rng, call_rng, ref_rng = stream(seed, 5), stream(seed, 5), stream(seed, 5)
-    block = polar_normal_rows(block_rng, size, rows)
-    calls = [polar_normals(call_rng, size) for _ in range(rows)]
-    assert block.shape == (rows, size)
-    assert np.array_equal(block, np.array(calls).reshape(rows, size))
-    assert np.array_equal(block, np.array([reference_polar(ref_rng, size)
-                                           for _ in range(rows)]).reshape(rows, size))
-    # the same uniforms were consumed: all three streams continue alike
-    assert block_rng.random() == call_rng.random() == ref_rng.random()
-
-
-def test_polar_normal_rows_replays_short_calls():
-    # with about 30% of pairs accepted every call's first batch falls short,
-    # which forces the call-by-call replay on the uniforms drawn ahead
-    for size, rows in ((1, 40), (7, 25), (50, 30), (333, 8)):
-        block_src, ref_src = RejectingUniforms(size), RejectingUniforms(size)
-        block = polar_normal_rows(block_src, size, rows)
-        want = np.array([reference_polar(ref_src, size) for _ in range(rows)])
-        assert np.array_equal(block, want)
-        assert block_src.served == ref_src.served
-    # the stand-in really starves the first batches
-    src = RejectingUniforms(0)
-    u = src.uniform(-1.0, 1.0, size=(10_000, 2))
-    assert np.mean(np.sum(u * u, axis=1) < 1.0) < 0.35
+@given(n=st.integers(0, 400), k=st.integers(0, 12), seed=st.integers(0, 2**32))
+def test_standard_normal_block_equals_successive_draws(n, k, seed):
+    # the Gibbs engine draws k sweeps of a coupled stream as one (k, 2, n)
+    # call; it must give the values and leave the state of k (2, n) calls
+    block_rng, call_rng = stream(seed, 21), stream(seed, 21)
+    block = block_rng.standard_normal((k, 2, n))
+    calls = [call_rng.standard_normal((2, n)) for _ in range(k)]
+    assert np.array_equal(block, np.array(calls).reshape(k, 2, n))
+    assert block_rng.random() == call_rng.random()
 
 
 def test_stream_splitting():
