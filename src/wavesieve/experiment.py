@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise ValueError("wavelets must be nonempty")
         if self.coupling not in ("innovations", "final"):
             raise ValueError("coupling must be 'innovations' or 'final'")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must be strictly between 0 and 1")
+        if not -1.0 < self.copula_rho < 1.0:
+            raise ValueError("|copula_rho| must be below 1")
         self.chain_config(0)   # rejects burn_in >= iterations before any run
 
     def chain_config(self, seed):
@@ -230,14 +234,13 @@ def _simulate_design(cfg, partition, specs, rep):
     design stream; otherwise design component i owns the stream keyed
     (rep, i), or (rep,) for the first one when d <= 2."""
     d = len(specs) - 1
-    chain = cfg.chain_config(child_seed(cfg.seed, _SLOT_NOISE, rep))
     if d == 2 and cfg.coupling == "innovations":
         streams = [(child_seed(cfg.seed, _SLOT_DESIGN, rep), cfg.copula_rho)]
     else:
         keys = [(rep, i) if i or d > 2 else (rep,) for i in range(d)]
         streams = [(child_seed(cfg.seed, _SLOT_DESIGN, *key), None) for key in keys]
-    fields, _ = gibbs_chains(specs, partition, streams + [(chain.seed, None)],
-                             chain.iterations)
+    streams.append((child_seed(cfg.seed, _SLOT_NOISE, rep), None))   # the noise chain
+    fields, _ = gibbs_chains(specs, partition, streams, cfg.iterations)
     design = list(fields[:d])
     if d == 2 and cfg.coupling == "final":
         mix = math.sqrt(1.0 - cfg.copula_rho ** 2)

@@ -7,8 +7,9 @@ the unit interval.
 
 Conditionals per node: value | rest ~ N(alpha_s + eta * sum_{t ~ s}(x_t -
 alpha_t), tau2_s).  With tau2 from `tau_from_eta` the marginal variances of
-the joint law equal one exactly.  Every sampler draws its standard normals
-with `Generator.standard_normal` from the keyed stream of its seed and tag.
+the joint law equal one exactly.  The Gibbs engine advances x - alpha.
+Every sampler draws its standard normals with `Generator.standard_normal`
+from the keyed stream of its seed and tag.
 """
 
 import warnings
@@ -165,9 +166,11 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     drawing u then v (n each) per sweep, with u driving the first chain and
     rho*u + sqrt(1 - rho^2)*v the second.  A block of k sweeps is one
     `standard_normal((k, n))` or `((k, 2, n))` call per stream, which gives the
-    same values as one call per sweep.  Returns the (chains, n) final
-    states and the stack of every `trace_every`-th post-burn-in state, shape
-    (kept, chains, n), or None when trace_every == 0.
+    same values as one call per sweep.  The state is the deviation from
+    alpha; a class update sums its members' neighbour lists of
+    `Graph.neighbor_segments` with `np.add.reduceat`.  Returns the (chains,
+    n) final states and the stack of every `trace_every`-th post-burn-in
+    state, shape (kept, chains, n), or None when trace_every == 0.
     """
     graph, chains = specs[0].graph, len(specs)
     if any(spec.graph is not graph for spec in specs):
@@ -177,18 +180,18 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     if sum(1 if rho is None else 2 for _, rho in streams) != chains:
         raise ValueError("streams must feed exactly one chain per spec")
     n = graph.node_count
-    x = np.array([spec.alpha for spec in specs])
-    flat_x, alpha, rows = x.reshape(-1), x.copy(), np.arange(chains)[:, None] * n
+    alpha = np.array([spec.alpha for spec in specs])
+    # deviations from alpha; column n is the zero that empty neighbour lists read
+    dev = np.zeros((chains, n + 1))
+    flat_dev, rows = dev.reshape(-1), np.arange(chains)[:, None] * (n + 1)
     eta = np.array([[spec.eta] for spec in specs])
-    # per class: flat gather/scatter indices into x, buffers, innovation slice
+    # per class: flat gather indices, gather buffer, segment starts, class buffer,
+    # innovation slice and flat scatter indices
     plan, pos = [], 0
     for cls in partition.classes:
-        nbrs = np.concatenate([np.empty(0, np.int64), *(graph.neighbors[s] for s in cls)])
-        bounds = np.concatenate(([0], np.cumsum(graph.degrees[cls])))
-        csum = np.zeros((chains, nbrs.size + 1))
-        plan.append((rows + nbrs, alpha[:, nbrs], csum, csum[:, 1:], bounds,
-                     np.empty((chains, cls.size + 1)), np.empty((chains, cls.size)),
-                     alpha[:, cls], slice(pos, pos + cls.size), rows + cls))
+        index, starts = graph.neighbor_segments(cls)
+        plan.append((rows + index, np.empty((chains, index.size)), starts,
+                     np.empty((chains, cls.size)), slice(pos, pos + cls.size), rows + cls))
         pos += cls.size
     order = np.concatenate([np.empty(0, np.int64), *partition.classes])
     sd = np.sqrt(np.array([spec.tau2 for spec in specs]))[:, order]
@@ -208,19 +211,15 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
         np.multiply(z[:k], sd, out=z[:k])
         for it in range(start, start + k):
             zi = z[it - start]
-            for idx, alpha_nbrs, csum, tail, bounds, ends, mean, alpha_cls, at, dest in plan:
-                np.take(flat_x, idx, out=tail)
-                np.subtract(tail, alpha_nbrs, out=tail)
-                np.add.accumulate(tail, axis=1, out=tail)
-                np.take(csum, bounds, axis=1, out=ends)
-                np.subtract(ends[:, 1:], ends[:, :-1], out=mean)
-                np.multiply(eta, mean, out=mean)
-                np.add(alpha_cls, mean, out=mean)
-                np.add(mean, zi[:, at], out=mean)
-                flat_x[dest] = mean
+            for idx, nbrs, starts, dev_cls, at, dest in plan:
+                np.take(flat_dev, idx, out=nbrs)
+                np.add.reduceat(nbrs, starts, axis=1, out=dev_cls)
+                np.multiply(eta, dev_cls, out=dev_cls)
+                np.add(dev_cls, zi[:, at], out=dev_cls)
+                flat_dev[dest] = dev_cls
             if trace_every and it >= burn_in and (it - burn_in) % trace_every == 0:
-                kept.append(x.copy())
-    return x, np.array(kept).reshape(-1, chains, n) if trace_every else None
+                kept.append(dev[:, :n] + alpha)
+    return dev[:, :n] + alpha, np.array(kept).reshape(-1, chains, n) if trace_every else None
 
 
 def joint_covariance(spec):

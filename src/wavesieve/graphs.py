@@ -68,16 +68,21 @@ class Graph:
         self.neighbors = tuple(np.array(sorted(a), dtype=np.int64) for a in nbr)
         self.degrees = np.array([a.size for a in self.neighbors], dtype=np.int64)
 
-        # flattened neighbor lists; segment i is neighbors[i]
-        self._nbr_flat = (np.concatenate(self.neighbors)
-                          if node_count and self.edge_count else np.empty(0, dtype=np.int64))
-        bounds = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=bounds[1:])
-        self._nbr_bounds = bounds
-
+        self._segments = self.neighbor_segments(np.arange(node_count))
         self._adjacency = None
         self._eigen_cache = {}
         self._concliques = None
+
+    def neighbor_segments(self, nodes):
+        """(index, starts): the neighbour lists of `nodes` end to end and each
+        list's offset.  An empty list holds the pad id node_count, so for v of
+        length node_count + 1 with v[-1] == 0 the list sums are
+        `np.add.reduceat(v[index], starts)`."""
+        pad = np.array([self.node_count])
+        lists = [self.neighbors[s] if self.degrees[s] else pad for s in nodes]
+        index = np.concatenate([np.empty(0, np.int64), *lists])
+        sizes = np.maximum(self.degrees[nodes], 1)
+        return index, np.cumsum(sizes) - sizes
 
     def neighbor_sums(self, x):
         """Vector of sums of x over each node's neighbors (H @ x).
@@ -85,10 +90,8 @@ class Graph:
         One fixed summation order for every graph size, so results do not
         depend on whether a dense adjacency was ever materialized.
         """
-        if self._nbr_flat.size == 0:
-            return np.zeros(self.node_count)
-        csum = np.concatenate(([0.0], np.cumsum(x[self._nbr_flat])))
-        return csum[self._nbr_bounds[1:]] - csum[self._nbr_bounds[:-1]]
+        index, starts = self._segments
+        return np.add.reduceat(np.append(x, 0.0)[index], starts)
 
     def adjacency(self):
         """Dense symmetric 0/1 adjacency matrix (cached, limited to small graphs)."""
@@ -199,6 +202,10 @@ def torus_with_chords(rows, cols, chords, seed):
     if chords < 0:
         raise ValueError("chords must be non-negative")
     n = base.node_count
+    free = n * (n - 1) // 2 - base.edge_count
+    if chords > free:
+        raise ValueError(f"a {rows}x{cols} torus has {free} free node pairs, "
+                         f"{chords} chords requested")
     present = set(base.edges)
     rng = stream(seed, _TAG_CHORDS)
     extra = []
@@ -316,8 +323,11 @@ def concliques(graph):
     return part
 
 
-def _bfs_order(graph, start):
-    seen = np.zeros(graph.node_count, dtype=bool)
+def _bfs_order(graph, start, seen=None):
+    """Nodes reachable from `start` in BFS order, never entering a node
+    already marked in `seen`; marks the nodes it reaches."""
+    if seen is None:
+        seen = np.zeros(graph.node_count, dtype=bool)
     order = []
     queue = deque([start])
     seen[start] = True
@@ -340,41 +350,25 @@ def connected_split(graph, test_fraction, seed):
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be strictly between 0 and 1")
-    if not graph.is_connected():
-        raise ValueError("connected_split requires a connected graph")
     n = graph.node_count
+    rng = stream(seed, _TAG_SPLIT)
+    order = _bfs_order(graph, int(rng.integers(0, n))) if n else np.empty(0, np.int64)
+    if order.size < n:
+        raise ValueError("connected_split requires a connected graph")
     target = math.ceil(test_fraction * n)
     if target >= n:
         raise ValueError("test fraction leaves an empty learning set")
-    rng = stream(seed, _TAG_SPLIT)
-    start = int(rng.integers(0, n))
-    order = _bfs_order(graph, start)
     test = np.sort(order[:target])
-    mask = np.ones(n, dtype=bool)
-    mask[test] = False
-    learn = np.flatnonzero(mask)
+    seen = np.zeros(n, dtype=bool)
+    seen[test] = True
+    learn = np.flatnonzero(~seen)
 
-    sub = _induced_components(graph, learn)
+    # learning-set components: a BFS from each learning node not yet seen
+    sub = 0
+    for s in learn:
+        if not seen[s]:
+            sub += 1
+            _bfs_order(graph, s, seen)
     if sub > 1:
         warnings.warn(f"learning set is disconnected ({sub} components)", stacklevel=2)
     return learn, test
-
-
-def _induced_components(graph, nodes):
-    """Number of connected components of the subgraph induced by `nodes`."""
-    keep = set(nodes.tolist())
-    unvisited = set(keep)
-    comps = 0
-    while unvisited:
-        comps += 1
-        root = next(iter(unvisited))
-        stack = [root]
-        unvisited.discard(root)
-        while stack:
-            s = stack.pop()
-            for t in graph.neighbors[s]:
-                t = int(t)
-                if t in unvisited:
-                    unvisited.discard(t)
-                    stack.append(t)
-    return comps

@@ -155,6 +155,8 @@ def default_rho(sample_size, c):
 def auto_rho(y, sample_size):
     """Default bound max(log n, 2 max|y|): grows logarithmically but stays
     non-binding on well-scaled problems."""
+    if sample_size < 2:
+        raise ValueError("sample_size must be at least 2")
     c = max(1.0, 2.0 * float(np.max(np.abs(y))) / math.log(sample_size))
     return default_rho(sample_size, c)
 

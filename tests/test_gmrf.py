@@ -199,22 +199,27 @@ def test_gibbs_sweep_agrees_with_conditional_params():
 
 
 def reference_sweeps(specs, partition, innovations, iterations):
-    """Per-chain, per-class Gibbs sweeps in the engine's summation order
-    (cumulative sums over each class's neighbour lists); `innovations()`
-    returns the next sweep's standard normals, one row per chain."""
-    xs = [spec.alpha.copy() for spec in specs]
+    """Per-chain, per-class Gibbs sweeps in the engine's arithmetic: each
+    chain advances its deviations from alpha, a node's new deviation being
+    eta times the sum of its neighbours' deviations plus its scaled
+    innovation.  Each sum runs in neighbour-list order as numpy reduces a
+    segment, the first term plus the sum of the others; a node without
+    neighbours sums to zero.  `innovations()` returns the next sweep's
+    standard normals, one row per chain."""
+    devs = [np.zeros(spec.graph.node_count) for spec in specs]
     for _ in range(iterations):
         z = innovations()
         pos = 0
         for cls in partition.classes:
-            for x, spec, zc in zip(xs, specs, z):
-                nbrs = np.concatenate([spec.graph.neighbors[s] for s in cls])
-                bounds = np.concatenate(([0], np.cumsum(spec.graph.degrees[cls])))
-                csum = np.concatenate(([0.0], np.cumsum((x - spec.alpha)[nbrs])))
-                mean = spec.alpha[cls] + spec.eta * (csum[bounds[1:]] - csum[bounds[:-1]])
-                x[cls] = mean + np.sqrt(spec.tau2[cls]) * zc[pos:pos + cls.size]
+            for dev, spec, zc in zip(devs, specs, z):
+                sums = np.zeros(cls.size)
+                for i, s in enumerate(cls):
+                    nbrs = spec.graph.neighbors[s]
+                    if nbrs.size:
+                        sums[i] = dev[nbrs[0]] + dev[nbrs[1:]].sum()
+                dev[cls] = spec.eta * sums + np.sqrt(spec.tau2[cls]) * zc[pos:pos + cls.size]
             pos += cls.size
-    return np.array(xs)
+    return np.array([dev + spec.alpha for dev, spec in zip(devs, specs)])
 
 
 def test_gibbs_chains_match_per_chain_sweeps_bitwise():
@@ -272,6 +277,17 @@ def test_gibbs_chains_sweeps_agree_with_conditional_params():
                     x[s] = mean + np.sqrt(var) * z[pos + offset]
             pos += cls.size
     assert np.allclose(got, np.array(xs), atol=1e-12)
+
+
+def test_gibbs_chains_isolated_node_is_alpha_plus_innovation():
+    # node 4 has no neighbours, so its update reads only the pad zero
+    g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+    part = concliques(g)
+    spec = GmrfSpec(g, -0.3, alpha=0.7)
+    got, _ = gibbs_chains([spec], part, [(9, None)], 3)
+    z = stream(9, 21).standard_normal((3, 5))[-1]
+    at = int(np.flatnonzero(np.concatenate(part.classes) == 4)[0])
+    assert got[0, 4] == 0.7 + np.sqrt(spec.tau2[4]) * z[at]
 
 
 def test_gibbs_chains_rejects_bad_streams():

@@ -103,6 +103,14 @@ def test_torus_with_chords():
     assert g2.edges == g.edges
 
 
+def test_torus_with_chords_rejects_more_chords_than_free_pairs():
+    # the 2x2 torus is a 4-cycle: two free pairs, which complete K4
+    g = torus_with_chords(2, 2, 2, seed=0)
+    assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    with pytest.raises(ValueError, match="free node pairs"):
+        torus_with_chords(2, 2, 3, seed=0)
+
+
 def test_knn_degree_and_determinism():
     g = knn_geometric_graph(3, 1, seed=0)
     assert np.all(g.degrees >= 1)
@@ -128,12 +136,16 @@ def test_graph_rejects_self_loop():
 
 
 def test_neighbor_sums_match_dense():
-    g = random_graph(40, 0.15, seed=2)
-    H = g.adjacency()
-    assert np.allclose(H, H.T)
-    assert set(np.unique(H)).issubset({0.0, 1.0})
-    x = stream(5).standard_normal(40)
-    assert np.allclose(g.neighbor_sums(x), H @ x, atol=1e-12)
+    # isolated nodes (and an edgeless graph) read the pad zero; knn-300 has
+    # degrees up to 12, above the 8 where numpy's reduction turns pairwise
+    graphs = [random_graph(40, 0.15, seed=2), Graph(6, [(0, 1), (1, 2), (3, 4)]),
+              Graph(3, []), knn_geometric_graph(300, 6, seed=3)]
+    for g in graphs:
+        H = g.adjacency()
+        assert np.allclose(H, H.T)
+        assert set(np.unique(H)).issubset({0.0, 1.0})
+        x = stream(5).standard_normal(g.node_count)
+        assert np.allclose(g.neighbor_sums(x), H @ x, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,8 @@ def test_default_rho():
     assert default_rho(1000, 1.0) > default_rho(100, 1.0)
     with pytest.raises(ValueError):
         default_rho(1, 1.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        auto_rho(np.array([1.0]), 1)
 
 
 def test_auto_rho_non_binding():
