@@ -7,22 +7,21 @@ truncated least squares via SVD, level selection and Monte Carlo error.
 A configuration-driven experiment runner ties the two together.
 """
 
-from .graphs import (Graph, ConcliquePartition,
+from .graphs import (Graph, ConcliquePartition, PowerIterationError,
                      load_graph, save_graph, torus_lattice, torus_with_chords,
                      knn_geometric_graph, eigen_bounds, eta_range, concliques,
                      connected_split)
-from .gmrf import (GmrfSpec, FieldSample, ChainConfig, tau_from_eta,
-                   conditional_params, gibbs_chain, gibbs_chains,
-                   direct_sample, joint_covariance, coupled_innovation_pairs,
-                   to_uniform, field_to_csv, field_from_csv)
+from .gmrf import (GmrfSpec, ChainConfig, tau_from_eta, conditional_params,
+                   gibbs_chain, gibbs_chains, direct_sample, joint_covariance,
+                   to_uniform, field_to_csv)
 from .wavelets import (ScalingFilter, PhiTable, WaveletSieve, haar_filter,
                        d4_filter, filter_by_name, cascade, phi_eval,
                        mother_tensor_coeffs, translation_set, wavelet_sieve,
-                       sieve_for_box, covering_sieve, phi_table_to_csv)
+                       sieve_for_box, covering_sieve, partition_of_unity_residual,
+                       refinement_residual, phi_table_to_csv)
 from .regression import (Dataset, RegressionFit, SvdReport, design_matrix,
-                         svd_lstsq, fit, truncate_value, predict, predict_batch,
-                         default_rho, auto_rho, select_level, l2_error_mc,
-                         dataset_from_csv, fit_to_json, fit_from_json)
+                         svd_lstsq, fit, predict, predict_batch, default_rho,
+                         auto_rho, select_level, l2_error_mc, fit_to_json)
 from .theory import (BlockingPartition, block_size_q, blocking_partition,
                      covering_bound, rate_curve, write_xy_csv)
 from .experiment import (ExperimentConfig, ResultRow, ResultTable,

@@ -12,13 +12,14 @@ function of the root seed.
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gmrf import ChainConfig, FieldSample, GmrfSpec, gibbs_chains, to_uniform
+from .gmrf import GmrfSpec, gibbs_chains, to_uniform
 from .graphs import (concliques, connected_split, eta_range,
                      knn_geometric_graph, load_graph, torus_lattice,
                      torus_with_chords)
@@ -66,7 +67,6 @@ class ExperimentConfig:
     levels: tuple = (1, 2, 3, 4)
     replications: int = 50
     iterations: int = 3000
-    burn_in: int = None          # None: 20% of iterations
     copula_rho: float = 0.7
     coupling: str = "innovations"   # or "final": couple finished fields
     noise_scale: float = 1.0
@@ -78,10 +78,18 @@ class ExperimentConfig:
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "wavelets", tuple(self.wavelets))
         object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
+        for key in ("replications", "iterations", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.iterations < 0 or self.seed < 0:
+            raise ValueError("iterations and seed must be non-negative")
         if not self.levels:
             raise ValueError("levels must be nonempty")
+        if min(self.levels) < 0:
+            raise ValueError("levels must be non-negative")
         if not self.wavelets:
             raise ValueError("wavelets must be nonempty")
         if self.coupling not in ("innovations", "final"):
@@ -90,11 +98,12 @@ class ExperimentConfig:
             raise ValueError("test_fraction must be strictly between 0 and 1")
         if not -1.0 < self.copula_rho < 1.0:
             raise ValueError("|copula_rho| must be below 1")
-        self.chain_config(0)   # rejects burn_in >= iterations before any run
-
-    def chain_config(self, seed):
-        burn = self.iterations // 5 if self.burn_in is None else self.burn_in
-        return ChainConfig(self.iterations, burn, seed)
+        kind = self.graph.get("kind")
+        if kind not in _GRAPH_KEYS:
+            raise ValueError(f"unknown graph kind {kind!r}")
+        unknown = sorted(set(self.graph) - _GRAPH_KEYS[kind] - {"kind"})
+        if unknown:
+            raise ValueError(f"unknown graph keys for kind {kind!r}: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +132,14 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+# the keys each graph kind reads, besides "kind"
+_GRAPH_KEYS = {"torus": {"rows", "cols", "chords", "chord_seed"},
+               "knn": {"points", "k", "point_seed"},
+               "file": {"path"}}
+
+
 def _build_graph(graph_cfg):
-    kind = graph_cfg.get("kind")
+    kind = graph_cfg["kind"]
     if kind == "torus":
         chords = int(graph_cfg.get("chords", 0))
         if chords:
@@ -134,9 +149,7 @@ def _build_graph(graph_cfg):
     if kind == "knn":
         return knn_geometric_graph(graph_cfg["points"], graph_cfg["k"],
                                    int(graph_cfg.get("point_seed", 0)))
-    if kind == "file":
-        return load_graph(graph_cfg["path"])
-    raise ValueError(f"unknown graph kind {kind!r}")
+    return load_graph(graph_cfg["path"])
 
 
 _EXPR_NAMES = {name: getattr(math, name) for name in
@@ -169,8 +182,9 @@ def config_from_dict(doc):
 
     Schema: graph {kind: torus|knn|file, ...}, etas [..] (one per component,
     the last component drives the noise), regression id or expression,
-    wavelets [..], levels [..], replications, chain {iterations, burn_in},
+    wavelets [..], levels [..], replications, chain {iterations},
     copula_rho, coupling, noise_scale, test_fraction, seed, out_dir.
+    Unknown keys are rejected, in the `chain` and `graph` sections too.
     """
     doc = dict(doc)
     chain = doc.pop("chain", {})
@@ -183,12 +197,11 @@ def config_from_dict(doc):
                 "noise_scale", "test_fraction", "seed", "out_dir"):
         if key in doc:
             kwargs[key] = doc.pop(key)
-    if doc:
-        raise ValueError(f"unknown config keys: {sorted(doc)}")
     if "iterations" in chain:
-        kwargs["iterations"] = int(chain["iterations"])
-    if chain.get("burn_in") is not None:
-        kwargs["burn_in"] = int(chain["burn_in"])
+        kwargs["iterations"] = chain["iterations"]
+    unknown = sorted(doc) + [f"chain.{key}" for key in sorted(chain.keys() - {"iterations"})]
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
     return ExperimentConfig(**kwargs)
 
 
@@ -197,8 +210,7 @@ def config_to_dict(cfg):
     doc["etas"] = list(cfg.etas)
     doc["wavelets"] = list(cfg.wavelets)
     doc["levels"] = list(cfg.levels)
-    doc["chain"] = {"iterations": doc.pop("iterations"),
-                    "burn_in": doc.pop("burn_in")}
+    doc["chain"] = {"iterations": doc.pop("iterations")}
     return doc
 
 
@@ -245,7 +257,7 @@ def _simulate_design(cfg, partition, specs, rep):
     if d == 2 and cfg.coupling == "final":
         mix = math.sqrt(1.0 - cfg.copula_rho ** 2)
         design[1] = cfg.copula_rho * design[0] + mix * design[1]
-    X = np.column_stack([to_uniform(FieldSample(z)).values for z in design])
+    X = np.column_stack([to_uniform(z) for z in design])
     return X, fields[-1]
 
 

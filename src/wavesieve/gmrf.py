@@ -1,9 +1,9 @@
 """Gaussian Markov random fields on graphs.
 
 Conditional autoregression with equal neighbour weights eta on the adjacency,
-conclique-blocked Gibbs sampling, an exact joint sampler as oracle, coupled
-innovation pairs for dependent components, and the marginal transform onto
-the unit interval.
+conclique-blocked Gibbs sampling with innovation-coupled chain pairs for
+dependent components, an exact joint sampler as oracle, and the marginal
+transform onto the unit interval.
 
 Conditionals per node: value | rest ~ N(alpha_s + eta * sum_{t ~ s}(x_t -
 alpha_t), tau2_s).  With tau2 from `tau_from_eta` the marginal variances of
@@ -21,15 +21,13 @@ from .graphs import eta_range
 from .rng import normal_cdf, stream
 
 __all__ = [
-    "GmrfSpec", "FieldSample", "ChainConfig",
+    "GmrfSpec", "ChainConfig",
     "tau_from_eta", "conditional_params", "gibbs_chain", "gibbs_chains",
-    "direct_sample", "joint_covariance", "coupled_innovation_pairs",
-    "to_uniform", "field_to_csv", "field_from_csv",
+    "direct_sample", "joint_covariance", "to_uniform", "field_to_csv",
 ]
 
 _TAG_CHAIN = 21
 _TAG_DIRECT = 22
-_TAG_PAIRS = 23
 
 # bound on the bytes of standard normals drawn for all chains per block of
 # sweeps; 1 MiB was no faster on the paper config and raised its peak RSS 5%
@@ -38,16 +36,6 @@ _BLOCK_BYTES = 1 << 18
 # triangular blocks up to this order are inverted directly; larger ones are
 # split so the work goes to matrix products
 _TRIANGULAR_BLOCK = 128
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Per-node values of one field component."""
-    values: np.ndarray
-    component_id: str = "field"
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,9 @@ def tau_from_eta(graph, eta):
     factor as column sums of squares; requires eta strictly inside the
     admissible range of the graph.
     """
-    _check_eta(graph, eta)
+    lo, hi = eta_range(graph)
+    if not lo < eta < hi:
+        raise ValueError(f"eta={eta} outside admissible range ({lo:.6g}, {hi:.6g})")
     inv_factor = _inverse_cholesky(graph, eta)
     return 1.0 / np.einsum("ij,ij->j", inv_factor, inv_factor)
 
@@ -105,33 +95,22 @@ def _invert_lower_in_place(L):
     np.negative(L[h:, :h], out=L[h:, :h])
 
 
-def _check_eta(graph, eta):
-    lo, hi = eta_range(graph)
-    if not lo < eta < hi:
-        raise ValueError(f"eta={eta} outside admissible range ({lo:.6g}, {hi:.6g})")
-
-
 @dataclass(frozen=True)
 class GmrfSpec:
-    """Conditional autoregression on a graph: mean alpha, dependence eta,
-    per-node conditional variances tau2, target marginal variance sigma2."""
+    """Conditional autoregression on a graph: mean alpha and dependence eta.
+
+    The per-node conditional variances `tau2` are `tau_from_eta(graph, eta)`,
+    so every marginal variance of the joint law is one.
+    """
     graph: object
     eta: float
     alpha: np.ndarray = None
-    tau2: np.ndarray = None
-    sigma2: float = 1.0
 
     def __post_init__(self):
         n = self.graph.node_count
-        _check_eta(self.graph, self.eta)
+        tau2 = tau_from_eta(self.graph, self.eta)
         alpha = np.zeros(n) if self.alpha is None else np.broadcast_to(
             np.asarray(self.alpha, dtype=float), (n,)).copy()
-        tau2 = tau_from_eta(self.graph, self.eta) if self.tau2 is None else np.broadcast_to(
-            np.asarray(self.tau2, dtype=float), (n,)).copy()
-        if np.any(tau2 <= 0.0):
-            raise ValueError("all conditional variances must be positive")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau2", tau2)
 
@@ -139,20 +118,20 @@ class GmrfSpec:
 def conditional_params(spec, state, s):
     """(mean, variance) of node s given the rest of the field frozen at `state`."""
     nbrs = spec.graph.neighbors[s]
-    x = state.values if isinstance(state, FieldSample) else np.asarray(state, dtype=float)
+    x = np.asarray(state, dtype=float)
     mean = spec.alpha[s] + spec.eta * float(np.sum(x[nbrs] - spec.alpha[nbrs]))
     return mean, float(spec.tau2[s])
 
 
-def gibbs_chain(spec, partition, cfg, trace_every=0, component_id="field"):
+def gibbs_chain(spec, partition, cfg, trace_every=0):
     """One chain of `gibbs_chains`, fed by the stream of `cfg.seed`.
 
-    Returns (final FieldSample, trace), where trace stacks every
-    `trace_every`-th post-burn-in state, or is None when trace_every == 0.
+    Returns (final state, trace), where trace stacks every `trace_every`-th
+    post-burn-in state, or is None when trace_every == 0.
     """
     x, trace = gibbs_chains([spec], partition, [(cfg.seed, None)], cfg.iterations,
                             cfg.burn_in, trace_every)
-    return FieldSample(x[0], component_id), None if trace is None else trace[:, 0]
+    return x[0], None if trace is None else trace[:, 0]
 
 
 def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0):
@@ -225,25 +204,25 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
 def joint_covariance(spec):
     """(covariance, asymmetry) of the joint law the conditionals imply.
 
-    The raw matrix sigma2 * (I - eta*H)^{-1} T is symmetric only when the
-    diagonal of (I - eta*H)^{-1} is constant (vertex-transitive graphs, or
-    tau2 adjusted accordingly); otherwise the conditionals are mutually
-    incompatible and the symmetrized matrix is returned together with the
-    max entrywise asymmetry residual.
+    The raw matrix (I - eta*H)^{-1} T is symmetric only when the diagonal
+    of (I - eta*H)^{-1} is constant (vertex-transitive graphs, for one);
+    otherwise the conditionals are mutually incompatible and the
+    symmetrized matrix is returned together with the max entrywise
+    asymmetry residual.
     """
     inv_factor = _inverse_cholesky(spec.graph, spec.eta)
     A = inv_factor.T @ inv_factor
     del inv_factor
-    A *= spec.tau2 * spec.sigma2
+    A *= spec.tau2
     resid = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     return 0.5 * (A + A.T), resid
 
 
-def direct_sample(spec, seed, count=None, component_id="field"):
-    """Exact draw(s) from N(alpha, sigma2*(I - eta*H)^{-1} T), symmetrized.
+def direct_sample(spec, seed, count=None):
+    """Exact draw(s) from N(alpha, (I - eta*H)^{-1} T), symmetrized.
 
-    `count=None` returns one FieldSample; an integer returns an array of
-    shape (count, n).  Warns when the implied covariance had to be
+    `count=None` returns one draw of shape (n,); an integer returns an array
+    of shape (count, n).  Warns when the implied covariance had to be
     symmetrized by more than 1e-10.
     """
     cov, resid = joint_covariance(spec)
@@ -256,46 +235,20 @@ def direct_sample(spec, seed, count=None, component_id="field"):
     rng = stream(seed, _TAG_DIRECT)
     n = spec.graph.node_count
     if count is None:
-        return FieldSample(spec.alpha + L @ rng.standard_normal(n), component_id)
+        return spec.alpha + L @ rng.standard_normal(n)
     z = rng.standard_normal((int(count), n))
     return spec.alpha[None, :] + z @ L.T
 
 
-def coupled_innovation_pairs(rho, count, seed):
-    """`count` pairs of standard normals with correlation rho, shape (count, 2).
-
-    Built as (U, rho*U + sqrt(1 - rho^2)*V) from independent U, V.
-    """
-    if not -1.0 < rho < 1.0:
-        raise ValueError("|rho| must be below 1")
-    rng = stream(seed, _TAG_PAIRS)
-    u, v = rng.standard_normal((2, count))
-    return np.column_stack([u, rho * u + np.sqrt(1.0 - rho * rho) * v])
-
-
-def to_uniform(sample, mean=0.0, sd=1.0):
-    """Map a field through the normal distribution function onto (0, 1)."""
+def to_uniform(values, mean=0.0, sd=1.0):
+    """Map field values through the normal distribution function onto (0, 1)."""
     if sd <= 0.0:
         raise ValueError("sd must be positive")
-    vals = normal_cdf((sample.values - mean) / sd)
-    return FieldSample(np.atleast_1d(vals), sample.component_id)
+    return np.atleast_1d(normal_cdf((np.asarray(values, dtype=float) - mean) / sd))
 
 
-def field_to_csv(sample, path):
+def field_to_csv(values, path):
     with open(path, "w") as fh:
         fh.write("node_id,value\n")
-        for i, v in enumerate(sample.values):
+        for i, v in enumerate(values):
             fh.write(f"{i},{float(v)!r}\n")
-
-
-def field_from_csv(path, component_id="field"):
-    values = []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "node_id,value":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            if line.strip():
-                _, v = line.split(",")
-                values.append(float(v))
-    return FieldSample(np.array(values), component_id)

@@ -107,11 +107,6 @@ class Graph:
             self._adjacency = H
         return self._adjacency
 
-    def is_connected(self):
-        if self.node_count <= 1:
-            return True
-        return _bfs_order(self, 0).size == self.node_count
-
     def __repr__(self):
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelets import WaveletSieve, filter_by_name
-
 __all__ = [
     "Dataset", "RegressionFit", "SvdReport",
-    "design_matrix", "svd_lstsq", "fit", "truncate_value", "predict", "predict_batch",
-    "default_rho", "auto_rho", "select_level", "l2_error_mc",
-    "dataset_from_csv", "fit_to_json", "fit_from_json",
+    "design_matrix", "svd_lstsq", "fit", "predict", "predict_batch",
+    "default_rho", "auto_rho", "select_level", "l2_error_mc", "fit_to_json",
 ]
 
 
@@ -124,17 +121,10 @@ def fit(data, sieve, table, rho=np.inf, svd_rtol=1e-10):
     return RegressionFit(sieve, coeffs, float(rho), report)
 
 
-def truncate_value(y, bound):
-    """Clamp y to [-bound, bound]."""
-    if bound < 0:
-        raise ValueError("truncation bound must be non-negative")
-    return float(max(min(y, bound), -bound))
-
-
 def predict(fit_result, table, x):
-    """Truncated prediction at one point: clamp(sum_gamma a_gamma Phi(x))."""
-    row = _design(np.asarray(x, dtype=float).reshape(1, -1), fit_result.sieve, table)
-    return truncate_value(float(row[0] @ fit_result.coeffs), fit_result.rho)
+    """Truncated prediction at one point: `predict_batch` on one row."""
+    row = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(predict_batch(fit_result, table, row)[0])
 
 
 def predict_batch(fit_result, table, X):
@@ -190,23 +180,6 @@ def l2_error_mc(fit_result, table, m_true, test_X):
 # ---------------------------------------------------------------------------
 # io
 
-def dataset_from_csv(path):
-    """Read x_1,...,x_d,y rows (optional header starting with a letter)."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            body = line.strip()
-            if not body:
-                continue
-            if body[0].isalpha():
-                continue
-            rows.append([float(v) for v in body.split(",")])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.array(rows)
-    return Dataset(arr[:, :-1], arr[:, -1])
-
-
 def fit_to_json(fit_result, path=None):
     """Serialize a fit; returns the dict and optionally writes it."""
     sieve = fit_result.sieve
@@ -232,23 +205,3 @@ def fit_to_json(fit_result, path=None):
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
     return doc
-
-
-def fit_from_json(doc_or_path):
-    """Rebuild a RegressionFit from its JSON form."""
-    if isinstance(doc_or_path, (str, bytes)):
-        with open(doc_or_path) as fh:
-            doc = json.load(fh)
-    else:
-        doc = doc_or_path
-    filt = filter_by_name(doc["filter"])
-    K = np.array([entry["gamma"] for entry in doc["coefficients"]],
-                 dtype=np.int64).reshape(-1, doc["d"])
-    sieve = WaveletSieve(filt, doc["d"], doc["j"], doc["w"], K)
-    coeffs = np.array([entry["a"] for entry in doc["coefficients"]])
-    rep = doc["svd_report"]
-    report = SvdReport(rep["rank"],
-                       math.inf if rep["condition"] is None else rep["condition"],
-                       np.array(rep["dropped"]), rep["total_columns"])
-    rho = math.inf if doc["rho"] is None else float(doc["rho"])
-    return RegressionFit(sieve, coeffs, rho, report)

@@ -61,7 +61,7 @@ def test_m_univariate_jump():
 def test_config_round_trip():
     cfg = small_config()
     doc = config_to_dict(cfg)
-    assert doc["chain"] == {"iterations": 200, "burn_in": None}
+    assert doc["chain"] == {"iterations": 200}
     cfg2 = config_from_dict(doc)
     assert cfg2 == cfg
 
@@ -83,16 +83,39 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("key, value, match", [
-    ("chain", {"iterations": 100, "burn_in": 150}, "burn_in"),
+    ("chain", {"iterations": 100, "burn_in": 20}, "chain.burn_in"),
     ("test_fraction", 1.5, "test_fraction"),
     ("copula_rho", 1.2, "copula_rho"),
-], ids=["burn_in", "test_fraction", "copula_rho"])
-def test_config_rejects_burn_in_not_below_iterations(key, value, match):
-    # each of these would otherwise fail every replication of a run
+    ("levels", [-1, 1], "levels"),
+    ("replications", 2.5, "replications"),
+    ("chain", {"iterations": 200.5}, "iterations"),
+    ("chain", {"iterations": -1}, "iterations"),
+    ("seed", 2.5, "seed"),
+    ("seed", -1, "seed"),
+], ids=["burn_in", "test_fraction", "copula_rho", "negative_level",
+        "float_replications", "float_iterations", "negative_iterations",
+        "float_seed", "negative_seed"])
+def test_config_rejects_values_that_fail_late(key, value, match):
+    # each of these would otherwise be ignored, fail every replication of a
+    # run or crash inside it
     doc = config_to_dict(small_config())
     doc[key] = value
     with pytest.raises(ValueError, match=match):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("graph, bad", [
+    ({"kind": "torus", "rows": 6, "cols": 6, "chord": 60}, "chord"),
+    ({"kind": "knn", "points": 30, "k": 3, "rows": 6}, "rows"),
+    ({"kind": "file", "path": "g.txt", "point_seed": 1}, "point_seed"),
+], ids=["torus", "knn", "file"])
+def test_config_rejects_keys_the_graph_kind_does_not_read(graph, bad):
+    doc = config_to_dict(small_config())
+    doc["graph"] = graph
+    with pytest.raises(ValueError, match=bad):
+        config_from_dict(doc)
+    doc["graph"] = {key: value for key, value in graph.items() if key != bad}
+    assert config_from_dict(doc).graph == doc["graph"]
 
 
 def test_config_eta_range_checked_at_run():
@@ -155,11 +178,14 @@ def test_run_expression_regression():
 
 
 def test_emit_and_load_round_trip(tmp_path):
-    table = run_experiment(small_config())
+    cfg = small_config()
+    table = run_experiment(cfg)
     csv_path, json_path = emit_table(table, str(tmp_path))
     loaded = load_table(json_path)
     assert loaded.rows == table.rows
     assert loaded.seed == table.seed
+    # the config echo of results.json rebuilds the config of the run
+    assert config_from_dict(loaded.config) == cfg
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert lines[0] == "wavelet,j,mean_l2,sd_l2,ref_mean_l2,ref_sd_l2,n_reps"
     assert len(lines) == 1 + len(table.rows)

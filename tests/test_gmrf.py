@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from wavesieve.gmrf import (ChainConfig, FieldSample, GmrfSpec,
-                            conditional_params, coupled_innovation_pairs,
-                            direct_sample, field_from_csv, field_to_csv,
-                            gibbs_chain, gibbs_chains,
-                            joint_covariance, tau_from_eta, to_uniform)
+from wavesieve.gmrf import (ChainConfig, GmrfSpec, conditional_params,
+                            direct_sample, field_to_csv, gibbs_chain,
+                            gibbs_chains, joint_covariance, tau_from_eta,
+                            to_uniform)
 from wavesieve.graphs import (Graph, concliques, knn_geometric_graph, torus_lattice,
                               torus_with_chords)
 from wavesieve.rng import stream
@@ -76,8 +75,8 @@ def test_joint_covariance_matches_solve_oracle():
     for g in _oracle_graphs():
         eye = np.eye(g.node_count)
         for eta in _ends_of_range(g):
-            spec = GmrfSpec(g, eta, sigma2=2.0)
-            raw = np.linalg.solve(eye - eta * g.adjacency(), np.diag(spec.tau2)) * 2.0
+            spec = GmrfSpec(g, eta)
+            raw = np.linalg.solve(eye - eta * g.adjacency(), np.diag(spec.tau2))
             cov, resid = joint_covariance(spec)
             assert np.max(np.abs(cov - 0.5 * (raw + raw.T))) < 1e-11
             assert resid == pytest.approx(np.max(np.abs(raw - raw.T)), abs=1e-11)
@@ -138,7 +137,7 @@ def test_gibbs_zero_iterations_returns_alpha():
     g = triangle()
     spec = GmrfSpec(g, 0.2, alpha=3.0)
     final, trace = gibbs_chain(spec, concliques(g), ChainConfig(0, 0, 1))
-    assert np.array_equal(final.values, np.full(3, 3.0))
+    assert np.array_equal(final, np.full(3, 3.0))
     assert trace is None
 
 
@@ -148,7 +147,7 @@ def test_gibbs_reproducible():
     cfg = ChainConfig(50, 10, 123)
     a, ta = gibbs_chain(spec, concliques(g), cfg, trace_every=2)
     b, tb = gibbs_chain(spec, concliques(g), cfg, trace_every=2)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     assert np.array_equal(ta, tb)
 
 
@@ -195,7 +194,7 @@ def test_gibbs_sweep_agrees_with_conditional_params():
             mean, var = conditional_params(spec, snapshot, int(s))
             x[s] = mean + np.sqrt(var) * z[pos + offset]
         pos += cls.size
-    assert np.allclose(final.values, x, atol=1e-12)
+    assert np.allclose(final, x, atol=1e-12)
 
 
 def reference_sweeps(specs, partition, innovations, iterations):
@@ -250,7 +249,7 @@ def test_gibbs_chains_batched_equal_one_chain_runs():
     assert trace.shape == (4, 3, g.node_count)
     for c, (spec, seed) in enumerate(zip(specs, seeds)):
         one, one_trace = gibbs_chain(spec, part, ChainConfig(120, 20, seed), trace_every=25)
-        assert np.array_equal(batched[c], one.values)
+        assert np.array_equal(batched[c], one)
         assert np.array_equal(trace[:, c], one_trace)
 
 
@@ -294,8 +293,9 @@ def test_gibbs_chains_rejects_bad_streams():
     g = torus_lattice(3, 3)
     part = concliques(g)
     spec = GmrfSpec(g, 0.1)
-    with pytest.raises(ValueError, match="rho"):
-        gibbs_chains([spec, spec], part, [(1, 1.0)], 5)
+    for rho in (1.0, -1.0, 1.2):
+        with pytest.raises(ValueError, match="rho"):
+            gibbs_chains([spec, spec], part, [(1, rho)], 5)
     with pytest.raises(ValueError, match="one chain per spec"):
         gibbs_chains([spec, spec], part, [(1, None)], 5)
     with pytest.raises(ValueError, match="one graph"):
@@ -305,7 +305,7 @@ def test_gibbs_chains_rejects_bad_streams():
 
 def test_direct_sample_eta_zero_iid():
     g = random_graph(8, 0.25, seed=4)
-    spec = GmrfSpec(g, 0.0, alpha=2.0, tau2=1.0)
+    spec = GmrfSpec(g, 0.0, alpha=2.0)
     draws = direct_sample(spec, seed=6, count=60_000)
     assert np.max(np.abs(draws.mean(axis=0) - 2.0)) < 0.05
     assert np.max(np.abs(draws.var(axis=0) - 1.0)) < 0.05
@@ -337,7 +337,7 @@ def test_direct_sample_reproducible():
     spec = GmrfSpec(torus_lattice(3, 3), 0.1)
     a = direct_sample(spec, seed=5)
     b = direct_sample(spec, seed=5)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_direct_sample_warns_on_asymmetry():
@@ -363,67 +363,38 @@ def test_gibbs_and_direct_agree_in_distribution():
 # ---------------------------------------------------------------------------
 # coupling and transforms
 
-def test_coupled_pairs_independent():
-    pairs = coupled_innovation_pairs(0.0, 100_000, seed=1)
-    r = np.corrcoef(pairs.T)[0, 1]
-    assert abs(r) < 0.01
-
-
-def test_coupled_pairs_paper_correlation():
-    pairs = coupled_innovation_pairs(0.7, 100_000, seed=2)
-    r = np.corrcoef(pairs.T)[0, 1]
-    assert r == pytest.approx(0.7, abs=0.01)
-    # both margins standard normal
-    assert np.max(np.abs(pairs.mean(axis=0))) < 0.02
-    assert np.max(np.abs(pairs.var(axis=0) - 1.0)) < 0.02
-
-
-def test_coupled_pairs_degenerate_limit():
-    pairs = coupled_innovation_pairs(1.0 - 1e-12, 1000, seed=3)
-    assert np.max(np.abs(pairs[:, 0] - pairs[:, 1])) < 1e-5
-
-
-def test_coupled_pairs_rejects_unit_rho():
-    for rho in (1.0, -1.0, 1.2):
-        with pytest.raises(ValueError):
-            coupled_innovation_pairs(rho, 10, seed=0)
-
-
-def test_coupled_pairs_reproducible():
-    a = coupled_innovation_pairs(0.4, 500, seed=12)
-    b = coupled_innovation_pairs(0.4, 500, seed=12)
-    assert np.array_equal(a, b)
-
-
 def test_gibbs_chains_coupled_correlates_innovations():
+    # at eta 0 every kept state is exactly that sweep's innovations, so the
+    # trace holds 36 nodes x 3000 sweeps of coupled pairs
     g = torus_lattice(6, 6)
-    spec = GmrfSpec(g, 0.0)    # eta 0 so final values are exactly the innovations
-    x, _ = gibbs_chains([spec, spec], concliques(g), [(9, 0.7)], 1)
-    # one sweep at eta 0 leaves x = z, correlated pairs per node
-    r = np.corrcoef(x[0], x[1])[0, 1]
-    assert r == pytest.approx(0.7, abs=0.35)   # only 36 nodes, loose check
+    spec = GmrfSpec(g, 0.0)
+    for rho in (0.0, 0.7):
+        _, trace = gibbs_chains([spec, spec], concliques(g), [(9, rho)], 3000,
+                                trace_every=1)
+        pairs = trace.transpose(1, 0, 2).reshape(2, -1)
+        assert np.corrcoef(pairs)[0, 1] == pytest.approx(rho, abs=0.02)
+        # both margins standard normal
+        assert np.max(np.abs(pairs.mean(axis=1))) < 0.02
+        assert np.max(np.abs(pairs.var(axis=1) - 1.0)) < 0.02
 
 
 def test_to_uniform_examples():
-    f = FieldSample(np.array([0.0, 1.959964, -1.959964]))
-    u = to_uniform(f, mean=0.0, sd=1.0)
-    assert u.values[0] == pytest.approx(0.5, abs=1e-12)
-    assert u.values[1] == pytest.approx(0.975, abs=1e-6)
-    assert u.values[2] == pytest.approx(0.025, abs=1e-6)
+    u = to_uniform(np.array([0.0, 1.959964, -1.959964]), mean=0.0, sd=1.0)
+    assert u[0] == pytest.approx(0.5, abs=1e-12)
+    assert u[1] == pytest.approx(0.975, abs=1e-6)
+    assert u[2] == pytest.approx(0.025, abs=1e-6)
 
 
 def test_to_uniform_monotone_and_bounded():
     vals = np.sort(stream(4).standard_normal(500) * 3.0)
-    u = to_uniform(FieldSample(vals), mean=0.5, sd=2.0)
-    assert np.all(np.diff(u.values) >= 0.0)
-    assert np.all((u.values > 0.0) & (u.values < 1.0))
+    u = to_uniform(vals, mean=0.5, sd=2.0)
+    assert np.all(np.diff(u) >= 0.0)
+    assert np.all((u > 0.0) & (u < 1.0))
     with pytest.raises(ValueError):
-        to_uniform(FieldSample(vals), sd=0.0)
+        to_uniform(vals, sd=0.0)
 
 
-def test_field_csv_round_trip(tmp_path):
-    f = FieldSample(np.array([1.5, -2.25, 0.0]), "z1")
+def test_field_to_csv_text(tmp_path):
     path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    g = field_from_csv(path, "z1")
-    assert np.array_equal(f.values, g.values)
+    field_to_csv(np.array([1.5, -2.25, 0.0, 0.1]), path)
+    assert path.read_text() == "node_id,value\n0,1.5\n1,-2.25\n2,0.0\n3,0.1\n"

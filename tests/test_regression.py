@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from wavesieve.regression import (Dataset, auto_rho, dataset_from_csv,
-                                  default_rho, design_matrix, fit,
-                                  fit_from_json, fit_to_json, l2_error_mc,
-                                  predict, predict_batch, select_level,
-                                  truncate_value)
+from wavesieve.regression import (Dataset, auto_rho, default_rho,
+                                  design_matrix, fit, fit_to_json, l2_error_mc,
+                                  predict, predict_batch, select_level)
 from wavesieve.rng import stream
 from wavesieve.wavelets import (cascade, d4_filter, haar_filter,
                                 sieve_for_box, wavelet_sieve)
@@ -164,14 +162,6 @@ def test_fit_optimality_against_perturbations():
 # ---------------------------------------------------------------------------
 # truncation, prediction, level rule
 
-def test_truncate_value():
-    assert truncate_value(7.0, 5.0) == 5.0
-    assert truncate_value(-7.0, 5.0) == -5.0
-    assert truncate_value(3.0, 5.0) == 3.0
-    with pytest.raises(ValueError):
-        truncate_value(1.0, -1.0)
-
-
 def test_predict_truncation_binds():
     sieve = wavelet_sieve(HAAR, 1, 0, 0)
     f = fit(Dataset(np.array([0.5]), np.array([10.0])), sieve, HAAR_TABLE, rho=5.0)
@@ -267,16 +257,7 @@ def test_dataset_validation():
         Dataset(np.array([np.nan]), np.array([1.0]))
 
 
-def test_dataset_from_csv(tmp_path):
-    p = tmp_path / "data.csv"
-    p.write_text("x1,x2,y\n0.1,0.2,1.5\n0.3,0.4,-2.0\n")
-    data = dataset_from_csv(p)
-    assert data.d == 2
-    assert len(data) == 2
-    assert data.y.tolist() == [1.5, -2.0]
-
-
-def test_fit_json_round_trip(tmp_path):
+def test_fit_to_json_fields(tmp_path):
     rng = stream(36)
     X = rng.uniform(0.0, 1.0, 50)
     y = np.cos(4.0 * X)
@@ -284,14 +265,15 @@ def test_fit_json_round_trip(tmp_path):
     table = cascade(d4_filter(), 10)
     f = fit(Dataset(X, y), sieve, table, rho=3.5)
     path = tmp_path / "fit.json"
-    fit_to_json(f, path)
-    g = fit_from_json(str(path))
-    assert np.allclose(g.coeffs, f.coeffs)
-    assert g.rho == f.rho
-    assert g.sieve.filter.name == "d4"
-    xs = rng.uniform(0.0, 1.0, 50)
-    assert np.allclose(predict_batch(g, table, xs), predict_batch(f, table, xs))
-    # the document itself round-trips through json text
-    doc = json.loads(json.dumps(fit_to_json(f)))
-    h = fit_from_json(doc)
-    assert np.allclose(h.coeffs, f.coeffs)
+    doc = fit_to_json(f, path)
+    assert json.loads(path.read_text()) == doc
+    assert (doc["filter"], doc["d"], doc["j"], doc["w"], doc["rho"]) == \
+        ("d4", 1, 1, sieve.w, 3.5)
+    rep = f.svd_report
+    assert doc["svd_report"] == {"rank": rep.rank, "condition": rep.condition,
+                                 "dropped": rep.dropped.tolist(),
+                                 "total_columns": rep.total_columns}
+    assert [c["gamma"] for c in doc["coefficients"]] == sieve.K.tolist()
+    assert [c["a"] for c in doc["coefficients"]] == f.coeffs.tolist()
+    # an unbounded fit records its infinite bound as null
+    assert fit_to_json(fit(Dataset(X, y), sieve, table))["rho"] is None
