@@ -16,7 +16,7 @@ from .gmrf import (GmrfSpec, ChainConfig, tau_from_eta, conditional_params,
                    to_uniform, field_to_csv)
 from .wavelets import (ScalingFilter, PhiTable, WaveletSieve, haar_filter,
                        d4_filter, filter_by_name, cascade, phi_eval,
-                       mother_tensor_coeffs, translation_set, wavelet_sieve,
+                       mother_tensor_coeffs, wavelet_sieve,
                        sieve_for_box, covering_sieve, partition_of_unity_residual,
                        refinement_residual, phi_table_to_csv)
 from .regression import (Dataset, RegressionFit, SvdReport, design_matrix,

@@ -1,8 +1,9 @@
 """Command line front end for the experiment runner.
 
 Every flag overrides the matching key of the JSON config file.  On success
-the exit code is 0 and the result table is printed; on failure a
-machine-readable error JSON goes to stdout and the exit code is nonzero.
+the exit code is 0 and the result table is printed; on failure, a run whose
+every replication failed included, a machine-readable error JSON goes to
+stdout and the exit code is nonzero.
 """
 
 import argparse
@@ -68,6 +69,9 @@ def main(argv=None):
             doc["out_dir"] = "results"
         cfg = config_from_dict(doc)
         table = run_experiment(cfg)
+        if len(table.failures) == cfg.replications:
+            raise RuntimeError(f"all {cfg.replications} replications failed, "
+                               f"first: {table.failures[0]}")
     except Exception as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         return 1

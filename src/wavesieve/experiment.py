@@ -75,6 +75,9 @@ class ExperimentConfig:
     out_dir: str = None
 
     def __post_init__(self):
+        for key in ("etas", "wavelets", "levels"):
+            if isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "wavelets", tuple(self.wavelets))
         object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
@@ -190,7 +193,7 @@ def config_from_dict(doc):
     chain = doc.pop("chain", {})
     kwargs = {
         "graph": doc.pop("graph"),
-        "etas": tuple(doc.pop("etas")),
+        "etas": doc.pop("etas"),
         "regression": doc.pop("regression"),
     }
     for key in ("wavelets", "levels", "replications", "copula_rho", "coupling",

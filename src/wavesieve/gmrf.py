@@ -67,10 +67,12 @@ def tau_from_eta(graph, eta):
 
 def _inverse_cholesky(graph, eta):
     """L^{-1} for the Cholesky factor L L^T = I - eta*H, so that
-    (I - eta*H)^{-1} = L^{-T} L^{-1}.  The factor is inverted in place, so
-    past the factorization the only n x n arrays alive are the cached
-    adjacency and L; nothing keeps L after the caller drops it."""
-    M = graph.adjacency() * -eta
+    (I - eta*H)^{-1} = L^{-T} L^{-1}.  I - eta*H is formed in the fresh
+    adjacency array and the factor is inverted in place, so past the
+    factorization the only n x n array alive is L; nothing keeps L after the
+    caller drops it."""
+    M = graph.adjacency()
+    M *= -eta
     M.flat[::graph.node_count + 1] += 1.0
     try:
         L = np.linalg.cholesky(M)
@@ -240,11 +242,10 @@ def direct_sample(spec, seed, count=None):
     return spec.alpha[None, :] + z @ L.T
 
 
-def to_uniform(values, mean=0.0, sd=1.0):
-    """Map field values through the normal distribution function onto (0, 1)."""
-    if sd <= 0.0:
-        raise ValueError("sd must be positive")
-    return np.atleast_1d(normal_cdf((np.asarray(values, dtype=float) - mean) / sd))
+def to_uniform(values):
+    """Map standard normal field values through the normal distribution
+    function onto (0, 1)."""
+    return np.atleast_1d(normal_cdf(np.asarray(values, dtype=float)))
 
 
 def field_to_csv(values, path):

@@ -69,7 +69,6 @@ class Graph:
         self.degrees = np.array([a.size for a in self.neighbors], dtype=np.int64)
 
         self._segments = self.neighbor_segments(np.arange(node_count))
-        self._adjacency = None
         self._eigen_cache = {}
         self._concliques = None
 
@@ -94,18 +93,17 @@ class Graph:
         return np.add.reduceat(np.append(x, 0.0)[index], starts)
 
     def adjacency(self):
-        """Dense symmetric 0/1 adjacency matrix (cached, limited to small graphs)."""
-        if self._adjacency is None:
-            if self.node_count > DENSE_NODE_LIMIT:
-                raise ValueError(
-                    f"dense adjacency limited to {DENSE_NODE_LIMIT} nodes, "
-                    f"graph has {self.node_count}")
-            H = np.zeros((self.node_count, self.node_count))
-            for u, v in self.edges:
-                H[u, v] = 1.0
-                H[v, u] = 1.0
-            self._adjacency = H
-        return self._adjacency
+        """A fresh dense symmetric 0/1 adjacency matrix (limited to small
+        graphs); the caller owns it and may overwrite it."""
+        if self.node_count > DENSE_NODE_LIMIT:
+            raise ValueError(
+                f"dense adjacency limited to {DENSE_NODE_LIMIT} nodes, "
+                f"graph has {self.node_count}")
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        H = np.zeros((self.node_count, self.node_count))
+        H[u, v] = 1.0
+        H[v, u] = 1.0
+        return H
 
     def __repr__(self):
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
@@ -232,9 +230,7 @@ def knn_geometric_graph(points, k, seed):
         for t in np.argsort(d2[s], kind="stable")[:k]:
             t = int(t)
             edges.add((s, t) if s < t else (t, s))
-    g = Graph(points, edges)
-    g.positions = xy
-    return g
+    return Graph(points, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ __all__ = [
     "default_rho", "auto_rho", "select_level", "l2_error_mc", "fit_to_json",
 ]
 
+SVD_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -75,10 +77,13 @@ def _design(X, sieve, table):
         X = X[:, None]
     if X.shape[1] != sieve.d:
         raise ValueError(f"points have dimension {X.shape[1]}, sieve expects {sieve.d}")
-    scale = 2.0 ** sieve.j
-    out = np.full((X.shape[0], sieve.size), sieve.scale)
-    for i in range(sieve.d):
-        out *= table.eval(scale * X[:, i, None] - sieve.K[None, :, i])
+    # one n x |axis| factor table per axis, multiplied in axis order into the
+    # row-wise Kronecker product: the columns follow the lexicographic K
+    n, scale = X.shape[0], 2.0 ** sieve.j
+    out = np.full((n, 1), sieve.scale)
+    for x, axis in zip(X.T, sieve.axes):
+        factor = table.eval(scale * x[:, None] - axis[None, :])
+        out = (out[:, :, None] * factor[:, None, :]).reshape(n, out.shape[1] * axis.size)
     return out
 
 
@@ -88,10 +93,10 @@ def design_matrix(data, sieve, table):
     return _design(data.X, sieve, table)
 
 
-def svd_lstsq(B, y, svd_rtol=1e-10):
+def svd_lstsq(B, y):
     """Minimum-norm least squares by singular value decomposition.
 
-    Singular values below svd_rtol times the largest are dropped and
+    Singular values below SVD_RTOL times the largest are dropped and
     reported.  Returns (coefficients, SvdReport); a fully degenerate matrix
     yields all-zero coefficients with rank 0.
     """
@@ -99,7 +104,7 @@ def svd_lstsq(B, y, svd_rtol=1e-10):
     y = np.asarray(y, dtype=float)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
-    keep = s > svd_rtol * smax if smax > 0.0 else np.zeros(s.shape, dtype=bool)
+    keep = s > SVD_RTOL * smax if smax > 0.0 else np.zeros(s.shape, dtype=bool)
     if not np.any(keep):
         return np.zeros(B.shape[1]), SvdReport(0, np.inf, s.copy(), B.shape[1])
     coeffs = Vt[keep].T @ ((U[:, keep].T @ y) / s[keep])
@@ -108,14 +113,14 @@ def svd_lstsq(B, y, svd_rtol=1e-10):
     return coeffs, report
 
 
-def fit(data, sieve, table, rho=np.inf, svd_rtol=1e-10):
+def fit(data, sieve, table, rho=np.inf):
     """Truncated least-squares fit of the sieve coefficients on a dataset."""
     if len(data) < 1:
         raise ValueError("need at least one observation")
     if rho < 0:
         raise ValueError("truncation bound must be non-negative")
     B = design_matrix(data, sieve, table)
-    coeffs, report = svd_lstsq(B, data.y, svd_rtol)
+    coeffs, report = svd_lstsq(B, data.y)
     if report.degenerate:
         warnings.warn("degenerate design: all singular values dropped", stacklevel=2)
     return RegressionFit(sieve, coeffs, float(rho), report)

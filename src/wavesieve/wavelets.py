@@ -9,8 +9,8 @@ d-dimensional design functions are
 
     Phi_{j,gamma}(x) = 2^{jd/2} * prod_i phi(2^j x_i - gamma_i),
 
-with translations gamma drawn from a sup-norm box, optionally pruned to the
-translations whose support touches a given data bounding box.
+with translations gamma the product of one integer range per axis: a
+sup-norm box, or the ranges whose supports cover the unit cube.
 """
 
 import itertools
@@ -23,7 +23,7 @@ import numpy as np
 __all__ = [
     "ScalingFilter", "PhiTable", "WaveletSieve",
     "haar_filter", "d4_filter", "filter_by_name", "cascade",
-    "phi_eval", "mother_tensor_coeffs", "translation_set", "wavelet_sieve",
+    "phi_eval", "mother_tensor_coeffs", "wavelet_sieve",
     "sieve_for_box", "covering_sieve", "partition_of_unity_residual",
     "refinement_residual",
     "phi_table_to_csv",
@@ -174,81 +174,70 @@ def cascade(filt, resolution=10):
 
 @dataclass(frozen=True)
 class WaveletSieve:
-    """Design-function family at one level: filter, data dimension, scale j,
-    and the translation rows K (lexicographically ordered)."""
+    """Design-function family at one level: filter, scale j and one
+    increasing int64 translation vector per axis.  The translations are the
+    Cartesian product of the axes."""
     filter: ScalingFilter
-    d: int
     j: int
-    w: int
-    K: np.ndarray
+    axes: tuple
+
+    @property
+    def d(self):
+        return len(self.axes)
+
+    @property
+    def w(self):
+        """Sup-norm bound of the translations, max |gamma_i|."""
+        return max(int(np.abs(axis).max()) for axis in self.axes)
 
     @property
     def size(self):
-        return self.K.shape[0]
+        return math.prod(axis.size for axis in self.axes)
+
+    @property
+    def K(self):
+        """Translation rows (size x d), lexicographically ordered."""
+        grid = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack([g.ravel() for g in grid], axis=1)
 
     @property
     def scale(self):
         return 2.0 ** (self.j * self.d / 2.0)
 
 
-def wavelet_sieve(filt, d, j, w, prune_to=None):
-    """Sieve on the full translation box ||gamma||_inf <= w, optionally pruned
-    to translations whose support intersects the box `prune_to = (lo, hi)`."""
-    K = translation_set(w, d, prune_to=prune_to, level=j, support=filt.support)
-    return WaveletSieve(filt, int(d), int(j), int(w), K)
+def _product_sieve(filt, d, j, first, last):
+    """Sieve with the translations first..last on each of the d axes."""
+    axis = np.arange(first, last + 1, dtype=np.int64)
+    return WaveletSieve(filt, int(j), (axis,) * int(d))
 
 
-def translation_set(w, d, prune_to=None, level=0, support=1):
-    """Lexicographically ordered integer translations with sup-norm at most w.
-
-    With `prune_to=(lo, hi)` only translations gamma whose scaled support
-    [gamma, gamma + support] / 2^level intersects the box survive.
-    """
+def wavelet_sieve(filt, d, j, w):
+    """Sieve on the full translation box ||gamma||_inf <= w."""
     if w < 0:
         raise ValueError("w must be non-negative")
-    gammas = np.array(list(itertools.product(range(-w, w + 1), repeat=d)),
-                      dtype=np.int64).reshape(-1, d)
-    if prune_to is None:
-        return gammas
-    lo = np.broadcast_to(np.asarray(prune_to[0], dtype=float), (d,))
-    hi = np.broadcast_to(np.asarray(prune_to[1], dtype=float), (d,))
-    scale = float(1 << level) if level >= 0 else 2.0 ** level
-    keep = np.all((gammas <= hi * scale) & (gammas + support >= lo * scale), axis=1)
-    return gammas[keep]
+    return _product_sieve(filt, d, j, -w, w)
 
 
-def sieve_for_box(filt, d, j, lo=0.0, hi=1.0):
-    """Sieve whose translations exactly cover [lo, hi]^d plus the filter
-    support overhang at level j (w proportional to 2^j)."""
+def sieve_for_box(filt, d, j):
+    """Sieve whose translations exactly cover the unit cube plus the filter
+    support overhang at level j: on each axis the gamma whose scaled support
+    [gamma, gamma + support] / 2^j meets [0, 1], that is -support..2^j."""
     if j < 0:
         raise ValueError("level must be non-negative")
-    lo_v = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
-    hi_v = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
-    scale = 1 << j
-    w = int(max(np.max(np.ceil(np.abs(hi_v) * scale)),
-                np.max(np.ceil(np.abs(lo_v) * scale)) + filt.support))
-    return wavelet_sieve(filt, d, j, w, prune_to=(lo_v, hi_v))
+    return _product_sieve(filt, d, j, -filt.support, 1 << j)
 
 
-def covering_sieve(filt, d, j, lo=0.0, hi=1.0):
-    """Minimal sieve at level j: the translations starting inside the box,
-    2^(jd) of them on the unit cube, whose supports cover it with no
-    boundary overhang.
+def covering_sieve(filt, d, j):
+    """Minimal sieve at level j: the 2^(jd) translations 0..2^j - 1 per axis
+    starting inside the unit cube, whose supports cover it with no boundary
+    overhang.
 
     Smaller than sieve_for_box: near the low boundary fewer translates
     overlap each point, trading boundary bias for fewer coefficients.
     """
     if j < 0:
         raise ValueError("level must be non-negative")
-    lo_v = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
-    hi_v = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
-    scale = 1 << j
-    axes = [np.arange(math.floor(l * scale), math.ceil(h * scale))
-            for l, h in zip(lo_v, hi_v)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    K = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
-    w = int(np.max(np.abs(K))) if K.size else 0
-    return WaveletSieve(filt, int(d), int(j), w, K)
+    return _product_sieve(filt, d, j, 0, (1 << j) - 1)
 
 
 def phi_eval(sieve, table, gamma, x):

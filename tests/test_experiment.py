@@ -92,9 +92,13 @@ def test_config_validation():
     ("chain", {"iterations": -1}, "iterations"),
     ("seed", 2.5, "seed"),
     ("seed", -1, "seed"),
+    ("levels", "12", "levels"),
+    ("wavelets", "haar", "wavelets"),
+    ("etas", "0.1", "etas"),
 ], ids=["burn_in", "test_fraction", "copula_rho", "negative_level",
         "float_replications", "float_iterations", "negative_iterations",
-        "float_seed", "negative_seed"])
+        "float_seed", "negative_seed", "string_levels", "string_wavelets",
+        "string_etas"])
 def test_config_rejects_values_that_fail_late(key, value, match):
     # each of these would otherwise be ignored, fail every replication of a
     # run or crash inside it
@@ -275,6 +279,17 @@ def test_cli_minimal_invocation(tmp_path, capsys):
     }))
     assert main(["--config", str(cfg_path)]) == 0
     assert (tmp_path / "res" / "results.csv").exists()
+
+
+def test_cli_exits_nonzero_when_every_replication_fails(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    doc = config_to_dict(small_config(regression="1.0 / (x1 - x1)", etas=(0.1, 0.1)))
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["type"] == "RuntimeError"
+    assert err["error"].startswith("all 2 replications failed, first: rep=0 ")
+    assert "non-finite response" in err["error"]
 
 
 def test_run_parallel_workers_match_sequential(tmp_path, monkeypatch):

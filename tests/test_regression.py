@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavesieve.regression import (Dataset, auto_rho, default_rho,
                                   design_matrix, fit, fit_to_json, l2_error_mc,
                                   predict, predict_batch, select_level)
 from wavesieve.rng import stream
-from wavesieve.wavelets import (cascade, d4_filter, haar_filter,
-                                sieve_for_box, wavelet_sieve)
+from wavesieve.wavelets import (cascade, covering_sieve, d4_filter,
+                                haar_filter, sieve_for_box, wavelet_sieve)
 
 
 def gauss_solve(A, b):
@@ -78,6 +79,35 @@ def test_design_matrix_dimension_mismatch():
     data = Dataset(np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError):
         design_matrix(data, sieve, HAAR_TABLE)
+
+
+def dense_design_reference(X, sieve, table):
+    """The former design loop: every axis evaluated on the full n x size
+    argument array built from the translation rows K."""
+    scale = 2.0 ** sieve.j
+    out = np.full((X.shape[0], sieve.size), sieve.scale)
+    for i in range(sieve.d):
+        out *= table.eval(scale * X[:, i, None] - sieve.K[None, :, i])
+    return out
+
+
+TABLES = {f.name: (f, cascade(f, 10)) for f in (HAAR, d4_filter())}
+SIEVES = {"covering": covering_sieve, "box": sieve_for_box,
+          "full": lambda filt, d, j: wavelet_sieve(filt, d, j, (1 << j) + 1)}
+COORD = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(SIEVES)), name=st.sampled_from(sorted(TABLES)),
+       d=st.integers(1, 3), j=st.integers(0, 2), data=st.data())
+def test_design_matrix_equals_dense_reference(family, name, d, j, data):
+    filt, table = TABLES[name]
+    sieve = SIEVES[family](filt, d, j)
+    rows = data.draw(st.lists(st.lists(COORD, min_size=d, max_size=d), max_size=12))
+    X = np.vstack([np.zeros((1, d)), np.ones((1, d)), np.array(rows).reshape(-1, d)])
+    B = design_matrix(Dataset(X, np.zeros(len(X))), sieve, table)
+    assert B.shape == (len(X), sieve.size)
+    assert np.array_equal(B, dense_design_reference(X, sieve, table))
 
 
 # ---------------------------------------------------------------------------

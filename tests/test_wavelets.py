@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from wavesieve.wavelets import (cascade, d4_filter, filter_by_name,
-                                haar_filter, mother_tensor_coeffs,
+from wavesieve.wavelets import (cascade, covering_sieve, d4_filter,
+                                filter_by_name, haar_filter,
+                                mother_tensor_coeffs,
                                 partition_of_unity_residual, phi_eval,
                                 refinement_residual, shifted_inner,
-                                sieve_for_box, translation_set, wavelet_sieve)
+                                sieve_for_box, wavelet_sieve)
 
 TOL = 1e-12
 
@@ -159,20 +160,22 @@ def test_tensor_identity(filt):
     assert _tensor_identity_residual(filt) < TOL
 
 
-def test_translation_set_sizes():
-    assert translation_set(0, 2).tolist() == [[0, 0]]
-    assert translation_set(1, 2).shape == (9, 2)
-    assert translation_set(2, 1).shape == (5, 1)
+def test_wavelet_sieve_translation_sizes():
+    f = haar_filter()
+    assert wavelet_sieve(f, 2, 0, 0).K.tolist() == [[0, 0]]
+    assert wavelet_sieve(f, 2, 0, 1).K.tolist() == \
+        [list(g) for g in itertools.product((-1, 0, 1), repeat=2)]
+    assert wavelet_sieve(f, 1, 0, 2).K.shape == (5, 1)
     with pytest.raises(ValueError):
-        translation_set(-1, 2)
+        wavelet_sieve(f, 2, 0, -1)
 
 
-def test_translation_set_prune():
+def test_sieve_for_box_translations():
     # haar at level 1 on [0,1]: supports [g/2, (g+1)/2] must touch [0,1]
-    pruned = translation_set(4, 1, prune_to=(0.0, 1.0), level=1, support=1)
-    assert pruned.ravel().tolist() == [-1, 0, 1, 2]
-    full = translation_set(4, 1)
-    assert full.shape[0] == 9
+    f = haar_filter()
+    assert sieve_for_box(f, 1, 1).K.ravel().tolist() == [-1, 0, 1, 2]
+    assert wavelet_sieve(f, 1, 1, 4).K.shape[0] == 9
+    assert covering_sieve(f, 2, 1).K.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_sieve_for_box_covers_unit_interval():
