@@ -81,8 +81,19 @@ class ExperimentConfig:
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "wavelets", tuple(self.wavelets))
         object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
-        for key in ("replications", "iterations", "seed"):
-            value = getattr(self, key)
+        if not isinstance(self.graph, dict):
+            raise ValueError(f"graph must be an object, got {self.graph!r}")
+        kind = self.graph.get("kind")
+        if kind not in _GRAPH_KEYS:
+            raise ValueError(f"unknown graph kind {kind!r}")
+        unknown = sorted(set(self.graph) - _GRAPH_KEYS[kind] - {"kind"})
+        if unknown:
+            raise ValueError(f"unknown graph keys for kind {kind!r}: {unknown}")
+        # every graph key but kind and path is a count or a seed
+        integers = [(key, getattr(self, key)) for key in ("replications", "iterations", "seed")]
+        integers += [(f"graph.{key}", self.graph[key])
+                     for key in sorted(self.graph.keys() - {"kind", "path"})]
+        for key, value in integers:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.replications < 1:
@@ -101,12 +112,6 @@ class ExperimentConfig:
             raise ValueError("test_fraction must be strictly between 0 and 1")
         if not -1.0 < self.copula_rho < 1.0:
             raise ValueError("|copula_rho| must be below 1")
-        kind = self.graph.get("kind")
-        if kind not in _GRAPH_KEYS:
-            raise ValueError(f"unknown graph kind {kind!r}")
-        unknown = sorted(set(self.graph) - _GRAPH_KEYS[kind] - {"kind"})
-        if unknown:
-            raise ValueError(f"unknown graph keys for kind {kind!r}: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -144,14 +149,14 @@ _GRAPH_KEYS = {"torus": {"rows", "cols", "chords", "chord_seed"},
 def _build_graph(graph_cfg):
     kind = graph_cfg["kind"]
     if kind == "torus":
-        chords = int(graph_cfg.get("chords", 0))
+        chords = graph_cfg.get("chords", 0)
         if chords:
             return torus_with_chords(graph_cfg["rows"], graph_cfg["cols"], chords,
-                                     int(graph_cfg.get("chord_seed", 0)))
+                                     graph_cfg.get("chord_seed", 0))
         return torus_lattice(graph_cfg["rows"], graph_cfg["cols"])
     if kind == "knn":
         return knn_geometric_graph(graph_cfg["points"], graph_cfg["k"],
-                                   int(graph_cfg.get("point_seed", 0)))
+                                   graph_cfg.get("point_seed", 0))
     return load_graph(graph_cfg["path"])
 
 
@@ -191,6 +196,8 @@ def config_from_dict(doc):
     """
     doc = dict(doc)
     chain = doc.pop("chain", {})
+    if not isinstance(chain, dict):
+        raise ValueError(f"chain must be an object, got {chain!r}")
     kwargs = {
         "graph": doc.pop("graph"),
         "etas": doc.pop("etas"),

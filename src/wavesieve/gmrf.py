@@ -1,18 +1,21 @@
 """Gaussian Markov random fields on graphs.
 
-Conditional autoregression with equal neighbour weights eta on the adjacency,
+Conditional autoregression with dependence eta on the adjacency,
 conclique-blocked Gibbs sampling with innovation-coupled chain pairs for
 dependent components, an exact joint sampler as oracle, and the marginal
 transform onto the unit interval.
 
-Conditionals per node: value | rest ~ N(alpha_s + eta * sum_{t ~ s}(x_t -
-alpha_t), tau2_s).  With tau2 from `tau_from_eta` the marginal variances of
-the joint law equal one exactly.  The Gibbs engine advances x - alpha.
+Conditionals per node: value | rest ~ N(alpha_s + sum_{t ~ s} c_st (x_t -
+alpha_t), tau2_s) with edge weights c_st = eta * sqrt(tau2_s / tau2_t), so the
+precision D^{-1/2} (I - eta*H) D^{-1/2}, D = diag(tau2), is symmetric and the
+conditionals are compatible on every graph (Besag's symmetry condition).  With
+tau2 from `tau_from_eta` every marginal variance of the joint law is one.  In
+the standardized state y = (x - alpha) / sqrt(tau2) the chain is the plain
+eta-CAR with unit innovations, which is what the Gibbs engine advances.
 Every sampler draws its standard normals with `Generator.standard_normal`
 from the keyed stream of its seed and tag.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +104,10 @@ def _invert_lower_in_place(L):
 class GmrfSpec:
     """Conditional autoregression on a graph: mean alpha and dependence eta.
 
-    The per-node conditional variances `tau2` are `tau_from_eta(graph, eta)`,
-    so every marginal variance of the joint law is one.
+    The per-node conditional variances `tau2` are `tau_from_eta(graph, eta)`
+    and edge s-t carries weight eta * sqrt(tau2_s / tau2_t), so the joint law
+    is N(alpha, D^{1/2} (I - eta*H)^{-1} D^{1/2}), D = diag(tau2), with every
+    marginal variance one.
     """
     graph: object
     eta: float
@@ -121,8 +126,9 @@ def conditional_params(spec, state, s):
     """(mean, variance) of node s given the rest of the field frozen at `state`."""
     nbrs = spec.graph.neighbors[s]
     x = np.asarray(state, dtype=float)
-    mean = spec.alpha[s] + spec.eta * float(np.sum(x[nbrs] - spec.alpha[nbrs]))
-    return mean, float(spec.tau2[s])
+    y = (x[nbrs] - spec.alpha[nbrs]) / np.sqrt(spec.tau2[nbrs])
+    mean = spec.alpha[s] + spec.eta * np.sqrt(spec.tau2[s]) * np.sum(y)
+    return float(mean), float(spec.tau2[s])
 
 
 def gibbs_chain(spec, partition, cfg, trace_every=0):
@@ -147,11 +153,13 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     drawing u then v (n each) per sweep, with u driving the first chain and
     rho*u + sqrt(1 - rho^2)*v the second.  A block of k sweeps is one
     `standard_normal((k, n))` or `((k, 2, n))` call per stream, which gives the
-    same values as one call per sweep.  The state is the deviation from
-    alpha; a class update sums its members' neighbour lists of
-    `Graph.neighbor_segments` with `np.add.reduceat`.  Returns the (chains,
-    n) final states and the stack of every `trace_every`-th post-burn-in
-    state, shape (kept, chains, n), or None when trace_every == 0.
+    same values as one call per sweep.  The state is the standardized
+    y = (x - alpha) / sqrt(tau2), whose update is eta times the sum of the
+    neighbours' y plus the unit innovation; a class update sums its members'
+    neighbour lists of `Graph.neighbor_segments` with `np.add.reduceat`.
+    Returns the (chains, n) final states alpha + sqrt(tau2) * y and the stack
+    of every `trace_every`-th post-burn-in state, shape (kept, chains, n), or
+    None when trace_every == 0.
     """
     graph, chains = specs[0].graph, len(specs)
     if any(spec.graph is not graph for spec in specs):
@@ -162,9 +170,10 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
         raise ValueError("streams must feed exactly one chain per spec")
     n = graph.node_count
     alpha = np.array([spec.alpha for spec in specs])
-    # deviations from alpha; column n is the zero that empty neighbour lists read
-    dev = np.zeros((chains, n + 1))
-    flat_dev, rows = dev.reshape(-1), np.arange(chains)[:, None] * (n + 1)
+    sd = np.sqrt(np.array([spec.tau2 for spec in specs]))
+    # standardized state; column n is the zero that empty neighbour lists read
+    y = np.zeros((chains, n + 1))
+    flat_y, rows = y.reshape(-1), np.arange(chains)[:, None] * (n + 1)
     eta = np.array([[spec.eta] for spec in specs])
     # per class: flat gather indices, gather buffer, segment starts, class buffer,
     # innovation slice and flat scatter indices
@@ -174,8 +183,6 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
         plan.append((rows + index, np.empty((chains, index.size)), starts,
                      np.empty((chains, cls.size)), slice(pos, pos + cls.size), rows + cls))
         pos += cls.size
-    order = np.concatenate([np.empty(0, np.int64), *partition.classes])
-    sd = np.sqrt(np.array([spec.tau2 for spec in specs]))[:, order]
     rngs = [(stream(seed, _TAG_CHAIN), rho) for seed, rho in streams]
     block = max(1, _BLOCK_BYTES // (8 * n * chains))
     z = np.empty((min(block, iterations), chains, n))
@@ -189,57 +196,41 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
                 u, v = rng.standard_normal((k, 2, n)).transpose(1, 0, 2)
                 z[:k, c], z[:k, c + 1] = u, rho * u + np.sqrt(1.0 - rho * rho) * v
             c += 1 if rho is None else 2
-        np.multiply(z[:k], sd, out=z[:k])
         for it in range(start, start + k):
             zi = z[it - start]
-            for idx, nbrs, starts, dev_cls, at, dest in plan:
-                np.take(flat_dev, idx, out=nbrs)
-                np.add.reduceat(nbrs, starts, axis=1, out=dev_cls)
-                np.multiply(eta, dev_cls, out=dev_cls)
-                np.add(dev_cls, zi[:, at], out=dev_cls)
-                flat_dev[dest] = dev_cls
+            for idx, nbrs, starts, y_cls, at, dest in plan:
+                np.take(flat_y, idx, out=nbrs)
+                np.add.reduceat(nbrs, starts, axis=1, out=y_cls)
+                np.multiply(eta, y_cls, out=y_cls)
+                np.add(y_cls, zi[:, at], out=y_cls)
+                flat_y[dest] = y_cls
             if trace_every and it >= burn_in and (it - burn_in) % trace_every == 0:
-                kept.append(dev[:, :n] + alpha)
-    return dev[:, :n] + alpha, np.array(kept).reshape(-1, chains, n) if trace_every else None
+                kept.append(alpha + sd * y[:, :n])
+    return alpha + sd * y[:, :n], np.array(kept).reshape(-1, chains, n) if trace_every else None
 
 
 def joint_covariance(spec):
     """(covariance, asymmetry) of the joint law the conditionals imply.
 
-    The raw matrix (I - eta*H)^{-1} T is symmetric only when the diagonal
-    of (I - eta*H)^{-1} is constant (vertex-transitive graphs, for one);
-    otherwise the conditionals are mutually incompatible and the
-    symmetrized matrix is returned together with the max entrywise
-    asymmetry residual.
+    The covariance D^{1/2} (I - eta*H)^{-1} D^{1/2} is formed as M^T M with
+    M = L^{-1} D^{1/2}, so it is symmetric by construction; the max entrywise
+    asymmetry residual is returned as a check.
     """
-    inv_factor = _inverse_cholesky(spec.graph, spec.eta)
-    A = inv_factor.T @ inv_factor
-    del inv_factor
-    A *= spec.tau2
-    resid = float(np.max(np.abs(A - A.T))) if A.size else 0.0
-    return 0.5 * (A + A.T), resid
+    M = _inverse_cholesky(spec.graph, spec.eta)
+    M *= np.sqrt(spec.tau2)
+    cov = M.T @ M
+    return cov, float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
 
 
 def direct_sample(spec, seed, count=None):
-    """Exact draw(s) from N(alpha, (I - eta*H)^{-1} T), symmetrized.
+    """Exact draw(s) alpha + sqrt(tau2) * (z^T L^{-1}) from the joint law.
 
     `count=None` returns one draw of shape (n,); an integer returns an array
-    of shape (count, n).  Warns when the implied covariance had to be
-    symmetrized by more than 1e-10.
+    of shape (count, n).
     """
-    cov, resid = joint_covariance(spec)
-    if resid > 1e-10:
-        warnings.warn(f"joint covariance symmetrized, residual {resid:.3e}", stacklevel=2)
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("implied covariance is not positive definite") from exc
-    rng = stream(seed, _TAG_DIRECT)
     n = spec.graph.node_count
-    if count is None:
-        return spec.alpha + L @ rng.standard_normal(n)
-    z = rng.standard_normal((int(count), n))
-    return spec.alpha[None, :] + z @ L.T
+    z = stream(seed, _TAG_DIRECT).standard_normal(n if count is None else (int(count), n))
+    return spec.alpha + np.sqrt(spec.tau2) * (z @ _inverse_cholesky(spec.graph, spec.eta))
 
 
 def to_uniform(values):

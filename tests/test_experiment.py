@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,10 +99,24 @@ def test_config_validation():
     ("levels", "12", "levels"),
     ("wavelets", "haar", "wavelets"),
     ("etas", "0.1", "etas"),
+    ("graph", {"kind": "torus", "rows": 6.7, "cols": 6}, "graph.rows"),
+    ("graph", {"kind": "torus", "rows": "6", "cols": 6}, "graph.rows"),
+    ("graph", {"kind": "torus", "rows": 6, "cols": True}, "graph.cols"),
+    ("graph", {"kind": "torus", "rows": 6, "cols": 6, "chords": 2.5}, "graph.chords"),
+    ("graph", {"kind": "torus", "rows": 6, "cols": 6, "chords": 2, "chord_seed": 1.0},
+     "graph.chord_seed"),
+    ("graph", {"kind": "knn", "points": 30.0, "k": 3}, "graph.points"),
+    ("graph", {"kind": "knn", "points": 30, "k": "3"}, "graph.k"),
+    ("graph", {"kind": "knn", "points": 30, "k": 3, "point_seed": 0.5}, "graph.point_seed"),
+    ("graph", ["torus", 6, 6], "graph"),
+    ("chain", [200], "chain"),
+    ("chain", 200, "chain"),
 ], ids=["burn_in", "test_fraction", "copula_rho", "negative_level",
         "float_replications", "float_iterations", "negative_iterations",
         "float_seed", "negative_seed", "string_levels", "string_wavelets",
-        "string_etas"])
+        "string_etas", "float_rows", "string_rows", "bool_cols", "float_chords",
+        "float_chord_seed", "float_points", "string_k", "float_point_seed",
+        "list_graph", "list_chain", "int_chain"])
 def test_config_rejects_values_that_fail_late(key, value, match):
     # each of these would otherwise be ignored, fail every replication of a
     # run or crash inside it
@@ -322,30 +340,30 @@ def test_failed_replications_are_logged_not_fatal(tmp_path):
 
 # sha256 of results.csv for one small config per stream layout (the d = 2
 # `innovations` pair, d = 2 `final`, d = 1 and d >= 3), recorded with
-# numpy 2.4.6 once the samplers drew Generator.standard_normal.  Byte
-# identity is promised only for the same numpy version and the same OpenBLAS
-# thread count: these were recorded under OpenBLAS's default thread count on
-# a 2-core host, and 1 thread gives other bits.
+# numpy 2.4.6 once the chains ran on compatible edge weights.  Byte identity
+# is promised only for the same numpy version and the same OpenBLAS thread
+# count, so each config runs in a fresh interpreter with
+# OPENBLAS_NUM_THREADS=1, whatever the host's core count.
 GOLDEN_NUMPY = "2.4.6"
 _TORUS = {"kind": "torus", "rows": 18, "cols": 18, "chords": 60, "chord_seed": 1}
 GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "b6f2fe80bc0e9fefe3e607c3de82b8b2eb63b92f5218b01532fd7c0fd34178e8"),
+        "ce0cbb722891351ac7bbef14ec972129ccfa15811889fb137be3ffd5b1e799e8"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "a57d664ae963dee267d694abaa3933bafeb2d984c3bc97f6e5bbc609099d78e0"),
+        "bd151ef5d179002733ba05f9c97f258e0940a625ed3141a943f39f2177b403dd"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "6e55b840080d8d5360051b6f3543890e5d76c13f08ae2e14aa7b764ff36aa0a2"),
+        "fabf68da03cdaa5695da621a897bfab8288b79c5747eb55ff499c30eb503748e"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "b0a793bae211f5a2a2252462ed1a195165e43ab01b2cfa929f8124fa7e5dbef3"),
+        "d93e6abf232febc5912a8eba7aa5701eb903eec983eff433334daebdb5fc7492"),
 }
 
 
@@ -357,7 +375,14 @@ def test_results_csv_digest(name, tmp_path):
     overrides, digest = GOLDEN[name]
     cfg = ExperimentConfig(wavelets=("haar", "d4"), levels=(1, 2), replications=2,
                            iterations=200, seed=11, out_dir=str(tmp_path), **overrides)
-    table = run_experiment(cfg)
-    assert not table.failures
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_to_dict(cfg)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "wavesieve.cli", "--config", str(config)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "failed replications" not in proc.stdout
     data = (tmp_path / "results.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest

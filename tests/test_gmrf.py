@@ -72,17 +72,19 @@ def test_tau_matches_dense_inverse_oracle():
 
 
 def test_joint_covariance_matches_solve_oracle():
+    # D^{1/2} (I - eta*H)^{-1} D^{1/2} with D = diag(tau2): symmetric with unit
+    # diagonal on every graph, the paper's chorded torus included, though it
+    # is not vertex transitive
     for g in _oracle_graphs():
         eye = np.eye(g.node_count)
         for eta in _ends_of_range(g):
             spec = GmrfSpec(g, eta)
-            raw = np.linalg.solve(eye - eta * g.adjacency(), np.diag(spec.tau2))
+            half = np.diag(np.sqrt(spec.tau2))
+            want = half @ np.linalg.solve(eye - eta * g.adjacency(), half)
             cov, resid = joint_covariance(spec)
-            assert np.max(np.abs(cov - 0.5 * (raw + raw.T))) < 1e-11
-            assert resid == pytest.approx(np.max(np.abs(raw - raw.T)), abs=1e-11)
-    # the paper's chorded torus is not vertex transitive: visibly asymmetric
-    _, resid = joint_covariance(GmrfSpec(torus_with_chords(18, 18, 60, seed=1), -0.18))
-    assert resid > 1e-3
+            assert np.max(np.abs(cov - want)) < 1e-11
+            assert resid <= 1e-12
+            assert np.max(np.abs(np.diag(cov) - 1.0)) < 1e-12
 
 
 def test_marginal_variance_identity():
@@ -113,6 +115,30 @@ def test_conditional_params_single_edge():
     mean, var = conditional_params(spec, np.array([0.0, 2.0]), 0)
     assert mean == pytest.approx(1.0)
     assert var == pytest.approx(0.75)
+
+
+def _compatibility_graphs():
+    # (graph, eta) on graphs that are not vertex transitive, so tau2 varies
+    paper = torus_with_chords(18, 18, 60, seed=1)
+    return [(paper, -0.18), (paper, 0.12), (Graph(4, [(0, 1), (0, 2), (0, 3)]), 0.4),
+            (knn_geometric_graph(300, 6, seed=3), 0.12)]
+
+
+def test_conditional_params_are_the_conditionals_of_the_joint_precision():
+    # Besag compatibility: every conditional is the one the joint law
+    # N(alpha, cov) implies, read off its precision Q = cov^{-1}
+    for g, eta in _compatibility_graphs():
+        n = g.node_count
+        alpha = np.linspace(-1.0, 1.0, n)
+        spec = GmrfSpec(g, eta, alpha=alpha)
+        Q = np.linalg.inv(joint_covariance(spec)[0])
+        x = alpha + stream(5, n).standard_normal(n)
+        for s in range(n):
+            off = np.delete(np.arange(n), s)
+            want = alpha[s] - Q[s, off] @ (x[off] - alpha[off]) / Q[s, s]
+            mean, var = conditional_params(spec, x, s)
+            assert mean == pytest.approx(want, abs=1e-12)
+            assert var == pytest.approx(1.0 / Q[s, s], rel=1e-12)
 
 
 def test_conditional_params_at_mean():
@@ -178,8 +204,8 @@ def test_gibbs_matches_analytic_covariance_small():
 
 def test_gibbs_sweep_agrees_with_conditional_params():
     # one sweep by hand, replaying the chain's innovations through the
-    # per-node conditional oracle
-    g = torus_lattice(3, 3)
+    # per-node conditional oracle, on a graph whose tau2 is not constant
+    g = torus_with_chords(4, 5, 6, 2)
     spec = GmrfSpec(g, 0.1)
     part = concliques(g)
     cfg = ChainConfig(1, 0, 77)
@@ -199,26 +225,27 @@ def test_gibbs_sweep_agrees_with_conditional_params():
 
 def reference_sweeps(specs, partition, innovations, iterations):
     """Per-chain, per-class Gibbs sweeps in the engine's arithmetic: each
-    chain advances its deviations from alpha, a node's new deviation being
-    eta times the sum of its neighbours' deviations plus its scaled
-    innovation.  Each sum runs in neighbour-list order as numpy reduces a
-    segment, the first term plus the sum of the others; a node without
-    neighbours sums to zero.  `innovations()` returns the next sweep's
-    standard normals, one row per chain."""
-    devs = [np.zeros(spec.graph.node_count) for spec in specs]
+    chain advances its standardized state y = (x - alpha) / sqrt(tau2), a
+    node's new y being eta times the sum of its neighbours' y plus its
+    innovation, and returns alpha + sqrt(tau2) * y.  Each sum runs in
+    neighbour-list order as numpy reduces a segment, the first term plus the
+    sum of the others; a node without neighbours sums to zero.
+    `innovations()` returns the next sweep's standard normals, one row per
+    chain."""
+    ys = [np.zeros(spec.graph.node_count) for spec in specs]
     for _ in range(iterations):
         z = innovations()
         pos = 0
         for cls in partition.classes:
-            for dev, spec, zc in zip(devs, specs, z):
+            for y, spec, zc in zip(ys, specs, z):
                 sums = np.zeros(cls.size)
                 for i, s in enumerate(cls):
                     nbrs = spec.graph.neighbors[s]
                     if nbrs.size:
-                        sums[i] = dev[nbrs[0]] + dev[nbrs[1:]].sum()
-                dev[cls] = spec.eta * sums + np.sqrt(spec.tau2[cls]) * zc[pos:pos + cls.size]
+                        sums[i] = y[nbrs[0]] + y[nbrs[1:]].sum()
+                y[cls] = spec.eta * sums + zc[pos:pos + cls.size]
             pos += cls.size
-    return np.array([dev + spec.alpha for dev, spec in zip(devs, specs)])
+    return np.array([spec.alpha + np.sqrt(spec.tau2) * y for y, spec in zip(ys, specs)])
 
 
 def test_gibbs_chains_match_per_chain_sweeps_bitwise():
@@ -276,6 +303,46 @@ def test_gibbs_chains_sweeps_agree_with_conditional_params():
                     x[s] = mean + np.sqrt(var) * z[pos + offset]
             pos += cls.size
     assert np.allclose(got, np.array(xs), atol=1e-12)
+
+
+def sweep_map(spec, partition):
+    """(A, B) of one conclique sweep x' - alpha = A (x - alpha) + B z, built
+    class by class from the model's edge weights c_st = eta sqrt(tau2_s /
+    tau2_t): a class update replaces its rows of the deviation by the weighted
+    neighbour sums plus sqrt(tau2_s) times the innovation at the node's
+    position in the sweep (Gibbs as Gauss-Seidel on the precision)."""
+    n = spec.graph.node_count
+    sd = np.sqrt(spec.tau2)
+    weights = spec.eta * spec.graph.adjacency() * sd[:, None] / sd[None, :]
+    A, B, pos = np.eye(n), np.zeros((n, n)), 0
+    for cls in partition.classes:
+        step = np.eye(n)
+        step[cls] = weights[cls]
+        A, B = step @ A, step @ B
+        B[cls, pos + np.arange(cls.size)] += sd[cls]
+        pos += cls.size
+    return A, B
+
+
+def test_gibbs_engine_is_the_sweep_map_whose_fixed_point_is_the_joint_law():
+    # exact oracle: the engine's first two sweeps from alpha replay through
+    # the linear sweep map, and the map's stationary covariance S = A S A^T +
+    # B B^T (solved by doubling) is joint_covariance, unit diagonal included
+    for g, eta in _compatibility_graphs():
+        spec, part, n = GmrfSpec(g, eta, alpha=0.5), concliques(g), g.node_count
+        A, B = sweep_map(spec, part)
+        z1, z2 = stream(13, 21).standard_normal((2, n))
+        one, _ = gibbs_chains([spec], part, [(13, None)], 1)
+        two, _ = gibbs_chains([spec], part, [(13, None)], 2)
+        assert np.max(np.abs(one[0] - 0.5 - B @ z1)) < 1e-12
+        assert np.max(np.abs(two[0] - 0.5 - (A @ (B @ z1) + B @ z2))) < 1e-12
+
+        S, power = B @ B.T, A
+        while np.max(np.abs(power)) > 1e-20:
+            S, power = S + power @ S @ power.T, power @ power
+        cov, _ = joint_covariance(spec)
+        assert np.max(np.abs(S - cov)) < 1e-12
+        assert np.max(np.abs(np.diag(S) - 1.0)) < 1e-12
 
 
 def test_gibbs_chains_isolated_node_is_alpha_plus_innovation():
@@ -338,16 +405,6 @@ def test_direct_sample_reproducible():
     a = direct_sample(spec, seed=5)
     b = direct_sample(spec, seed=5)
     assert np.array_equal(a, b)
-
-
-def test_direct_sample_warns_on_asymmetry():
-    # star graph is not vertex transitive: the formula's covariance is asymmetric
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    spec = GmrfSpec(g, 0.4)
-    _, resid = joint_covariance(spec)
-    assert resid > 1e-10
-    with pytest.warns(UserWarning, match="symmetrized"):
-        direct_sample(spec, seed=1)
 
 
 def test_gibbs_and_direct_agree_in_distribution():
