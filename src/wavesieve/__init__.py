@@ -3,7 +3,7 @@
 Simulation side: graphs and lattices, admissible dependence ranges from the
 adjacency spectrum, conclique-blocked Gibbs sampling with an exact joint
 sampler as oracle.  Estimation side: tensor-product scaling-function sieves,
-truncated least squares via SVD, level selection and Monte Carlo error.
+truncated minimum-norm least squares, level selection and Monte Carlo error.
 A configuration-driven experiment runner ties the two together.
 """
 

@@ -96,10 +96,10 @@ class ExperimentConfig:
         for key, value in integers:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{key} must be non-negative, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.iterations < 0 or self.seed < 0:
-            raise ValueError("iterations and seed must be non-negative")
         if not self.levels:
             raise ValueError("levels must be nonempty")
         if min(self.levels) < 0:

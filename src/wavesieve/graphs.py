@@ -223,14 +223,23 @@ def knn_geometric_graph(points, k, seed):
         raise ValueError("k must be at least 1")
     rng = stream(seed, _TAG_KNN)
     xy = rng.uniform(0.0, 1.0, size=(points, 2))
-    d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
+    return Graph(points, _nearest_pairs(xy, k))
+
+
+def _nearest_pairs(xy, k):
+    """[s, t] for every point s and each of its k nearest points t, picked as
+    a stable argsort of the squared distances would: everything below the
+    k-th distance, then the ties at it in index order up to k.  The n x n
+    arrays are freed on return, before the caller builds the graph."""
+    x, y = xy.T
+    d2 = np.subtract.outer(x, x) ** 2 + np.subtract.outer(y, y) ** 2
     np.fill_diagonal(d2, np.inf)
-    edges = set()
-    for s in range(points):
-        for t in np.argsort(d2[s], kind="stable")[:k]:
-            t = int(t)
-            edges.add((s, t) if s < t else (t, s))
-    return Graph(points, edges)
+    # the fancy index copies the column, so the partitioned matrix is freed
+    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+    below = d2 < kth
+    tie = d2 == kth
+    tie &= np.cumsum(tie, axis=1, dtype=np.int32) <= k - below.sum(axis=1, keepdims=True)
+    return np.argwhere(below | tie).tolist()
 
 
 # ---------------------------------------------------------------------------

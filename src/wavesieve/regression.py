@@ -1,9 +1,12 @@
 """Truncated least-squares regression over wavelet sieves.
 
 The estimator minimizes the empirical squared error over the linear span of
-the sieve's design functions, solved by singular value decomposition with a
-relative cutoff (minimum-norm solution), and predictions are clamped to
-[-rho, rho].  The level rule picks j with 2^j <= n^(1/(d+2r)) < 2^(j+1).
+the sieve's design functions: the minimum-norm solution in which singular
+values at or below SVD_RTOL times the largest count as zero.  A design with
+at most one nonzero per row (every haar sieve) has orthogonal columns and is
+solved in closed form, column by column; any other goes to LAPACK gelsd.
+Predictions are clamped to [-rho, rho].  The level rule picks j with
+2^j <= n^(1/(d+2r)) < 2^(j+1).
 """
 
 import json
@@ -94,20 +97,32 @@ def design_matrix(data, sieve, table):
 
 
 def svd_lstsq(B, y):
-    """Minimum-norm least squares by singular value decomposition.
+    """Minimum-norm least squares with a relative singular-value cutoff.
 
-    Singular values below SVD_RTOL times the largest are dropped and
-    reported.  Returns (coefficients, SvdReport); a fully degenerate matrix
-    yields all-zero coefficients with rank 0.
+    Singular values s_i <= SVD_RTOL * s_1 count as zero and are reported as
+    dropped.  When no row of B has more than one nonzero, B^T B is diagonal:
+    the singular values are the column norms, and each column whose norm
+    passes the cutoff gets (B[:, k] . y) / |B[:, k]|^2, the others 0.  Any
+    other B is solved by np.linalg.lstsq (LAPACK gelsd) with rcond=SVD_RTOL,
+    the same rule; neither path forms the singular vectors.  Returns
+    (coefficients, SvdReport); a fully degenerate matrix yields all-zero
+    coefficients with rank 0.
     """
     B = np.asarray(B, dtype=float)
     y = np.asarray(y, dtype=float)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    if np.all(np.count_nonzero(B, axis=1) <= 1):
+        norms2 = np.einsum("ij,ij->j", B, B)
+        norms = np.sqrt(norms2)
+        s = np.sort(norms)[::-1][:min(B.shape)]
+        keep = norms > SVD_RTOL * norms.max(initial=0.0)
+        coeffs = np.zeros(B.shape[1])
+        coeffs[keep] = (y @ B)[keep] / norms2[keep]
+    else:
+        coeffs, _, _, s = np.linalg.lstsq(B, y, rcond=SVD_RTOL)
     smax = float(s[0]) if s.size else 0.0
-    keep = s > SVD_RTOL * smax if smax > 0.0 else np.zeros(s.shape, dtype=bool)
-    if not np.any(keep):
+    if smax == 0.0:
         return np.zeros(B.shape[1]), SvdReport(0, np.inf, s.copy(), B.shape[1])
-    coeffs = Vt[keep].T @ ((U[:, keep].T @ y) / s[keep])
+    keep = s > SVD_RTOL * smax
     report = SvdReport(int(keep.sum()), float(smax / s[keep].min()),
                        s[~keep].copy(), B.shape[1])
     return coeffs, report

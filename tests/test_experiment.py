@@ -108,6 +108,10 @@ def test_config_validation():
     ("graph", {"kind": "knn", "points": 30.0, "k": 3}, "graph.points"),
     ("graph", {"kind": "knn", "points": 30, "k": "3"}, "graph.k"),
     ("graph", {"kind": "knn", "points": 30, "k": 3, "point_seed": 0.5}, "graph.point_seed"),
+    ("graph", {"kind": "knn", "points": 30, "k": 3, "point_seed": -1}, "graph.point_seed"),
+    ("graph", {"kind": "torus", "rows": 6, "cols": 6, "chords": 2, "chord_seed": -2},
+     "graph.chord_seed"),
+    ("graph", {"kind": "torus", "rows": 6, "cols": 6, "chords": -2}, "graph.chords"),
     ("graph", ["torus", 6, 6], "graph"),
     ("chain", [200], "chain"),
     ("chain", 200, "chain"),
@@ -116,6 +120,7 @@ def test_config_validation():
         "float_seed", "negative_seed", "string_levels", "string_wavelets",
         "string_etas", "float_rows", "string_rows", "bool_cols", "float_chords",
         "float_chord_seed", "float_points", "string_k", "float_point_seed",
+        "negative_point_seed", "negative_chord_seed", "negative_chords",
         "list_graph", "list_chain", "int_chain"])
 def test_config_rejects_values_that_fail_late(key, value, match):
     # each of these would otherwise be ignored, fail every replication of a
@@ -350,20 +355,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "ce0cbb722891351ac7bbef14ec972129ccfa15811889fb137be3ffd5b1e799e8"),
+        "8147b8e1976c47584145423b9b3bb86f7320a4f325e11fc346aa9ee4b6d5c39d"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "bd151ef5d179002733ba05f9c97f258e0940a625ed3141a943f39f2177b403dd"),
+        "1dd8e3066b165a5f7d951cadf9e438063eb45c214b90e0834ce1b158afc84739"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "fabf68da03cdaa5695da621a897bfab8288b79c5747eb55ff499c30eb503748e"),
+        "266e0b2b80c6a34d549f1fa517f12bbb0c49d02bde81e1def7d70121ddc34169"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "d93e6abf232febc5912a8eba7aa5701eb903eec983eff433334daebdb5fc7492"),
+        "99396cf3ba706c87c697ab0b17cda220d255c9f23908edca0914a9d60f509a98"),
 }
 
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wavesieve import graphs
 from wavesieve.graphs import (Graph, PowerIterationError, concliques,
                               connected_split, eigen_bounds, eta_range, knn_geometric_graph,
                               load_graph, save_graph, torus_lattice,
@@ -123,6 +124,33 @@ def test_knn_degree_and_determinism():
 def test_knn_complete_when_k_is_n_minus_1():
     g = knn_geometric_graph(5, 4, seed=1)
     assert g.edge_count == 10
+
+
+def nearest_pairs_reference(xy, k):
+    """The former selection: each row of the distance matrix stably argsorted
+    and its first k entries kept, as sorted (s, t) pairs."""
+    d2 = ((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return sorted((s, int(t)) for s in range(len(xy))
+                  for t in np.argsort(d2[s], kind="stable")[:k])
+
+
+@pytest.mark.parametrize("points, k, seed", [(2, 1, 0), (40, 39, 2), (57, 5, 11),
+                                             (300, 6, 3), (1600, 6, 3)])
+def test_knn_edges_equal_stable_argsort_reference(points, k, seed):
+    xy = stream(seed, graphs._TAG_KNN).uniform(0.0, 1.0, size=(points, 2))
+    want = {(min(s, t), max(s, t)) for s, t in nearest_pairs_reference(xy, k)}
+    assert knn_geometric_graph(points, k, seed).edges == tuple(sorted(want))
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
+def test_knn_ties_break_in_index_order(k):
+    # a shuffled 6 x 6 lattice: every inner point has 4 neighbours at one
+    # distance and 4 more at the next, so the k-th distance is mostly a tie
+    grid = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2) / 8.0
+    xy = grid[stream(5).permutation(len(grid))]
+    pairs = sorted(map(tuple, graphs._nearest_pairs(xy, k)))
+    assert pairs == nearest_pairs_reference(xy, k)
 
 
 def test_knn_rejects_large_k():

@@ -1,13 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesieve.regression import (Dataset, auto_rho, default_rho,
+from wavesieve.regression import (SVD_RTOL, Dataset, SvdReport, auto_rho, default_rho,
                                   design_matrix, fit, fit_to_json, l2_error_mc,
-                                  predict, predict_batch, select_level)
+                                  predict, predict_batch, select_level, svd_lstsq)
 from wavesieve.rng import stream
 from wavesieve.wavelets import (cascade, covering_sieve, d4_filter,
                                 haar_filter, sieve_for_box, wavelet_sieve)
@@ -126,16 +127,97 @@ def test_fit_orthonormal_design_gives_cell_means():
     assert coef[2] == pytest.approx(0.0)    # empty cell -> minimum norm zero
 
 
+def svd_reference(B, y):
+    """The former solver: a full SVD, singular values <= SVD_RTOL * s_1
+    dropped, coefficients V diag(1/s) U^T y over the kept ones."""
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    smax = float(s[0]) if s.size else 0.0
+    keep = s > SVD_RTOL * smax if smax > 0.0 else np.zeros(s.shape, dtype=bool)
+    if not np.any(keep):
+        return np.zeros(B.shape[1]), SvdReport(0, np.inf, s.copy(), B.shape[1])
+    coeffs = Vt[keep].T @ ((U[:, keep].T @ y) / s[keep])
+    return coeffs, SvdReport(int(keep.sum()), float(smax / s[keep].min()),
+                             s[~keep].copy(), B.shape[1])
+
+
+def assert_matches_reference(B, y, coeffs, rep, rtol=1e-12):
+    want, want_rep = svd_reference(B, y)
+    assert np.max(np.abs(coeffs - want), initial=0.0) <= rtol * np.max(np.abs(want), initial=0.0)
+    assert (rep.rank, rep.total_columns) == (want_rep.rank, want_rep.total_columns)
+    assert rep.condition == pytest.approx(want_rep.condition, rel=rtol)
+    assert rep.dropped.shape == want_rep.dropped.shape
+    assert np.allclose(rep.dropped, want_rep.dropped, rtol=0.0, atol=rtol * np.linalg.norm(B))
+
+
 def test_fit_matches_normal_equation_oracle():
     rng = stream(31)
     for trial in range(20):
-        B_like = rng.standard_normal((50, 9))
+        B = rng.standard_normal((50, 9))
         y = rng.standard_normal(50)
-        # feed the matrix through a fake sieve fit by direct svd comparison
-        U, s, Vt = np.linalg.svd(B_like, full_matrices=False)
-        coeffs = Vt.T @ ((U.T @ y) / s)
-        want = normal_equation_oracle(B_like, y)
+        coeffs, rep = svd_lstsq(B, y)
+        assert rep.rank == 9
+        want = normal_equation_oracle(B, y)
         assert np.max(np.abs(coeffs - want)) / np.max(np.abs(want)) < 1e-8
+
+
+# one row entry: column (-1 leaves the row zero), sign, mantissa, decade
+ROW = st.tuples(st.integers(-1, 11), st.sampled_from([-1.0, 1.0]),
+                st.floats(0.5, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), rows=st.lists(ROW, min_size=1, max_size=16), data=st.data())
+def test_svd_lstsq_one_nonzero_per_row_matches_reference(n, rows, data):
+    # orthogonal columns over two decades of scale, empty columns and zero
+    # rows, m < n and m > n; the closed form must not reach lstsq
+    B = np.zeros((len(rows), n))
+    for i, (k, sign, mantissa, decade) in enumerate(rows):
+        if 0 <= k < n:
+            B[i, k] = sign * mantissa * 10.0 ** decade
+    y = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(rows),
+                                    max_size=len(rows))))
+    with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("lstsq path")):
+        coeffs, rep = svd_lstsq(B, y)
+    assert_matches_reference(B, y, coeffs, rep)
+    assert np.all(coeffs[~B.any(axis=0)] == 0.0)
+
+
+def dense_designs():
+    rng = stream(37)
+    base = rng.standard_normal((40, 5))
+    q, _ = np.linalg.qr(rng.standard_normal((40, 4)))
+    w, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    cycle = np.zeros((8, 8))
+    cycle[np.arange(8), np.arange(8)] = cycle[np.arange(8), (np.arange(8) + 1) % 8] = 1.0
+    return {
+        # a duplicated column: rank 5 of 6
+        "duplicated_column": (np.column_stack([base, base[:, 1]]), 5),
+        # the edge-node incidence of an 8-cycle: two nonzeros a row, rank 7
+        "two_per_row": (cycle, 7),
+        # singular values 1, 1e-2, 1e-5 kept and 1e-12 dropped
+        "graded": (q @ np.diag([1.0, 1e-2, 1e-5, 1e-12]) @ w, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(dense_designs()))
+def test_svd_lstsq_dense_rank_deficient_matches_reference(name):
+    # none of these has orthogonal columns, so each takes the lstsq path
+    B, rank = dense_designs()[name]
+    y = stream(38).standard_normal(B.shape[0])
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+        coeffs, rep = svd_lstsq(B, y)
+    assert spy.call_count == 1
+    assert rep.rank == rank
+    assert_matches_reference(B, y, coeffs, rep, rtol=1e-9)
+
+
+def test_svd_lstsq_drops_a_singular_value_at_the_cutoff():
+    # s_2 == SVD_RTOL * s_1 exactly: dropped, the rule gelsd applies to rcond
+    B = np.diag([2.0, 2.0 * SVD_RTOL])
+    coeffs, rep = svd_lstsq(B, np.array([1.0, 1.0]))
+    assert rep.rank == 1 and rep.dropped.tolist() == [2.0 * SVD_RTOL]
+    assert coeffs.tolist() == [0.5, 0.0]
+    assert_matches_reference(B, np.array([1.0, 1.0]), coeffs, rep)
 
 
 def test_fit_on_real_design_matches_oracle():
@@ -158,9 +240,8 @@ def test_fit_duplicated_column_splits_weight():
     base = rng.standard_normal((30, 3))
     B = np.column_stack([base, base[:, 0]])
     y = rng.standard_normal(30)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    keep = s > 1e-10 * s[0]
-    coeffs = Vt[keep].T @ ((U[:, keep].T @ y) / s[keep])
+    coeffs, rep = svd_lstsq(B, y)
+    assert rep.rank == 3
     ref = normal_equation_oracle(base, y)
     assert coeffs[0] == pytest.approx(coeffs[3], abs=1e-10)
     assert coeffs[0] * 2 == pytest.approx(ref[0], abs=1e-8)
