@@ -327,10 +327,18 @@ def _replicate_chunk(args):
     return [_attempt(cfg, ctx, rep) for rep in reps]
 
 
+def _workers():
+    """Worker process count from WORKERS_ENV: a positive integer, 1 when unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def run_experiment(cfg):
     """Run all replications, aggregate to a ResultTable, and (when out_dir is
     set) write results.csv, results.json and replications.log."""
-    workers = max(1, min(int(os.environ.get(WORKERS_ENV, "1")), cfg.replications))
+    workers = min(_workers(), cfg.replications)
     chunks = [(cfg, range(w, cfg.replications, workers)) for w in range(workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,7 +11,10 @@ precision D^{-1/2} (I - eta*H) D^{-1/2}, D = diag(tau2), is symmetric and the
 conditionals are compatible on every graph (Besag's symmetry condition).  With
 tau2 from `tau_from_eta` every marginal variance of the joint law is one.  In
 the standardized state y = (x - alpha) / sqrt(tau2) the chain is the plain
-eta-CAR with unit innovations, which is what the Gibbs engine advances.
+eta-CAR with unit innovations, which is what the Gibbs engine advances: its
+state is eta*y, node-major with every conclique class in contiguous rows, and
+a class update is one gather of the neighbours' eta*y and the innovations,
+one segment sum and one multiply by eta.
 Every sampler draws its standard normals with `Generator.standard_normal`
 from the keyed stream of its seed and tag.
 """
@@ -148,15 +151,26 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     Each chain starts at its alpha; each sweep visits the classes in index
     order and redraws every node of a class from its conditional given the
     frozen rest (an exact joint update: members are mutually non-adjacent).
+    `partition` must be a conclique partition of the graph (checked).
     `streams` holds one (seed, rho) per innovation stream, in chain order:
     rho None feeds one chain, n standard normals per sweep; a float feeds two,
     drawing u then v (n each) per sweep, with u driving the first chain and
     rho*u + sqrt(1 - rho^2)*v the second.  A block of k sweeps is one
     `standard_normal((k, n))` or `((k, 2, n))` call per stream, which gives the
-    same values as one call per sweep.  The state is the standardized
-    y = (x - alpha) / sqrt(tau2), whose update is eta times the sum of the
-    neighbours' y plus the unit innovation; a class update sums its members'
-    neighbour lists of `Graph.neighbor_segments` with `np.add.reduceat`.
+    same values as one call per sweep; the innovation at position p of a
+    sweep goes to the p-th node of the classes laid end to end.
+
+    The chains advance the standardized y = (x - alpha) / sqrt(tau2), whose
+    update is the sum of the neighbours' eta*y plus the unit innovation.  The
+    rows are renumbered once so that every class is contiguous, and the state
+    is stored node-major, one column per chain, as u = eta*y, followed by a
+    zero pad row (what an empty neighbour list reads) and the sweep's
+    innovations.  A class update is then three calls: one `take` gathers each
+    member's neighbours' u followed by its own innovation, one
+    `np.add.reduceat` sums every member's segment into the class's rows of y,
+    and one multiply by eta writes those rows of u.  y is kept apart from u,
+    so an eta = 0 chain returns its innovations exactly.
+
     Returns the (chains, n) final states alpha + sqrt(tau2) * y and the stack
     of every `trace_every`-th post-burn-in state, shape (kept, chains, n), or
     None when trace_every == 0.
@@ -168,45 +182,62 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
         raise ValueError("|rho| must be below 1")
     if sum(1 if rho is None else 2 for _, rho in streams) != chains:
         raise ValueError("streams must feed exactly one chain per spec")
+    partition.validate(graph)
     n = graph.node_count
     alpha = np.array([spec.alpha for spec in specs])
     sd = np.sqrt(np.array([spec.tau2 for spec in specs]))
-    # standardized state; column n is the zero that empty neighbour lists read
-    y = np.zeros((chains, n + 1))
-    flat_y, rows = y.reshape(-1), np.arange(chains)[:, None] * (n + 1)
-    eta = np.array([[spec.eta] for spec in specs])
-    # per class: flat gather indices, gather buffer, segment starts, class buffer,
-    # innovation slice and flat scatter indices
-    plan, pos = [], 0
+    eta = np.tile([spec.eta for spec in specs], (n, 1))
+    # class order: row r holds node order[r]; rank maps a node (or the pad) to its row
+    order = np.concatenate([np.empty(0, np.int64), *partition.classes])
+    rank = np.empty(n + 1, np.int64)
+    rank[order], rank[n] = np.arange(n), n
+    # rows 0..n-1: u = eta*y, row n: the zero pad, rows n+1..2n: the innovations
+    src = np.zeros((2 * n + 1, chains))
+    u, innovation = src[:n], src[n + 1:]
+    y = np.zeros((n, chains))
+    # every row's neighbour list with its innovation row appended, one segment per row
+    index, starts = graph.neighbor_segments(order)
+    rows = np.insert(rank[index], np.append(starts[1:], index.size), np.arange(n + 1, 2 * n + 1))
+    bounds = np.append(starts + np.arange(n), rows.size)
+    gather = rows[:, None] * chains + np.arange(chains)
+    # per class: flat gather indices, gather buffer, segment starts, class rows of y,
+    # eta and u
+    plan, lo = [], 0
     for cls in partition.classes:
-        index, starts = graph.neighbor_segments(cls)
-        plan.append((rows + index, np.empty((chains, index.size)), starts,
-                     np.empty((chains, cls.size)), slice(pos, pos + cls.size), rows + cls))
-        pos += cls.size
+        hi = lo + cls.size
+        at = slice(lo, hi)
+        plan.append((gather[bounds[lo]:bounds[hi]], np.empty((bounds[hi] - bounds[lo], chains)),
+                     bounds[at] - bounds[lo], y[at], eta[at], u[at]))
+        lo = hi
+    flat = src.reshape(-1)
     rngs = [(stream(seed, _TAG_CHAIN), rho) for seed, rho in streams]
     block = max(1, _BLOCK_BYTES // (8 * n * chains))
-    z = np.empty((min(block, iterations), chains, n))
+    z = np.empty((min(block, iterations), n, chains))
     kept = []
     for start in range(0, iterations, block):
         k, c = min(block, iterations - start), 0
         for rng, rho in rngs:
             if rho is None:
-                z[:k, c] = rng.standard_normal((k, n))
+                z[:k, :, c] = rng.standard_normal((k, n))
             else:
-                u, v = rng.standard_normal((k, 2, n)).transpose(1, 0, 2)
-                z[:k, c], z[:k, c + 1] = u, rho * u + np.sqrt(1.0 - rho * rho) * v
+                a, b = rng.standard_normal((k, 2, n)).transpose(1, 0, 2)
+                z[:k, :, c], z[:k, :, c + 1] = a, rho * a + np.sqrt(1.0 - rho * rho) * b
             c += 1 if rho is None else 2
         for it in range(start, start + k):
-            zi = z[it - start]
-            for idx, nbrs, starts, y_cls, at, dest in plan:
-                np.take(flat_y, idx, out=nbrs)
-                np.add.reduceat(nbrs, starts, axis=1, out=y_cls)
-                np.multiply(eta, y_cls, out=y_cls)
-                np.add(y_cls, zi[:, at], out=y_cls)
-                flat_y[dest] = y_cls
+            innovation[...] = z[it - start]
+            for idx, nbrs, segments, y_cls, eta_cls, u_cls in plan:
+                # every index is in range; "clip" spares the copy "raise" makes of out
+                flat.take(idx, out=nbrs, mode="clip")
+                np.add.reduceat(nbrs, segments, axis=0, out=y_cls)
+                np.multiply(y_cls, eta_cls, out=u_cls)
             if trace_every and it >= burn_in and (it - burn_in) % trace_every == 0:
-                kept.append(alpha + sd * y[:, :n])
-    return alpha + sd * y[:, :n], np.array(kept).reshape(-1, chains, n) if trace_every else None
+                kept.append(y.copy())
+
+    def field(ys):
+        """alpha + sqrt(tau2) * y in node order from rows of y in class order."""
+        return alpha + sd * np.swapaxes(ys[..., rank[:n], :], -1, -2)
+
+    return field(y), field(np.array(kept).reshape(-1, n, chains)) if trace_every else None
 
 
 def joint_covariance(spec):

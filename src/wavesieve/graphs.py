@@ -118,15 +118,27 @@ class ConcliquePartition:
         return len(self.classes)
 
     def validate(self, graph):
-        """Check the partition and within-class independence; raise on failure."""
-        all_nodes = np.concatenate(self.classes) if self.classes else np.empty(0, int)
-        if np.sort(all_nodes).tolist() != list(range(graph.node_count)):
-            raise ValueError("classes do not partition the node set")
-        for cls in self.classes:
-            members = set(cls.tolist())
-            for s in cls:
-                if members.intersection(graph.neighbors[s].tolist()):
-                    raise ValueError(f"class containing node {s} is not independent")
+        """Check that the classes cover every node of `graph` exactly once and
+        that no edge joins two members of one class; raise ValueError naming
+        the first node or edge at fault."""
+        n = graph.node_count
+        nodes = np.concatenate([np.empty(0, np.int64), *self.classes])
+        outside = nodes[(nodes < 0) | (nodes >= n)]
+        if outside.size:
+            raise ValueError(f"classes hold node {outside[0]} outside 0..{n - 1}")
+        count = np.bincount(nodes, minlength=n)
+        if np.any(count == 0):
+            raise ValueError(f"classes do not cover node {np.flatnonzero(count == 0)[0]}")
+        if np.any(count > 1):
+            raise ValueError(f"classes repeat node {np.flatnonzero(count > 1)[0]}")
+        label = np.empty(n, np.int64)
+        label[nodes] = np.repeat(np.arange(len(self.classes)), [c.size for c in self.classes])
+        u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+        joined = np.flatnonzero(label[u] == label[v])
+        if joined.size:
+            s, t = u[joined[0]], v[joined[0]]
+            raise ValueError(f"class {label[s]} is not independent: it holds "
+                             f"adjacent nodes {s} and {t}")
 
 
 # ---------------------------------------------------------------------------

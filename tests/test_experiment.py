@@ -329,6 +329,16 @@ def test_run_parallel_workers_match_sequential(tmp_path, monkeypatch):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-1", ""])
+def test_run_rejects_bad_worker_count(value, monkeypatch):
+    # a value that is not a positive integer names the variable instead of
+    # failing inside int() or silently meaning one worker
+    from wavesieve.experiment import WORKERS_ENV
+    monkeypatch.setenv(WORKERS_ENV, value)
+    with pytest.raises(ValueError, match=WORKERS_ENV):
+        run_experiment(small_config())
+
+
 def test_failed_replications_are_logged_not_fatal(tmp_path):
     # an expression that raises on every evaluation aborts each replication
     cfg = small_config(regression="1.0 / (x1 - x1)", etas=(0.1, 0.1),
@@ -345,7 +355,7 @@ def test_failed_replications_are_logged_not_fatal(tmp_path):
 
 # sha256 of results.csv for one small config per stream layout (the d = 2
 # `innovations` pair, d = 2 `final`, d = 1 and d >= 3), recorded with
-# numpy 2.4.6 once the chains ran on compatible edge weights.  Byte identity
+# numpy 2.4.6 once the chains summed the neighbours' eta*y.  Byte identity
 # is promised only for the same numpy version and the same OpenBLAS thread
 # count, so each config runs in a fresh interpreter with
 # OPENBLAS_NUM_THREADS=1, whatever the host's core count.
@@ -355,20 +365,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "8147b8e1976c47584145423b9b3bb86f7320a4f325e11fc346aa9ee4b6d5c39d"),
+        "e26d49dd589eaabc561a45995d9072962ff781659a21264cbef836f9b3612975"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "1dd8e3066b165a5f7d951cadf9e438063eb45c214b90e0834ce1b158afc84739"),
+        "c6976b6127751904a6e811bd7d0619bb10f21d72debd64aaea652e06f869ca2e"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "266e0b2b80c6a34d549f1fa517f12bbb0c49d02bde81e1def7d70121ddc34169"),
+        "d9dcf310240f7a8a958220cdf577a1d582db6e6c0bbf76b77e04fa52ca8ee8cd"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "99396cf3ba706c87c697ab0b17cda220d255c9f23908edca0914a9d60f509a98"),
+        "b983a93c6921270ffb837e31c2a9b856cfb82fdc59a367a9c22aeb455c0af945"),
 }
 
 

@@ -5,8 +5,8 @@ from wavesieve.gmrf import (ChainConfig, GmrfSpec, conditional_params,
                             direct_sample, field_to_csv, gibbs_chain,
                             gibbs_chains, joint_covariance, tau_from_eta,
                             to_uniform)
-from wavesieve.graphs import (Graph, concliques, knn_geometric_graph, torus_lattice,
-                              torus_with_chords)
+from wavesieve.graphs import (ConcliquePartition, Graph, concliques,
+                              knn_geometric_graph, torus_lattice, torus_with_chords)
 from wavesieve.rng import stream
 
 
@@ -165,6 +165,10 @@ def test_gibbs_zero_iterations_returns_alpha():
     final, trace = gibbs_chain(spec, concliques(g), ChainConfig(0, 0, 1))
     assert np.array_equal(final, np.full(3, 3.0))
     assert trace is None
+    other = GmrfSpec(g, -0.1, alpha=[1.0, -2.0, 0.5])
+    final, trace = gibbs_chains([spec, other], concliques(g), [(1, 0.5)], 0, trace_every=1)
+    assert np.array_equal(final, [spec.alpha, other.alpha])
+    assert trace.shape == (0, 2, 3)
 
 
 def test_gibbs_reproducible():
@@ -226,10 +230,11 @@ def test_gibbs_sweep_agrees_with_conditional_params():
 def reference_sweeps(specs, partition, innovations, iterations):
     """Per-chain, per-class Gibbs sweeps in the engine's arithmetic: each
     chain advances its standardized state y = (x - alpha) / sqrt(tau2), a
-    node's new y being eta times the sum of its neighbours' y plus its
-    innovation, and returns alpha + sqrt(tau2) * y.  Each sum runs in
-    neighbour-list order as numpy reduces a segment, the first term plus the
-    sum of the others; a node without neighbours sums to zero.
+    node's new y being the sum of its neighbours' eta*y and its innovation,
+    and returns alpha + sqrt(tau2) * y.  Each sum runs as numpy reduces a
+    segment: the first neighbour's eta*y plus `np.sum` of the remaining
+    terms, which are the other neighbours' eta*y in neighbour-list order and
+    then the innovation; a node without neighbours starts from zero.
     `innovations()` returns the next sweep's standard normals, one row per
     chain."""
     ys = [np.zeros(spec.graph.node_count) for spec in specs]
@@ -238,12 +243,12 @@ def reference_sweeps(specs, partition, innovations, iterations):
         pos = 0
         for cls in partition.classes:
             for y, spec, zc in zip(ys, specs, z):
-                sums = np.zeros(cls.size)
+                new = np.empty(cls.size)
                 for i, s in enumerate(cls):
-                    nbrs = spec.graph.neighbors[s]
-                    if nbrs.size:
-                        sums[i] = y[nbrs[0]] + y[nbrs[1:]].sum()
-                y[cls] = spec.eta * sums + zc[pos:pos + cls.size]
+                    terms = spec.eta * y[spec.graph.neighbors[s]]
+                    first, rest = (terms[0], terms[1:]) if terms.size else (0.0, terms)
+                    new[i] = first + np.sum(np.append(rest, zc[pos + i]))
+                y[cls] = new
             pos += cls.size
     return np.array([spec.alpha + np.sqrt(spec.tau2) * y for y, spec in zip(ys, specs)])
 
@@ -368,6 +373,39 @@ def test_gibbs_chains_rejects_bad_streams():
     with pytest.raises(ValueError, match="one graph"):
         gibbs_chains([spec, GmrfSpec(torus_lattice(3, 3), 0.1)], part,
                      [(1, None), (2, None)], 5)
+
+
+def _bad_partitions():
+    # the checkerboard of the 4 x 4 torus, broken three ways
+    g = torus_lattice(4, 4)
+    even, odd = concliques(g).classes
+    moved = g.neighbors[even[0]][0]
+    return g, {
+        "do not cover node": (even,),
+        "repeat node": (even, odd, even[:1]),
+        "not independent": (np.append(even, moved), odd[odd != moved]),
+    }
+
+
+@pytest.mark.parametrize("problem", sorted(_bad_partitions()[1]))
+def test_gibbs_chains_rejects_partitions_that_are_not_concliques(problem):
+    g, partitions = _bad_partitions()
+    with pytest.raises(ValueError, match=problem):
+        gibbs_chains([GmrfSpec(g, 0.1)], ConcliquePartition(partitions[problem]),
+                     [(1, None)], 5)
+
+
+def test_gibbs_chains_eta_zero_chain_returns_its_last_innovations_exactly():
+    # u = eta*y is zero, so y must come from the sums, never from u / eta
+    g = torus_with_chords(4, 5, 6, 2)
+    part = concliques(g)
+    specs = [GmrfSpec(g, 0.0, alpha=0.25), GmrfSpec(g, 0.1)]
+    got, trace = gibbs_chains(specs, part, [(4, None), (5, None)], 7, trace_every=3)
+    order = np.concatenate(part.classes)
+    z = np.empty(g.node_count)
+    z[order] = stream(4, 21).standard_normal((7, g.node_count))[-1]
+    assert np.array_equal(got[0], 0.25 + np.sqrt(specs[0].tau2) * z)
+    assert np.array_equal(trace[-1], got)
 
 
 def test_direct_sample_eta_zero_iid():
