@@ -19,7 +19,7 @@ table = ws.cascade(filt, 10)
 rng = stream(2718)
 n = 2000
 X = rng.uniform(0.0, 1.0, n)
-y = np.array([m(x) for x in X]) + 0.5 * polar_normals(rng, n)
+y = m(X) + 0.5 * polar_normals(rng, n)
 
 j = ws.select_level(n, d=1, r=1.0)
 print(f"sample size {n} -> level j = {j} (rule: 2^j <= n^(1/(d+2r)) < 2^(j+1))")
@@ -49,7 +49,7 @@ for size in sizes:
     for rep in range(5):
         rng_s = stream(31415, size, rep)
         Xs = rng_s.uniform(0.0, 1.0, size)
-        ys = np.array([m(x) for x in Xs]) + 0.5 * polar_normals(rng_s, size)
+        ys = m(Xs) + 0.5 * polar_normals(rng_s, size)
         js = ws.select_level(size, 1, 1.0)
         fs = ws.fit(ws.Dataset(Xs, ys), covering_sieve(filt, 1, js), table,
                     rho=ws.auto_rho(ys, size))

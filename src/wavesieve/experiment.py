@@ -10,12 +10,13 @@ same size.  Results aggregate to a mean/sd table; everything is a pure
 function of the root seed.
 """
 
+import ast
 import json
 import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -44,17 +45,21 @@ _SLOT_REFERENCE = 103
 
 
 def m_bivariate(x1, x2):
-    """Smooth bivariate test regression function on the unit square."""
-    return (2.0 - 3.0 * x2 ** 2 + 4.0 * x2 ** 4) * math.exp(-((2.0 * x1 - 1.0) ** 2))
+    """Smooth bivariate test regression function on the unit square,
+    elementwise over arrays."""
+    return (2.0 - 3.0 * x2 ** 2 + 4.0 * x2 ** 4) * np.exp(-((2.0 * x1 - 1.0) ** 2))
 
 
 def m_univariate(x):
-    """Univariate test regression function with a jump at x = 0.7."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    if x <= 0.7:
-        return 2.0 + 8.0 * x ** 2 - (1.7 * x) ** 4
-    return 2.0 * (math.sqrt(4.0 * (x - 0.7)) + 1.0)
+    """Univariate test regression function with a jump at x = 0.7,
+    elementwise over arrays; a scalar gives a scalar."""
+    x = np.asarray(x, dtype=float)
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"x={x[outside][0]} outside [0, 1]")
+    # the abs keeps the unused branch of np.where real
+    return np.where(x <= 0.7, 2.0 + 8.0 * x ** 2 - (1.7 * x) ** 4,
+                    2.0 * (np.sqrt(4.0 * np.abs(x - 0.7)) + 1.0))[()]
 
 
 @dataclass(frozen=True)
@@ -160,27 +165,60 @@ def _build_graph(graph_cfg):
     return load_graph(graph_cfg["path"])
 
 
-_EXPR_NAMES = {name: getattr(math, name) for name in
-               ("exp", "log", "sqrt", "sin", "cos", "tan", "pi", "e")}
-_EXPR_NAMES["abs"] = abs
+# numpy ufuncs, so that one call evaluates a whole design column
+_EXPR_FUNCS = {name: getattr(np, name) for name in
+               ("exp", "log", "sqrt", "sin", "cos", "tan", "abs")}
+_EXPR_CONSTS = {"pi": math.pi, "e": math.e}
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _parse_expression(text, d):
+    """The compiled tree of `text` once every node is in the grammar over
+    x1..xd; otherwise ValueError quoting the offending piece."""
+    try:
+        tree = ast.parse(text, "<regression>", mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"regression expression {text!r}: {exc.msg}") from None
+    values = {f"x{i + 1}" for i in range(d)} | _EXPR_CONSTS.keys()
+    pending = [tree.body]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINOPS):
+            pending += [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            pending.append(node.operand)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _EXPR_FUNCS and len(node.args) == 1
+              and not isinstance(node.args[0], ast.Starred) and not node.keywords):
+            pending.append(node.args[0])
+        elif not (isinstance(node, ast.Name) and node.id in values
+                  or isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+            piece = ast.get_source_segment(text, node)
+            raise ValueError(f"regression expression {text!r}: {piece!r} is not allowed")
+    return compile(tree, "<regression>", "eval")
 
 
 def _regression_target(cfg):
-    """(callable, design dimension) for the configured regression id."""
+    """(callable, design dimension) for the configured regression id; the
+    callable is elementwise in the design columns."""
     if cfg.regression == "bivariate_paper":
         return m_bivariate, 2
     if cfg.regression == "univariate_paper":
         return m_univariate, 1
-    # otherwise a python expression over x1..xd
+    # otherwise an expression over x1..xd
     d = len(cfg.etas) - 1
     if d < 1:
         raise ValueError("expression regression needs at least two etas "
                          "(design components plus one noise component)")
-    code = compile(cfg.regression, "<regression>", "eval")
+    try:
+        code = _parse_expression(cfg.regression, d)
+    except (RecursionError, MemoryError):   # how parse and compile report deep nesting
+        raise ValueError("regression expression is nested too deeply") from None
 
     def m_expr(*xs):
-        local = {f"x{i + 1}": v for i, v in enumerate(xs)}
-        return float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **local}))
+        local = {f"x{i + 1}": x for i, x in enumerate(xs)}
+        with np.errstate(all="ignore"):   # inf and nan fail the finiteness checks
+            return eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, **_EXPR_CONSTS, **local})
 
     return m_expr, d
 
@@ -198,21 +236,12 @@ def config_from_dict(doc):
     chain = doc.pop("chain", {})
     if not isinstance(chain, dict):
         raise ValueError(f"chain must be an object, got {chain!r}")
-    kwargs = {
-        "graph": doc.pop("graph"),
-        "etas": doc.pop("etas"),
-        "regression": doc.pop("regression"),
-    }
-    for key in ("wavelets", "levels", "replications", "copula_rho", "coupling",
-                "noise_scale", "test_fraction", "seed", "out_dir"):
-        if key in doc:
-            kwargs[key] = doc.pop(key)
-    if "iterations" in chain:
-        kwargs["iterations"] = chain["iterations"]
-    unknown = sorted(doc) + [f"chain.{key}" for key in sorted(chain.keys() - {"iterations"})]
+    top = {field.name for field in fields(ExperimentConfig)} - {"iterations"}
+    unknown = (sorted(doc.keys() - top)
+               + [f"chain.{key}" for key in sorted(chain.keys() - {"iterations"})])
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**doc, **chain)
 
 
 def config_to_dict(cfg):
@@ -295,7 +324,7 @@ def _fit_errors(cfg, tables, m_true, X_learn, y_learn, X_test):
 def _replicate(cfg, ctx, rep):
     graph, partition, specs, tables, m_true, d = ctx
     X, noise = _simulate_design(cfg, partition, specs, rep)
-    y = np.array([m_true(*row) for row in X]) + cfg.noise_scale * noise
+    y = m_true(*X.T) + cfg.noise_scale * noise
     learn, test = connected_split(graph, cfg.test_fraction,
                                   child_seed(cfg.seed, _SLOT_SPLIT, rep))
     field_err = _fit_errors(cfg, tables, m_true, X[learn], y[learn], X[test])
@@ -304,8 +333,7 @@ def _replicate(cfg, ctx, rep):
     rng = stream(cfg.seed, _SLOT_REFERENCE, rep)
     n = graph.node_count
     X_ref = rng.uniform(0.0, 1.0, size=(n, d))
-    y_ref = (np.array([m_true(*row) for row in X_ref])
-             + cfg.noise_scale * rng.standard_normal(n))
+    y_ref = m_true(*X_ref.T) + cfg.noise_scale * rng.standard_normal(n)
     nl = learn.size
     ref_err = _fit_errors(cfg, tables, m_true, X_ref[:nl], y_ref[:nl], X_ref[nl:])
     return field_err, ref_err

@@ -68,7 +68,11 @@ class Graph:
         self.neighbors = tuple(np.array(sorted(a), dtype=np.int64) for a in nbr)
         self.degrees = np.array([a.size for a in self.neighbors], dtype=np.int64)
 
-        self._segments = self.neighbor_segments(np.arange(node_count))
+        # every node's list end to end, an empty one holding the pad id
+        pad = np.array([node_count], dtype=np.int64)
+        lists = [a if a.size else pad for a in self.neighbors]
+        sizes = np.maximum(self.degrees, 1)
+        self._segments = (np.concatenate([pad[:0], *lists]), np.cumsum(sizes) - sizes)
         self._eigen_cache = {}
         self._concliques = None
 
@@ -77,11 +81,12 @@ class Graph:
         list's offset.  An empty list holds the pad id node_count, so for v of
         length node_count + 1 with v[-1] == 0 the list sums are
         `np.add.reduceat(v[index], starts)`."""
-        pad = np.array([self.node_count])
-        lists = [self.neighbors[s] if self.degrees[s] else pad for s in nodes]
-        index = np.concatenate([np.empty(0, np.int64), *lists])
+        index, starts = self._segments
         sizes = np.maximum(self.degrees[nodes], 1)
-        return index, np.cumsum(sizes) - sizes
+        offsets = np.cumsum(sizes) - sizes
+        # position k of segment i reads the full layout at starts[node_i] + k
+        gather = np.repeat(starts[nodes] - offsets, sizes) + np.arange(sizes.sum())
+        return index[gather], offsets
 
     def neighbor_sums(self, x):
         """Vector of sums of x over each node's neighbors (H @ x).

@@ -186,14 +186,19 @@ def select_level(sample_size, d, r):
 
 def l2_error_mc(fit_result, table, m_true, test_X):
     """Monte Carlo squared error: mean over test points of
-    (prediction - m_true)^2."""
+    (prediction - m_true)^2.
+
+    m_true is called once, with the columns of test_X as arrays, and must
+    act elementwise; a scalar result stands for every point."""
     test_X = np.asarray(test_X, dtype=float)
     if test_X.ndim == 1:
         test_X = test_X[:, None]
     if test_X.shape[0] == 0:
         raise ValueError("test set is empty")
     pred = predict_batch(fit_result, table, test_X)
-    truth = np.array([float(m_true(*row)) for row in test_X])
+    truth = np.broadcast_to(np.asarray(m_true(*test_X.T), dtype=float), pred.shape)
+    if not np.all(np.isfinite(truth)):
+        raise ValueError("non-finite regression value on the test set")
     return float(np.mean((pred - truth) ** 2))
 
 

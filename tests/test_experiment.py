@@ -1,19 +1,24 @@
+import ast
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wavesieve import experiment
 from wavesieve.cli import _parse_graph, main
 from wavesieve.experiment import (ExperimentConfig, config_from_dict,
                                   config_to_dict, emit_table, format_table,
                                   load_table, m_bivariate, m_univariate,
                                   run_experiment)
+from wavesieve.rng import stream
 
 
 def small_config(**overrides):
@@ -57,6 +62,124 @@ def test_m_univariate_jump():
     left = m_univariate(0.7)
     right = m_univariate(0.7 + 1e-9)
     assert abs(left - right) > 1.0   # genuine discontinuity
+
+
+def test_paper_functions_on_arrays_match_scalar_calls():
+    # the grid holds both ends and both sides of the jump; array powers and
+    # np.exp may round the last bit differently from float pow and math.exp
+    x1 = np.concatenate([np.linspace(0.0, 1.0, 101), [0.7, np.nextafter(0.7, 1.0)]])
+    x2 = stream(8).uniform(0.0, 1.0, x1.size)
+    scalar = [m_bivariate(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
+    assert np.allclose(m_bivariate(x1, x2), scalar, rtol=1e-15, atol=0.0)
+    scalar = [m_univariate(a) for a in x1.tolist()]
+    assert np.allclose(m_univariate(x1), scalar, rtol=1e-15, atol=0.0)
+    assert np.ndim(m_univariate(0.35)) == 0 and np.ndim(m_bivariate(0.5, 0.5)) == 0
+    with pytest.raises(ValueError, match="x=1.2 outside"):
+        m_univariate(np.array([0.5, 1.2]))
+
+
+def _real_abs(v):
+    # float pow of a negative base to a fractional power is complex, where
+    # the array form is nan; only abs could turn it back into a float
+    if isinstance(v, complex):
+        raise TypeError("complex intermediate")
+    return abs(v)
+
+
+# the per-point evaluation the array expressions replaced: math functions
+# and abs on the floats of one row
+_SCALAR_NAMES = {name: getattr(math, name) for name in
+                 ("exp", "log", "sqrt", "sin", "cos", "tan", "pi", "e")}
+_SCALAR_NAMES["abs"] = _real_abs
+
+
+def scalar_eval(text, row):
+    local = {f"x{i + 1}": v for i, v in enumerate(row)}
+    code = compile(text, "<regression>", "eval")
+    return float(eval(code, {"__builtins__": {}}, {**_SCALAR_NAMES, **local}))
+
+
+class _Nudged(ast.NodeTransformer):
+    """Routes the result of every call and every ** through nudge(k, value),
+    numbering those nodes k = 0, 1, ..."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def visit_Call(self, node):
+        return self._route(node)
+
+    def visit_BinOp(self, node):
+        return self._route(node) if isinstance(node.op, ast.Pow) else self.generic_visit(node)
+
+    def _route(self, node):
+        self.generic_visit(node)
+        self.nodes += 1
+        return ast.Call(ast.Name("nudge", ast.Load()), [ast.Constant(self.nodes - 1), node], [])
+
+
+def rounding_bound(text, row, ulps=8):
+    """First-order bound on how far scalar_eval moves at `row` when the
+    result of one call or power at a time moves by `ulps` relative ulps,
+    summed over those nodes: numpy's exp, sin, log and power may round the
+    last bits differently from math and float pow, and + - * / agree."""
+    nudged = _Nudged()
+    code = compile(ast.fix_missing_locations(nudged.visit(ast.parse(text, mode="eval"))),
+                   "<regression>", "eval")
+    local = {f"x{i + 1}": v for i, v in enumerate(row)}
+    base = scalar_eval(text, row)
+    bound = 0.0
+    for k in range(nudged.nodes):
+        moves = [0.0]
+        for h in (ulps * math.ulp(1.0), -ulps * math.ulp(1.0)):
+            def nudge(j, v, k=k, h=h):
+                return v * (1.0 + h) if j == k else v
+            try:
+                moves.append(abs(float(eval(code, {"__builtins__": {}},
+                                            {**_SCALAR_NAMES, **local, "nudge": nudge})) - base))
+            except (ArithmeticError, ValueError, TypeError):
+                return math.inf
+        bound += max(moves)
+    return bound
+
+
+_LEAVES = st.one_of(st.sampled_from(["x1", "x2", "pi", "e"]),
+                    st.integers(0, 3).map(str), st.floats(0.25, 4.0).map(repr))
+
+
+def _extend(inner):
+    # the exponent of ** is a leaf, so no integer power tower can form
+    return st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({} ** {})".format, inner, _LEAVES),
+        st.builds("({}{})".format, st.sampled_from("+-"), inner),
+        st.builds("{}({})".format, st.sampled_from(sorted(experiment._EXPR_FUNCS)), inner))
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=8)
+POINTS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                  min_size=1, max_size=6).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=EXPRESSIONS, X=POINTS)
+def test_expression_on_arrays_matches_per_point_eval(text, X):
+    m_expr, d = experiment._regression_target(small_config(regression=text, etas=(0.1,) * 3))
+    assert d == 2
+    want = []
+    for row in X.tolist():
+        try:
+            want.append(scalar_eval(text, row))
+        except (ArithmeticError, ValueError, TypeError):   # log(-1), 1/0, complex pow
+            want.append(None)
+    try:
+        got = np.broadcast_to(m_expr(*X.T), X.shape[:1])
+    except ArithmeticError:   # from integer constants alone, such as 1 / 0
+        assert want == [None] * len(want)
+        return
+    for g, w, row in zip(got.tolist(), want, X.tolist()):
+        if w is not None and math.isfinite(w):
+            assert abs(g - w) <= 1e-12 * abs(w) + rounding_bound(text, row), (g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +266,42 @@ def test_config_rejects_keys_the_graph_kind_does_not_read(graph, bad):
         config_from_dict(doc)
     doc["graph"] = {key: value for key, value in graph.items() if key != bad}
     assert config_from_dict(doc).graph == doc["graph"]
+
+
+@pytest.mark.parametrize("key", ["graph", "etas", "regression"])
+def test_config_missing_required_key_is_named(key):
+    doc = config_to_dict(small_config())
+    del doc[key]
+    with pytest.raises(TypeError, match=key):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("__import__('os')", "\"__import__('os')\" is not allowed"),
+    ("x1.real", "'x1.real' is not allowed"),
+    ("x1[0]", "'x1[0]' is not allowed"),
+    ("(lambda: 1)()", "'(lambda: 1)()' is not allowed"),
+    ("[x1 for _ in ()]", "'[x1 for _ in ()]' is not allowed"),
+    ("x1 + x3", "'x3' is not allowed"),   # d = 2
+    # a ufunc's second positional is `out`: this would write into X
+    ("exp(x1, x1)", "'exp(x1, x1)' is not allowed"),
+    ("exp(x=x1)", "'exp(x=x1)' is not allowed"),
+    ("pi(x1)", "'pi(x1)' is not allowed"),
+    ("2 * 'a'", "\"'a'\" is not allowed"),
+    ("True", "'True' is not allowed"),
+    ("x1 < 0.5", "'x1 < 0.5' is not allowed"),
+    ("sin(x1) +", "invalid syntax"),
+    ("-" * 100000 + "x1", "nested too deeply"),
+], ids=["import", "attribute", "subscript", "lambda", "comprehension", "x3",
+        "two_args", "keyword", "call_constant", "string", "bool", "compare",
+        "syntax", "deep"])
+def test_expression_outside_the_grammar_fails_before_any_replication(text, message,
+                                                                     monkeypatch):
+    attempted = []
+    monkeypatch.setattr(experiment, "_replicate", lambda *args: attempted.append(args))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(small_config(regression=text, etas=(0.1, 0.1, 0.1)))
+    assert attempted == []
 
 
 def test_config_eta_range_checked_at_run():
@@ -355,7 +514,7 @@ def test_failed_replications_are_logged_not_fatal(tmp_path):
 
 # sha256 of results.csv for one small config per stream layout (the d = 2
 # `innovations` pair, d = 2 `final`, d = 1 and d >= 3), recorded with
-# numpy 2.4.6 once the chains summed the neighbours' eta*y.  Byte identity
+# numpy 2.4.6; README "Reproducibility" lists each re-recording.  Byte identity
 # is promised only for the same numpy version and the same OpenBLAS thread
 # count, so each config runs in a fresh interpreter with
 # OPENBLAS_NUM_THREADS=1, whatever the host's core count.
@@ -365,12 +524,12 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "e26d49dd589eaabc561a45995d9072962ff781659a21264cbef836f9b3612975"),
+        "66648ae4ff5776765f012613f9d892247bc02d1cb60ca5e34172455f92880ec9"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "c6976b6127751904a6e811bd7d0619bb10f21d72debd64aaea652e06f869ca2e"),
+        "800a2034f307ef7e757c17c7d526ef59f69c86c8427e5557305df57621d506ae"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),

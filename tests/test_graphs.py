@@ -176,6 +176,29 @@ def test_neighbor_sums_match_dense():
         assert np.allclose(g.neighbor_sums(x), H @ x, atol=1e-12)
 
 
+def segments_reference(g, nodes):
+    """The per-node comprehension neighbor_segments replaced."""
+    pad = np.array([g.node_count])
+    lists = [g.neighbors[s] if g.degrees[s] else pad for s in nodes]
+    index = np.concatenate([np.empty(0, np.int64), *lists])
+    sizes = np.maximum(g.degrees[nodes], 1)
+    return index, np.cumsum(sizes) - sizes
+
+
+def test_neighbor_segments_match_the_per_node_lists():
+    # isolated nodes hold the pad, in any order, repeated or not at all
+    rng = stream(6)
+    graphs = [Graph(7, [(0, 1), (1, 2), (4, 5), (5, 0)]), Graph(3, []),
+              random_graph(40, 0.1, seed=4), knn_geometric_graph(300, 6, seed=3)]
+    for g in graphs:
+        n = g.node_count
+        for nodes in (np.arange(n), rng.permutation(n), rng.integers(0, n, 2 * n),
+                      np.arange(n)[::3], np.empty(0, np.int64)):
+            got = g.neighbor_segments(nodes)
+            for a, b in zip(got, segments_reference(g, nodes)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

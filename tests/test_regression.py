@@ -142,7 +142,9 @@ def svd_reference(B, y):
 
 def assert_matches_reference(B, y, coeffs, rep, rtol=1e-12):
     want, want_rep = svd_reference(B, y)
-    assert np.max(np.abs(coeffs - want), initial=0.0) <= rtol * np.max(np.abs(want), initial=0.0)
+    # below finfo.tiny doubles are spaced 2^-1074 apart, whatever their size
+    assert (np.max(np.abs(coeffs - want), initial=0.0)
+            <= rtol * np.max(np.abs(want), initial=0.0) + 2 * np.finfo(float).smallest_subnormal)
     assert (rep.rank, rep.total_columns) == (want_rep.rank, want_rep.total_columns)
     assert rep.condition == pytest.approx(want_rep.condition, rel=rtol)
     assert rep.dropped.shape == want_rep.dropped.shape
@@ -349,6 +351,32 @@ def test_l2_error_examples():
     f2 = fit(Dataset(np.array([0.5]), np.array([0.0])), sieve, HAAR_TABLE)
     errs = l2_error_mc(f2, HAAR_TABLE, lambda x: x, np.array([1.0, 3.0]))
     assert errs == pytest.approx(5.0)
+
+
+def test_l2_error_calls_the_truth_once_on_the_columns():
+    sieve = wavelet_sieve(HAAR, 2, 0, 0)
+    f = fit(Dataset(np.array([[0.5, 0.5]]), np.array([2.0])), sieve, HAAR_TABLE)
+    X = stream(33).uniform(0.0, 1.0, (50, 2))
+    calls = []
+
+    def m(x1, x2):
+        calls.append((x1, x2))
+        return x1 + x2
+
+    err = l2_error_mc(f, HAAR_TABLE, m, X)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], X[:, 0]) and np.array_equal(calls[0][1], X[:, 1])
+    assert err == pytest.approx(np.mean((2.0 - X.sum(axis=1)) ** 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("truth", [lambda x: np.log(x - 0.5), lambda x: np.inf,
+                                   lambda x: np.ones(3)])
+def test_l2_error_rejects_a_truth_it_cannot_use(truth):
+    # a value at every test point, finite: a nan would turn the error into nan
+    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    f = fit(Dataset(np.array([0.5]), np.array([2.0])), sieve, HAAR_TABLE)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        l2_error_mc(f, HAAR_TABLE, truth, np.array([0.25, 0.75]))
 
 
 def test_l2_error_empty_test_set():
