@@ -11,9 +11,8 @@ from .graphs import (Graph, ConcliquePartition, PowerIterationError,
                      load_graph, save_graph, torus_lattice, torus_with_chords,
                      knn_geometric_graph, eigen_bounds, eta_range, concliques,
                      connected_split)
-from .gmrf import (GmrfSpec, ChainConfig, tau_from_eta, conditional_params,
-                   gibbs_chain, gibbs_chains, direct_sample, joint_covariance,
-                   to_uniform, field_to_csv)
+from .gmrf import (GmrfSpec, ChainConfig, tau_from_eta, gibbs_chain, gibbs_chains,
+                   direct_sample, joint_covariance, to_uniform, field_to_csv)
 from .wavelets import (ScalingFilter, PhiTable, WaveletSieve, haar_filter,
                        d4_filter, filter_by_name, cascade, phi_eval,
                        mother_tensor_coeffs, wavelet_sieve,

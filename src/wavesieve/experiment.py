@@ -86,6 +86,15 @@ class ExperimentConfig:
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         object.__setattr__(self, "wavelets", tuple(self.wavelets))
         object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
+        if not isinstance(self.regression, str):
+            raise ValueError(f"regression must be a string, got {self.regression!r}")
+        for key in ("copula_rho", "noise_scale", "test_fraction"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if self.noise_scale < 0:
+            raise ValueError(f"noise_scale must be non-negative, got {self.noise_scale!r}")
         if not isinstance(self.graph, dict):
             raise ValueError(f"graph must be an object, got {self.graph!r}")
         kind = self.graph.get("kind")

@@ -238,13 +238,25 @@ def test_config_validation():
     ("graph", ["torus", 6, 6], "graph"),
     ("chain", [200], "chain"),
     ("chain", 200, "chain"),
+    ("noise_scale", "abc", "noise_scale"),
+    ("noise_scale", math.nan, "noise_scale"),
+    ("noise_scale", -0.5, "noise_scale"),
+    ("noise_scale", True, "noise_scale"),
+    ("copula_rho", "x", "copula_rho"),
+    ("copula_rho", math.nan, "copula_rho"),
+    ("test_fraction", "0.3", "test_fraction"),
+    ("test_fraction", math.inf, "test_fraction"),
+    ("regression", 5, "regression"),
 ], ids=["burn_in", "test_fraction", "copula_rho", "negative_level",
         "float_replications", "float_iterations", "negative_iterations",
         "float_seed", "negative_seed", "string_levels", "string_wavelets",
         "string_etas", "float_rows", "string_rows", "bool_cols", "float_chords",
         "float_chord_seed", "float_points", "string_k", "float_point_seed",
         "negative_point_seed", "negative_chord_seed", "negative_chords",
-        "list_graph", "list_chain", "int_chain"])
+        "list_graph", "list_chain", "int_chain", "string_noise_scale",
+        "nan_noise_scale", "negative_noise_scale", "bool_noise_scale",
+        "string_copula_rho", "nan_copula_rho", "string_test_fraction",
+        "inf_test_fraction", "int_regression"])
 def test_config_rejects_values_that_fail_late(key, value, match):
     # each of these would otherwise be ignored, fail every replication of a
     # run or crash inside it
@@ -560,3 +572,26 @@ def test_results_csv_digest(name, tmp_path):
     assert "failed replications" not in proc.stdout
     data = (tmp_path / "results.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("ignore:learning set is disconnected")
+def test_results_csv_bytes_do_not_depend_on_the_sweeps_the_engine_skips(tmp_path, monkeypatch):
+    # at the digests' 200 sweeps this config runs every sweep (its eta = -0.18
+    # chain contracts in about 70 sweeps, past the probe's cap of 66); at 1000
+    # it skips most, and the bytes must equal those of a run forced through
+    # every sweep by asking for a trace
+    overrides, _ = GOLDEN["d2_innovations_torus"]
+
+    def run(out_dir):
+        cfg = ExperimentConfig(wavelets=("haar", "d4"), levels=(1, 2), replications=2,
+                               iterations=1000, seed=11, out_dir=str(out_dir), **overrides)
+        table = run_experiment(cfg)
+        assert not table.failures
+        return (out_dir / "results.csv").read_bytes()
+
+    skipping = run(tmp_path / "skip")
+    full = experiment.gibbs_chains
+    monkeypatch.setattr(experiment, "gibbs_chains",
+                        lambda specs, partition, streams, iterations:
+                        full(specs, partition, streams, iterations, trace_every=iterations))
+    assert run(tmp_path / "full") == skipping

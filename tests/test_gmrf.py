@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from wavesieve.gmrf import (ChainConfig, GmrfSpec, conditional_params,
-                            direct_sample, field_to_csv, gibbs_chain,
-                            gibbs_chains, joint_covariance, tau_from_eta,
-                            to_uniform)
-from wavesieve.graphs import (ConcliquePartition, Graph, concliques,
+from wavesieve import gmrf
+from wavesieve.gmrf import (ChainConfig, GmrfSpec, direct_sample, field_to_csv,
+                            gibbs_chain, gibbs_chains, joint_covariance,
+                            tau_from_eta, to_uniform)
+from wavesieve.graphs import (ConcliquePartition, Graph, concliques, eta_range,
                               knn_geometric_graph, torus_lattice, torus_with_chords)
 from wavesieve.rng import stream
 
@@ -98,6 +98,17 @@ def test_marginal_variance_identity():
         M = np.eye(g.node_count) - eta * g.adjacency()
         A = np.linalg.solve(M, np.diag(spec.tau2))
         assert np.max(np.abs(np.diag(A) - 1.0)) < 1e-10
+
+
+def conditional_params(spec, state, s):
+    """Besag oracle: (mean, variance) of node s given the rest of the field
+    frozen at `state`, from the model's edge weights eta * sqrt(tau2_s /
+    tau2_t), one node at a time."""
+    nbrs = spec.graph.neighbors[s]
+    x = np.asarray(state, dtype=float)
+    y = (x[nbrs] - spec.alpha[nbrs]) / np.sqrt(spec.tau2[nbrs])
+    mean = spec.alpha[s] + spec.eta * np.sqrt(spec.tau2[s]) * np.sum(y)
+    return float(mean), float(spec.tau2[s])
 
 
 def test_conditional_params_eta_zero():
@@ -269,6 +280,103 @@ def test_gibbs_chains_match_per_chain_sweeps_bitwise():
         return u, rho * u + np.sqrt(1.0 - rho * rho) * v, single.standard_normal(g.node_count)
 
     assert np.array_equal(got, reference_sweeps(specs, part, innovations, iterations))
+
+
+@pytest.mark.parametrize("case", ["paper_etas_coupled", "range_edges"])
+def test_gibbs_chains_final_state_equals_a_full_run_bitwise(case):
+    # untraced, the engine sweeps only the last K of 3000 sweeps, from zero;
+    # a trace forces every sweep, and the final states must be the same bits
+    g = torus_with_chords(18, 18, 60, seed=1)
+    part = concliques(g)
+    if case == "paper_etas_coupled":
+        etas, streams = (0.12, -0.18, 0.12), [(41, 0.7), (42, None)]
+    else:
+        lo, hi = eta_range(g)
+        etas, streams = (0.9 * lo, 0.9 * hi), [(43, None), (44, None)]
+    specs = [GmrfSpec(g, eta, alpha=0.5) for eta in etas]
+    got, _ = gibbs_chains(specs, part, streams, 3000)
+    full, _ = gibbs_chains(specs, part, streams, 3000, trace_every=3000)
+    assert np.array_equal(got, full)
+
+
+def _poison_first_sweeps(monkeypatch, sweeps):
+    """Make the first `sweeps` sweeps of every chain stream's innovations NaN."""
+    real = gmrf.stream
+
+    class Poisoned:
+        def __init__(self, rng):
+            self.rng, self.left = rng, sweeps
+
+        def standard_normal(self, shape):
+            w = self.rng.standard_normal(shape)
+            w[:self.left] = np.nan
+            self.left = max(0, self.left - len(w))
+            return w
+
+    def poisoned_stream(seed, *keys):
+        rng = real(seed, *keys)
+        return Poisoned(rng) if keys == (gmrf._TAG_CHAIN,) else rng
+
+    monkeypatch.setattr(gmrf, "stream", poisoned_stream)
+
+
+def test_gibbs_chains_never_apply_the_sweeps_that_cannot_reach_the_final_state(monkeypatch):
+    # a NaN innovation poisons every later state of a chain that applies it:
+    # the untraced run still draws the first 1000 sweeps' normals (the final
+    # state keeps its bits) but never sweeps them, while a traced run does
+    g = torus_with_chords(18, 18, 60, seed=1)
+    part = concliques(g)
+    specs = [GmrfSpec(g, eta) for eta in (0.12, -0.18, 0.12)]
+    streams = [(41, 0.7), (42, None)]
+    clean, _ = gibbs_chains(specs, part, streams, 3000)
+    _poison_first_sweeps(monkeypatch, 1000)
+    poisoned, _ = gibbs_chains(specs, part, streams, 3000)
+    traced, _ = gibbs_chains(specs, part, streams, 3000, trace_every=3000)
+    assert np.array_equal(poisoned, clean)
+    assert np.isnan(traced).all()
+
+
+def test_gibbs_chains_traced_run_sweeps_every_sweep():
+    # untraced, these chains would skip most of their 300 sweeps; traced,
+    # every kept state and the final one are the per-chain sweeps from the start
+    g = torus_with_chords(4, 5, 6, 2)
+    part = concliques(g)
+    specs = [GmrfSpec(g, 0.1, alpha=0.5), GmrfSpec(g, -0.15)]
+    rho = 0.6
+    got, trace = gibbs_chains(specs, part, [(51, rho)], 300, burn_in=9, trace_every=100)
+
+    def replay(iterations):
+        coupled = stream(51, 21)
+
+        def innovations():
+            u, v = coupled.standard_normal((2, g.node_count))
+            return u, rho * u + np.sqrt(1.0 - rho * rho) * v
+
+        return reference_sweeps(specs, part, innovations, iterations)
+
+    assert trace.shape == (3, 2, g.node_count)
+    for kept, it in zip(trace, (9, 109, 209)):
+        assert np.array_equal(kept, replay(it + 1))
+    assert np.array_equal(got, replay(300))
+
+
+@pytest.mark.parametrize("etas, iterations", [
+    ((0.1, -0.15, 0.2), 500),   # eta 0.2 contracts in about 470 sweeps: past the probe's cap
+    ((0.1, -0.15), 12),         # too few sweeps for a skip to pay
+    ((0.0,), 400),              # an eta = 0 chain contracts in one sweep
+    ((0.0, 0.1), 400),
+    ((0.1, -0.15), 0),
+], ids=["near_edge", "short", "eta_zero", "eta_zero_with_other", "zero_iterations"])
+def test_gibbs_chains_short_and_degenerate_runs_match_per_chain_sweeps(etas, iterations):
+    g = torus_with_chords(4, 5, 6, 2)
+    part = concliques(g)
+    specs = [GmrfSpec(g, eta, alpha=0.5) for eta in etas]
+    seeds = range(61, 61 + len(etas))
+    got, _ = gibbs_chains(specs, part, [(seed, None) for seed in seeds], iterations)
+    rngs = [stream(seed, 21) for seed in seeds]
+    want = reference_sweeps(specs, part, lambda: [rng.standard_normal(g.node_count)
+                                                   for rng in rngs], iterations)
+    assert np.array_equal(got, want)
 
 
 def test_gibbs_chains_batched_equal_one_chain_runs():
