@@ -19,7 +19,7 @@ from .wavelets import (ScalingFilter, PhiTable, WaveletSieve, haar_filter,
                        sieve_for_box, covering_sieve, partition_of_unity_residual,
                        refinement_residual, phi_table_to_csv)
 from .regression import (Dataset, RegressionFit, SvdReport, design_matrix,
-                         svd_lstsq, fit, predict, predict_batch, default_rho,
+                         svd_lstsq, fit, predict, predict_batch,
                          auto_rho, select_level, l2_error_mc, fit_to_json)
 from .theory import (BlockingPartition, block_size_q, blocking_partition,
                      covering_bound, rate_curve, write_xy_csv)

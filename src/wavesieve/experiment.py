@@ -83,16 +83,21 @@ class ExperimentConfig:
         for key in ("etas", "wavelets", "levels"):
             if isinstance(getattr(self, key), str):
                 raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
-        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        object.__setattr__(self, "wavelets", tuple(self.wavelets))
-        object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        for name in self.wavelets:
+            try:
+                filter_by_name(name)
+            except ValueError as exc:
+                raise ValueError(f"wavelets: {exc}") from None
         if not isinstance(self.regression, str):
             raise ValueError(f"regression must be a string, got {self.regression!r}")
-        for key in ("copula_rho", "noise_scale", "test_fraction"):
-            value = getattr(self, key)
+        reals = [(k, getattr(self, k)) for k in ("copula_rho", "noise_scale", "test_fraction")]
+        reals += [(f"etas[{i}]", eta) for i, eta in enumerate(self.etas)]
+        for key, value in reals:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+        object.__setattr__(self, "etas", tuple(float(eta) for eta in self.etas))
         if self.noise_scale < 0:
             raise ValueError(f"noise_scale must be non-negative, got {self.noise_scale!r}")
         if not isinstance(self.graph, dict):
@@ -107,17 +112,17 @@ class ExperimentConfig:
         integers = [(key, getattr(self, key)) for key in ("replications", "iterations", "seed")]
         integers += [(f"graph.{key}", self.graph[key])
                      for key in sorted(self.graph.keys() - {"kind", "path"})]
+        integers += [(f"levels[{i}]", j) for i, j in enumerate(self.levels)]
         for key, value in integers:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{key} must be non-negative, got {value!r}")
+        object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not self.levels:
             raise ValueError("levels must be nonempty")
-        if min(self.levels) < 0:
-            raise ValueError("levels must be non-negative")
         if not self.wavelets:
             raise ValueError("wavelets must be nonempty")
         if self.coupling not in ("innovations", "final"):

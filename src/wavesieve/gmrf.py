@@ -155,13 +155,13 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     The chains advance the standardized y = (x - alpha) / sqrt(tau2), whose
     update is the sum of the neighbours' eta*y plus the unit innovation.  The
     rows are renumbered once so that every class is contiguous, and the state
-    is stored node-major, one column per chain, as u = eta*y, followed by a
-    zero pad row (what an empty neighbour list reads) and the sweep's
-    innovations.  A class update is then three calls: one `take` gathers each
-    member's neighbours' u followed by its own innovation, one
+    is stored node-major, one column per chain, as u = eta*y, followed by the
+    sweep's innovations.  A class update is then three calls: one `take`
+    gathers each member's neighbours' u followed by its own innovation, one
     `np.add.reduceat` sums every member's segment into the class's rows of y,
-    and one multiply by eta writes those rows of u.  y is kept apart from u,
-    so an eta = 0 chain returns its innovations exactly.
+    and one multiply by eta writes those rows of u.  Every segment ends in an
+    innovation, so none is empty, as `reduceat` needs.  y is kept apart from
+    u, so an eta = 0 chain returns its innovations exactly.
 
     `iterations` keeps its meaning, but when trace_every == 0 only the last K
     sweeps run, from zero: the sweep is linear, y' = A y + B z, so the state K
@@ -192,18 +192,19 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     alpha = np.array([spec.alpha for spec in specs])
     sd = np.sqrt(np.array([spec.tau2 for spec in specs]))
     eta = np.tile([spec.eta for spec in specs], (n, 1))
-    # class order: row r holds node order[r]; rank maps a node (or the pad) to its row
+    # class order: row r holds node order[r]; rank, its inverse, maps a node to its row
     order = np.concatenate([np.empty(0, np.int64), *partition.classes])
-    rank = np.empty(n + 1, np.int64)
-    rank[order], rank[n] = np.arange(n), n
-    # rows 0..n-1: u = eta*y, row n: the zero pad, rows n+1..2n: the innovations
-    src = np.zeros((2 * n + 1, chains))
-    u, innovation = src[:n], src[n + 1:]
+    rank = np.argsort(order)
+    # rows 0..n-1: u = eta*y, rows n..2n-1: the innovations
+    src = np.zeros((2 * n, chains))
+    u, innovation = src[:n], src[n:]
     y = np.zeros((n, chains))
-    # every row's neighbour list with its innovation row appended, one segment per row
-    index, starts = graph.neighbor_segments(order)
-    rows = np.insert(rank[index], np.append(starts[1:], index.size), np.arange(n + 1, 2 * n + 1))
-    bounds = np.append(starts + np.arange(n), rows.size)
+    # row r's segment: its node's neighbours' rows in list order, then its innovation
+    # row n + r; the stable sort keeps each segment's entries in that order
+    owner = np.concatenate((np.repeat(rank, graph.degrees), np.arange(n)))
+    rows = np.concatenate((rank[graph.indices], np.arange(n, 2 * n)))
+    rows = rows[np.argsort(owner, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(graph.degrees[order] + 1)))
     gather = rows[:, None] * chains + np.arange(chains)
     # per class: flat gather indices, gather buffer, segment starts, class rows of y,
     # eta and u
@@ -258,7 +259,7 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
 
     def field(ys):
         """alpha + sqrt(tau2) * y in node order from rows of y in class order."""
-        return alpha + sd * np.swapaxes(ys[..., rank[:n], :], -1, -2)
+        return alpha + sd * np.swapaxes(ys[..., rank, :], -1, -2)
 
     return field(y), field(np.array(kept).reshape(-1, n, chains)) if trace_every else None
 

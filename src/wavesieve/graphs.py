@@ -9,6 +9,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,47 +47,33 @@ class Graph:
     """
 
     def __init__(self, node_count, edges):
-        node_count = int(node_count)
-        if node_count < 0:
-            raise ValueError("node_count must be non-negative")
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u},{v}) outside 0..{node_count - 1}")
-            seen.add((u, v) if u < v else (v, u))
-        self.node_count = node_count
-        self.edges = tuple(sorted(seen))
+        if not np.issubdtype(type(node_count), np.integer) or node_count < 0:
+            raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
+        n = int(node_count)
+        pairs = _node_pairs(edges)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+        if bad.size:
+            s, t = pairs[bad[0]].tolist()
+            if s == t:
+                raise ValueError(f"self-loop at node {s}")
+            raise ValueError(f"edge ({s},{t}) outside 0..{n - 1}")
+        # sorted keys lo*n + hi are the sorted (lo, hi) pairs; np.unique would add 1.5 MB RSS
+        keys = np.sort(lo * n + hi)
+        lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+        self.node_count = n
+        self.edges = tuple(zip(lo.tolist(), hi.tolist()))
         self.edge_count = len(self.edges)
 
-        nbr = [[] for _ in range(node_count)]
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        self.neighbors = tuple(np.array(sorted(a), dtype=np.int64) for a in nbr)
-        self.degrees = np.array([a.size for a in self.neighbors], dtype=np.int64)
-
-        # every node's list end to end, an empty one holding the pad id
-        pad = np.array([node_count], dtype=np.int64)
-        lists = [a if a.size else pad for a in self.neighbors]
-        sizes = np.maximum(self.degrees, 1)
-        self._segments = (np.concatenate([pad[:0], *lists]), np.cumsum(sizes) - sizes)
+        # CSR: node s's neighbours, increasing, are indices[indptr[s]:indptr[s+1]]
+        heads, tails = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        self.indices = tails[np.argsort(heads * n + tails)]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n))))
+        self.degrees = np.diff(self.indptr)
+        bounds = self.indptr.tolist()
+        self.neighbors = tuple(self.indices[a:b] for a, b in zip(bounds, bounds[1:]))
         self._eigen_cache = {}
         self._concliques = None
-
-    def neighbor_segments(self, nodes):
-        """(index, starts): the neighbour lists of `nodes` end to end and each
-        list's offset.  An empty list holds the pad id node_count, so for v of
-        length node_count + 1 with v[-1] == 0 the list sums are
-        `np.add.reduceat(v[index], starts)`."""
-        index, starts = self._segments
-        sizes = np.maximum(self.degrees[nodes], 1)
-        offsets = np.cumsum(sizes) - sizes
-        # position k of segment i reads the full layout at starts[node_i] + k
-        gather = np.repeat(starts[nodes] - offsets, sizes) + np.arange(sizes.sum())
-        return index[gather], offsets
 
     def neighbor_sums(self, x):
         """Vector of sums of x over each node's neighbors (H @ x).
@@ -94,8 +81,10 @@ class Graph:
         One fixed summation order for every graph size, so results do not
         depend on whether a dense adjacency was ever materialized.
         """
-        index, starts = self._segments
-        return np.add.reduceat(np.append(x, 0.0)[index], starts)
+        sums = np.zeros(self.node_count)
+        rows = self.degrees > 0
+        sums[rows] = np.add.reduceat(x[self.indices], self.indptr[:-1][rows])
+        return sums
 
     def adjacency(self):
         """A fresh dense symmetric 0/1 adjacency matrix (limited to small
@@ -104,10 +93,8 @@ class Graph:
             raise ValueError(
                 f"dense adjacency limited to {DENSE_NODE_LIMIT} nodes, "
                 f"graph has {self.node_count}")
-        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
         H = np.zeros((self.node_count, self.node_count))
-        H[u, v] = 1.0
-        H[v, u] = 1.0
+        H[np.repeat(np.arange(self.node_count), self.degrees), self.indices] = 1.0
         return H
 
     def __repr__(self):
@@ -138,7 +125,9 @@ class ConcliquePartition:
             raise ValueError(f"classes repeat node {np.flatnonzero(count > 1)[0]}")
         label = np.empty(n, np.int64)
         label[nodes] = np.repeat(np.arange(len(self.classes)), [c.size for c in self.classes])
-        u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+        # entries run in (s, t) order, so the first joined one is the first joined
+        # edge: it has s < t, or row t would have held the pair earlier
+        u, v = np.repeat(np.arange(n), graph.degrees), graph.indices
         joined = np.flatnonzero(label[u] == label[v])
         if joined.size:
             s, t = u[joined[0]], v[joined[0]]
@@ -148,6 +137,22 @@ class ConcliquePartition:
 
 # ---------------------------------------------------------------------------
 # construction and io
+
+def _node_pairs(edges):
+    """`edges` as an (E, 2) int64 array.  Node ids must be integers, bool
+    excluded; the ValueError names the first edge holding another id."""
+    if isinstance(edges, np.ndarray):
+        kinds = {edges.dtype.type}
+    else:
+        edges = list(edges)
+        kinds = set(map(type, chain.from_iterable(edges)))
+    # numpy counts int and the numpy integers as integer types, not bool
+    if not all(np.issubdtype(kind, np.integer) for kind in kinds):
+        for u, v in edges:
+            if not (np.issubdtype(type(u), np.integer) and np.issubdtype(type(v), np.integer)):
+                raise ValueError(f"edge ({u!r},{v!r}) has a node id that is not an integer")
+    return np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+
 
 def load_graph(path):
     """Read an edge list: one 'u v' pair per line, '#' comments, blank lines ok.
@@ -256,7 +261,7 @@ def _nearest_pairs(xy, k):
     below = d2 < kth
     tie = d2 == kth
     tie &= np.cumsum(tie, axis=1, dtype=np.int32) <= k - below.sum(axis=1, keepdims=True)
-    return np.argwhere(below | tie).tolist()
+    return np.argwhere(below | tie)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +328,15 @@ def concliques(graph):
     """
     if graph._concliques is not None:
         return graph._concliques
-    order = sorted(range(graph.node_count), key=lambda s: (-int(graph.degrees[s]), s))
     color = np.full(graph.node_count, -1, dtype=np.int64)
-    for s in order:
+    for s in np.argsort(-graph.degrees, kind="stable").tolist():
         used = set(color[graph.neighbors[s]].tolist())
         c = 0
         while c in used:
             c += 1
         color[s] = c
-    k = int(color.max()) + 1 if graph.node_count else 1
-    classes = tuple(np.flatnonzero(color == c) for c in range(k))
-    if graph.node_count == 0:
-        classes = (np.empty(0, dtype=np.int64),)
+    # no nodes still make one (empty) class
+    classes = tuple(np.flatnonzero(color == c) for c in range(color.max(initial=0) + 1))
     part = ConcliquePartition(classes)
     graph._concliques = part
     return part

@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Dataset", "RegressionFit", "SvdReport",
     "design_matrix", "svd_lstsq", "fit", "predict", "predict_batch",
-    "default_rho", "auto_rho", "select_level", "l2_error_mc", "fit_to_json",
+    "auto_rho", "select_level", "l2_error_mc", "fit_to_json",
 ]
 
 SVD_RTOL = 1e-10
@@ -153,22 +153,13 @@ def predict_batch(fit_result, table, X):
     return np.clip(raw, -fit_result.rho, fit_result.rho)
 
 
-def default_rho(sample_size, c):
-    """Truncation bound growing like c * log(sample size)."""
-    if sample_size < 2:
-        raise ValueError("sample_size must be at least 2")
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return c * math.log(sample_size)
-
-
 def auto_rho(y, sample_size):
     """Default bound max(log n, 2 max|y|): grows logarithmically but stays
     non-binding on well-scaled problems."""
     if sample_size < 2:
         raise ValueError("sample_size must be at least 2")
     c = max(1.0, 2.0 * float(np.max(np.abs(y))) / math.log(sample_size))
-    return default_rho(sample_size, c)
+    return c * math.log(sample_size)
 
 
 def select_level(sample_size, d, r):

@@ -89,7 +89,7 @@ _FILTERS = {"haar": haar_filter, "d4": d4_filter}
 def filter_by_name(name):
     try:
         return _FILTERS[name]()
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: an unhashable name
         raise ValueError(f"unknown filter {name!r}, expected one of {sorted(_FILTERS)}") from None
 
 

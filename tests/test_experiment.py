@@ -247,6 +247,15 @@ def test_config_validation():
     ("test_fraction", "0.3", "test_fraction"),
     ("test_fraction", math.inf, "test_fraction"),
     ("regression", 5, "regression"),
+    ("levels", [1.7, 2], r"levels\[0\] must be an integer"),
+    ("levels", ["1"], r"levels\[0\] must be an integer"),
+    ("levels", [1, True], r"levels\[1\] must be an integer"),
+    ("etas", ["0.1", "0.1"], r"etas\[0\] must be a finite number"),
+    ("etas", [True, 0.1], r"etas\[0\] must be a finite number"),
+    ("etas", [0.1, math.nan], r"etas\[1\] must be a finite number"),
+    ("wavelets", [1], "wavelets: unknown filter 1"),
+    ("wavelets", ["haar", "db2"], "wavelets: unknown filter 'db2'"),
+    ("wavelets", [["haar"]], "wavelets: unknown filter"),
 ], ids=["burn_in", "test_fraction", "copula_rho", "negative_level",
         "float_replications", "float_iterations", "negative_iterations",
         "float_seed", "negative_seed", "string_levels", "string_wavelets",
@@ -256,7 +265,9 @@ def test_config_validation():
         "list_graph", "list_chain", "int_chain", "string_noise_scale",
         "nan_noise_scale", "negative_noise_scale", "bool_noise_scale",
         "string_copula_rho", "nan_copula_rho", "string_test_fraction",
-        "inf_test_fraction", "int_regression"])
+        "inf_test_fraction", "int_regression", "float_level", "string_level",
+        "bool_level", "string_eta", "bool_eta", "nan_eta", "int_wavelet",
+        "unknown_wavelet", "list_wavelet"])
 def test_config_rejects_values_that_fail_late(key, value, match):
     # each of these would otherwise be ignored, fail every replication of a
     # run or crash inside it
@@ -526,7 +537,7 @@ def test_failed_replications_are_logged_not_fatal(tmp_path):
 
 # sha256 of results.csv for one small config per stream layout (the d = 2
 # `innovations` pair, d = 2 `final`, d = 1 and d >= 3), recorded with
-# numpy 2.4.6; README "Reproducibility" lists each re-recording.  Byte identity
+# numpy 2.4.6; CHANGES.md records each re-recording.  Byte identity
 # is promised only for the same numpy version and the same OpenBLAS thread
 # count, so each config runs in a fresh interpreter with
 # OPENBLAS_NUM_THREADS=1, whatever the host's core count.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavesieve import graphs
-from wavesieve.graphs import (Graph, PowerIterationError, concliques,
+from wavesieve.graphs import (ConcliquePartition, Graph, PowerIterationError, concliques,
                               connected_split, eigen_bounds, eta_range, knn_geometric_graph,
                               load_graph, save_graph, torus_lattice,
                               torus_with_chords)
@@ -164,7 +164,7 @@ def test_graph_rejects_self_loop():
 
 
 def test_neighbor_sums_match_dense():
-    # isolated nodes (and an edgeless graph) read the pad zero; knn-300 has
+    # isolated nodes (and an edgeless graph) sum to zero; knn-300 has
     # degrees up to 12, above the 8 where numpy's reduction turns pairwise
     graphs = [random_graph(40, 0.15, seed=2), Graph(6, [(0, 1), (1, 2), (3, 4)]),
               Graph(3, []), knn_geometric_graph(300, 6, seed=3)]
@@ -176,27 +176,86 @@ def test_neighbor_sums_match_dense():
         assert np.allclose(g.neighbor_sums(x), H @ x, atol=1e-12)
 
 
-def segments_reference(g, nodes):
-    """The per-node comprehension neighbor_segments replaced."""
-    pad = np.array([g.node_count])
-    lists = [g.neighbors[s] if g.degrees[s] else pad for s in nodes]
-    index = np.concatenate([np.empty(0, np.int64), *lists])
-    sizes = np.maximum(g.degrees[nodes], 1)
-    return index, np.cumsum(sizes) - sizes
+def neighbor_lists_reference(g):
+    """Each node's sorted neighbour list, built edge by edge from `edges`."""
+    lists = [[] for _ in range(g.node_count)]
+    for u, v in g.edges:
+        lists[u].append(v)
+        lists[v].append(u)
+    return [sorted(a) for a in lists]
 
 
-def test_neighbor_segments_match_the_per_node_lists():
-    # isolated nodes hold the pad, in any order, repeated or not at all
-    rng = stream(6)
-    graphs = [Graph(7, [(0, 1), (1, 2), (4, 5), (5, 0)]), Graph(3, []),
-              random_graph(40, 0.1, seed=4), knn_geometric_graph(300, 6, seed=3)]
+def test_csr_matches_the_per_node_lists():
+    # isolated nodes (the last one too), an edgeless graph, no nodes at all,
+    # edges given twice and backwards, and knn-300's ndarray of pairs
+    graphs = [Graph(7, [(0, 1), (1, 2), (4, 5), (5, 0), (2, 1)]), Graph(3, []), Graph(0, []),
+              Graph(5, [(4, 0), (0, 4), (3, 1)]), random_graph(40, 0.1, seed=4),
+              random_graph(30, 0.3, seed=5), knn_geometric_graph(300, 6, seed=3)]
     for g in graphs:
+        lists = neighbor_lists_reference(g)
         n = g.node_count
-        for nodes in (np.arange(n), rng.permutation(n), rng.integers(0, n, 2 * n),
-                      np.arange(n)[::3], np.empty(0, np.int64)):
-            got = g.neighbor_segments(nodes)
-            for a, b in zip(got, segments_reference(g, nodes)):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert g.edges == tuple(sorted(set(g.edges))) and g.edge_count == len(g.edges)
+        assert all(type(s) is int and type(t) is int and s < t for s, t in g.edges)
+        assert g.indptr.dtype == g.indices.dtype == g.degrees.dtype == np.int64
+        assert g.indptr.tolist() == np.cumsum([0] + [len(a) for a in lists]).tolist()
+        assert g.indices.tolist() == [t for a in lists for t in a]
+        assert g.degrees.tolist() == [len(a) for a in lists]
+        assert len(g.neighbors) == n
+        for s in range(n):
+            assert g.neighbors[s].tolist() == lists[s]
+            assert g.neighbors[s].base is g.indices
+        # each sum is the list's own reduceat, in list order; isolated nodes give zero
+        x = stream(7).standard_normal(n)
+        want = [np.add.reduceat(x[a], [0])[0] if a else 0.0 for a in lists]
+        assert np.array_equal(g.neighbor_sums(x), np.array(want))
+
+
+def test_graph_canonicalizes_edges():
+    g = Graph(4, [(3, 1), (1, 3), (2, 0), (0, 2), (1, 2)])
+    assert g.edges == ((0, 2), (1, 2), (1, 3))
+    assert g.edges == Graph(4, np.array([[1, 2], [0, 2], [3, 1]], dtype=np.int32)).edges
+    assert g.edges == Graph(4, iter([(1, 3), (np.int64(2), 1), (0, 2)])).edges
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2), (0, 5)], "self-loop at node 2"),
+    ([(0, 1), (0, 5), (2, 2)], r"edge \(0,5\) outside 0\.\.2"),
+    ([(0, 1), (-1, 2), (1, 1)], r"edge \(-1,2\) outside 0\.\.2"),
+    ([(3, 3), (0, 4)], "self-loop at node 3"),
+    ([(0, 1.9), (True, 2)], r"edge \(0,1\.9\) has a node id that is not an integer"),
+    ([(0, 1), (True, 2)], r"edge \(True,2\) has a node id that is not an integer"),
+    ([(0, 1), (1, np.bool_(False))], r"edge \(1,\S*False\S*\) has a node id"),
+    ([(0, 1), (1, 2.0)], r"edge \(1,2\.0\) has a node id"),
+    ([(0, 1), ("1", 2)], r"edge \('1',2\) has a node id"),
+    (np.array([[0.0, 1.0]]), "has a node id that is not an integer"),
+])
+def test_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, edges)
+
+
+@pytest.mark.parametrize("node_count", [2.7, 3.0, True, "3", -1])
+def test_graph_rejects_a_node_count_that_is_not_a_non_negative_integer(node_count):
+    with pytest.raises(ValueError, match="node_count must be a non-negative integer"):
+        Graph(node_count, [])
+
+
+def test_validate_names_the_first_edge_inside_a_class():
+    # random labels on random graphs: the message names the lexicographically
+    # first edge whose ends share a class, as found from `edges`
+    rng = stream(8)
+    for seed in range(20):
+        g = random_graph(25, 0.2, seed=300 + seed)
+        label = rng.integers(0, 3, g.node_count)
+        part = ConcliquePartition(tuple(np.flatnonzero(label == c) for c in range(3)))
+        inside = [(s, t) for s, t in g.edges if label[s] == label[t]]
+        if not inside:
+            part.validate(g)
+            continue
+        s, t = inside[0]
+        with pytest.raises(ValueError, match=f"class {label[s]} is not independent: "
+                                             f"it holds adjacent nodes {s} and {t}$"):
+            part.validate(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesieve.regression import (SVD_RTOL, Dataset, SvdReport, auto_rho, default_rho,
+from wavesieve.regression import (SVD_RTOL, Dataset, SvdReport, auto_rho,
                                   design_matrix, fit, fit_to_json, l2_error_mc,
                                   predict, predict_batch, select_level, svd_lstsq)
 from wavesieve.rng import stream
@@ -141,10 +142,15 @@ def svd_reference(B, y):
 
 
 def assert_matches_reference(B, y, coeffs, rep, rtol=1e-12):
-    want, want_rep = svd_reference(B, y)
+    want, _ = svd_reference(B, y)
     # below finfo.tiny doubles are spaced 2^-1074 apart, whatever their size
     assert (np.max(np.abs(coeffs - want), initial=0.0)
             <= rtol * np.max(np.abs(want), initial=0.0) + 2 * np.finfo(float).smallest_subnormal)
+    assert_report_matches_reference(B, y, rep, rtol)
+
+
+def assert_report_matches_reference(B, y, rep, rtol=1e-12):
+    _, want_rep = svd_reference(B, y)
     assert (rep.rank, rep.total_columns) == (want_rep.rank, want_rep.total_columns)
     assert rep.condition == pytest.approx(want_rep.condition, rel=rtol)
     assert rep.dropped.shape == want_rep.dropped.shape
@@ -167,6 +173,34 @@ ROW = st.tuples(st.integers(-1, 11), st.sampled_from([-1.0, 1.0]),
                 st.floats(0.5, 1.0), st.floats(-1.0, 1.0))
 
 
+def closed_form_oracle(B, y):
+    """Per column, sum_i B_ik y_i / sum_i B_ik^2 in exact rational arithmetic
+    (0 for an empty column), and the error the closed form may make.  Its dot
+    product rounds m products and m - 1 sums, each by at most 1e-12 of
+    sum_i |B_ik y_i| or, below finfo.tiny, by half a 2^-1074 spacing; the
+    division scales that by 1 / |B_k|^2 and rounds once more."""
+    spacing = np.finfo(float).smallest_subnormal
+    exact = []
+    for b in B.T:
+        den = sum(Fraction(v) ** 2 for v in b.tolist())
+        num = sum(Fraction(v) * Fraction(w) for v, w in zip(b.tolist(), y.tolist()))
+        exact.append(num / den if den else Fraction(0))
+    norms2 = np.einsum("ij,ij->j", B, B)
+    scale = np.divide(1.0, norms2, out=np.zeros_like(norms2), where=norms2 > 0.0)
+    bound = (1e-12 * (np.abs(y) @ np.abs(B)) + len(y) * spacing) * scale + spacing
+    return exact, bound
+
+
+def assert_closed_form_matches_oracle(B, y):
+    with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("lstsq path")):
+        coeffs, rep = svd_lstsq(B, y)
+    exact, bound = closed_form_oracle(B, y)
+    for c, e, b in zip(coeffs.tolist(), exact, bound.tolist()):
+        assert abs(Fraction(c) - e) <= b, (c, float(e), b)
+    assert np.all(coeffs[~B.any(axis=0)] == 0.0)
+    assert_report_matches_reference(B, y, rep)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 12), rows=st.lists(ROW, min_size=1, max_size=16), data=st.data())
 def test_svd_lstsq_one_nonzero_per_row_matches_reference(n, rows, data):
@@ -178,10 +212,16 @@ def test_svd_lstsq_one_nonzero_per_row_matches_reference(n, rows, data):
             B[i, k] = sign * mantissa * 10.0 ** decade
     y = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(rows),
                                     max_size=len(rows))))
-    with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("lstsq path")):
-        coeffs, rep = svd_lstsq(B, y)
-    assert_matches_reference(B, y, coeffs, rep)
-    assert np.all(coeffs[~B.any(axis=0)] == 0.0)
+    assert_closed_form_matches_oracle(B, y)
+
+
+def test_svd_lstsq_closed_form_on_a_subnormal_response():
+    # B . y = 1.76e-314 rounds in 2^-1074 steps, and dividing by |B|^2 = 6.3e-3
+    # scales that rounding 160-fold: the closed form lands 59 spacings from the
+    # exact 2.81e-312, where the SVD reference happens to land exactly
+    B = np.array([[0.07909973064564574]])
+    y = np.array([2.2250738585e-313])
+    assert_closed_form_matches_oracle(B, y)
 
 
 def dense_designs():
@@ -308,12 +348,7 @@ def test_predict_batch_majorized_by_untruncated():
     assert np.all(np.abs(pb) <= np.abs(pf) + 1e-12)
 
 
-def test_default_rho():
-    assert default_rho(math.e ** 2, 1.0) == pytest.approx(2.0)
-    assert default_rho(100, 2.0) == pytest.approx(2.0 * math.log(100))
-    assert default_rho(1000, 1.0) > default_rho(100, 1.0)
-    with pytest.raises(ValueError):
-        default_rho(1, 1.0)
+def test_auto_rho_needs_two_observations():
     with pytest.raises(ValueError, match="at least 2"):
         auto_rho(np.array([1.0]), 1)
 
