@@ -21,9 +21,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .gmrf import GmrfSpec, gibbs_chains, to_uniform
-from .graphs import (concliques, connected_split, eta_range,
-                     knn_geometric_graph, load_graph, torus_lattice,
-                     torus_with_chords)
+from .graphs import (concliques, connected_split, knn_geometric_graph,
+                     load_graph, torus_with_chords)
 from .regression import Dataset, auto_rho, fit, l2_error_mc
 from .rng import child_seed, stream
 from .wavelets import cascade, covering_sieve, filter_by_name
@@ -168,11 +167,8 @@ _GRAPH_KEYS = {"torus": {"rows", "cols", "chords", "chord_seed"},
 def _build_graph(graph_cfg):
     kind = graph_cfg["kind"]
     if kind == "torus":
-        chords = graph_cfg.get("chords", 0)
-        if chords:
-            return torus_with_chords(graph_cfg["rows"], graph_cfg["cols"], chords,
-                                     graph_cfg.get("chord_seed", 0))
-        return torus_lattice(graph_cfg["rows"], graph_cfg["cols"])
+        return torus_with_chords(graph_cfg["rows"], graph_cfg["cols"],
+                                 graph_cfg.get("chords", 0), graph_cfg.get("chord_seed", 0))
     if kind == "knn":
         return knn_geometric_graph(graph_cfg["points"], graph_cfg["k"],
                                    graph_cfg.get("point_seed", 0))
@@ -272,13 +268,11 @@ def config_to_dict(cfg):
 
 def _context(cfg):
     """Validated shared state: graph, concliques, one GmrfSpec per component
-    (built once per distinct eta), filters with phi tables."""
+    (built once per distinct eta, which checks that eta is admissible),
+    filters with phi tables."""
     graph = _build_graph(cfg.graph)
-    lo, hi = eta_range(graph)
-    for eta in cfg.etas:
-        if not lo < eta < hi:
-            raise ValueError(f"eta={eta} outside the graph's admissible "
-                             f"range ({lo:.6g}, {hi:.6g})")
+    if graph.edge_count == 0:
+        raise ValueError(f"the graph has no edges: {graph!r}")
     m_true, d = _regression_target(cfg)
     if len(cfg.etas) != d + 1:
         raise ValueError(f"regression dimension {d} needs {d + 1} etas "

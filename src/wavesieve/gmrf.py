@@ -62,12 +62,13 @@ def tau_from_eta(graph, eta):
     """Conditional variances making every marginal variance of the joint equal one.
 
     tau2_s = 1 / [(I - eta*H)^{-1}]_{ss}, read off the inverse Cholesky
-    factor as column sums of squares; requires eta strictly inside the
-    admissible range of the graph.
+    factor as column sums of squares.  eta must be finite, and the
+    factorization itself decides admissibility: it succeeds exactly when
+    I - eta*H is positive definite, i.e. eta lies in (1/h0, 1/hm).  On a
+    graph with no edges I - eta*H = I, so every finite eta gives ones.
     """
-    lo, hi = eta_range(graph)
-    if not lo < eta < hi:
-        raise ValueError(f"eta={eta} outside admissible range ({lo:.6g}, {hi:.6g})")
+    if not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta!r}")
     inv_factor = _inverse_cholesky(graph, eta)
     return 1.0 / np.einsum("ij,ij->j", inv_factor, inv_factor)
 
@@ -77,14 +78,17 @@ def _inverse_cholesky(graph, eta):
     (I - eta*H)^{-1} = L^{-T} L^{-1}.  I - eta*H is formed in the fresh
     adjacency array and the factor is inverted in place, so past the
     factorization the only n x n array alive is L; nothing keeps L after the
-    caller drops it."""
+    caller drops it.  If I - eta*H is not positive definite, the ValueError
+    names eta and the range `eta_range`, computed only then."""
     M = graph.adjacency()
     M *= -eta
     M.flat[::graph.node_count + 1] += 1.0
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("I - eta*H is not positive definite") from exc
+        lo, hi = eta_range(graph)
+        raise ValueError(f"eta={eta} outside the graph's admissible range "
+                         f"({lo:.6g}, {hi:.6g}): I - eta*H is not positive definite") from exc
     del M
     _invert_lower_in_place(L)
     return L
@@ -111,7 +115,7 @@ class GmrfSpec:
     The per-node conditional variances `tau2` are `tau_from_eta(graph, eta)`
     and edge s-t carries weight eta * sqrt(tau2_s / tau2_t), so the joint law
     is N(alpha, D^{1/2} (I - eta*H)^{-1} D^{1/2}), D = diag(tau2), with every
-    marginal variance one.
+    marginal variance one.  An inadmissible eta makes construction raise.
     """
     graph: object
     eta: float
@@ -189,6 +193,8 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
         raise ValueError("streams must feed exactly one chain per spec")
     partition.validate(graph)
     n = graph.node_count
+    if n == 0:
+        raise ValueError("gibbs_chains needs a graph with at least one node")
     alpha = np.array([spec.alpha for spec in specs])
     sd = np.sqrt(np.array([spec.tau2 for spec in specs]))
     eta = np.tile([spec.eta for spec in specs], (n, 1))

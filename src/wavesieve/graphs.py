@@ -42,8 +42,8 @@ class PowerIterationError(RuntimeError):
 class Graph:
     """Immutable undirected graph on nodes 0..n-1 without self loops.
 
-    Carries lazily computed, cached spectral bounds and conclique partition;
-    safe to share across threads once constructed.
+    A plain value: it holds its edges and adjacency lists and nothing
+    computed from them later, so it is safe to share across threads.
     """
 
     def __init__(self, node_count, edges):
@@ -72,8 +72,6 @@ class Graph:
         self.degrees = np.diff(self.indptr)
         bounds = self.indptr.tolist()
         self.neighbors = tuple(self.indices[a:b] for a, b in zip(bounds, bounds[1:]))
-        self._eigen_cache = {}
-        self._concliques = None
 
     def neighbor_sums(self, x):
         """Vector of sums of x over each node's neighbors (H @ x).
@@ -138,6 +136,14 @@ class ConcliquePartition:
 # ---------------------------------------------------------------------------
 # construction and io
 
+def _integer(name, value):
+    """int(value) for an integer `value`, bool excluded, as `Graph` checks its
+    node count; otherwise a ValueError naming `name`, so 6.7 is not cut to 6."""
+    if not np.issubdtype(type(value), np.integer):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _node_pairs(edges):
     """`edges` as an (E, 2) int64 array.  Node ids must be integers, bool
     excluded; the ValueError names the first edge holding another id."""
@@ -198,30 +204,28 @@ def torus_lattice(rows, cols):
     Parallel wrap edges (side length 2) collapse, so every node has degree 4
     for sides >= 3 and degree 2 on the 2x2 torus.
     """
-    rows, cols = int(rows), int(cols)
-    if rows < 2 or cols < 2:
-        raise ValueError("torus sides must be at least 2")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            s = r * cols + c
-            edges.append((s, r * cols + (c + 1) % cols))
-            edges.append((s, ((r + 1) % rows) * cols + c))
-    return Graph(rows * cols, edges)
+    return torus_with_chords(rows, cols, 0, 0)
 
 
 def torus_with_chords(rows, cols, chords, seed):
-    """Torus plus `chords` extra random non-adjacent node pairs (seeded)."""
-    base = torus_lattice(rows, cols)
-    chords = int(chords)
+    """Torus plus `chords` extra random non-adjacent node pairs (seeded);
+    with no chords nothing is drawn and the graph is `torus_lattice`'s."""
+    rows, cols, chords = _integer("rows", rows), _integer("cols", cols), _integer("chords", chords)
+    if rows < 2 or cols < 2:
+        raise ValueError("torus sides must be at least 2")
     if chords < 0:
         raise ValueError("chords must be non-negative")
-    n = base.node_count
-    free = n * (n - 1) // 2 - base.edge_count
+    n = rows * cols
+    # each node's edges to its right and lower neighbours, wrapping; on a side
+    # of length 2 both directions give one pair, so the pairs are deduplicated
+    s = np.tile(np.arange(n), 2)
+    r, c = np.divmod(s[:n], cols)
+    t = np.concatenate((r * cols + (c + 1) % cols, (r + 1) % rows * cols + c))
+    present = set(zip(np.minimum(s, t).tolist(), np.maximum(s, t).tolist()))
+    free = n * (n - 1) // 2 - len(present)
     if chords > free:
         raise ValueError(f"a {rows}x{cols} torus has {free} free node pairs, "
                          f"{chords} chords requested")
-    present = set(base.edges)
     rng = stream(seed, _TAG_CHORDS)
     extra = []
     while len(extra) < chords:
@@ -233,12 +237,13 @@ def torus_with_chords(rows, cols, chords, seed):
             continue
         present.add(key)
         extra.append(key)
-    return Graph(n, base.edges + tuple(extra))
+    return Graph(n, np.concatenate((np.stack((s, t), axis=1),
+                                    np.array(extra, np.int64).reshape(-1, 2))))
 
 
 def knn_geometric_graph(points, k, seed):
     """Symmetrized k-nearest-neighbour graph of seeded uniform points in the unit square."""
-    points, k = int(points), int(k)
+    points, k = _integer("points", points), _integer("k", k)
     if k >= points:
         raise ValueError("k must be smaller than the number of points")
     if k < 1:
@@ -275,14 +280,10 @@ def eigen_bounds(graph, tol=1e-8):
     extreme Ritz pairs (theta, y) of the tridiagonal T_m are checked; it
     stops once both residuals ||H Q y - theta Q y|| = beta_m |y_m| are
     <= tol, which bounds each eigenvalue error by tol for symmetric H.  The
-    Krylov dimension n caps the iteration.  Cached on the graph per
-    tolerance.
+    Krylov dimension n caps the iteration.
     """
     if graph.edge_count == 0:
         raise ValueError("eigen bounds need at least one edge")
-    cached = graph._eigen_cache.get(tol)
-    if cached is not None:
-        return cached
     n = graph.node_count
     v = stream(_TAG_POWER).standard_normal(n)
     basis = np.empty((min(n, 64), n))
@@ -299,9 +300,7 @@ def eigen_bounds(graph, tol=1e-8):
             T = np.diag(diag[:m + 1]) + np.diag(off[:m], 1) + np.diag(off[:m], -1)
             theta, y = np.linalg.eigh(T)
             if off[m] * max(abs(y[m, 0]), abs(y[m, -1])) <= tol:
-                bounds = (float(theta[0]), float(theta[-1]))
-                graph._eigen_cache[tol] = bounds
-                return bounds
+                return float(theta[0]), float(theta[-1])
         if m + 1 == len(basis) < n:   # double the storage, up to n rows
             basis = np.concatenate((basis, np.empty((min(m + 1, n - m - 1), n))))
         if m + 1 < n:
@@ -324,10 +323,8 @@ def concliques(graph):
     """Greedy proper coloring in descending-degree order; classes are concliques.
 
     Any proper coloring yields valid classes; greedy bounds the class count
-    by max degree + 1.  Cached on the graph.
+    by max degree + 1.
     """
-    if graph._concliques is not None:
-        return graph._concliques
     color = np.full(graph.node_count, -1, dtype=np.int64)
     for s in np.argsort(-graph.degrees, kind="stable").tolist():
         used = set(color[graph.neighbors[s]].tolist())
@@ -337,9 +334,7 @@ def concliques(graph):
         color[s] = c
     # no nodes still make one (empty) class
     classes = tuple(np.flatnonzero(color == c) for c in range(color.max(initial=0) + 1))
-    part = ConcliquePartition(classes)
-    graph._concliques = part
-    return part
+    return ConcliquePartition(classes)
 
 
 def _bfs_order(graph, start, seen=None):

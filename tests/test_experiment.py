@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesieve import experiment
+from wavesieve import experiment, graphs
 from wavesieve.cli import _parse_graph, main
 from wavesieve.experiment import (ExperimentConfig, config_from_dict,
                                   config_to_dict, emit_table, format_table,
@@ -331,6 +331,34 @@ def test_config_eta_range_checked_at_run():
     cfg = small_config(etas=(0.6, 0.15))   # torus range is (-0.25, 0.25)
     with pytest.raises(ValueError, match="admissible"):
         run_experiment(cfg)
+
+
+def test_run_never_computes_eigen_bounds(monkeypatch):
+    # admissibility is the Cholesky factor's to decide; the Lanczos range only
+    # words its error
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen_bounds called")
+    monkeypatch.setattr(graphs, "eigen_bounds", refuse)
+    table = run_experiment(small_config(graph={"kind": "torus", "rows": 6, "cols": 6,
+                                               "chords": 3}))
+    assert table.failures == ()
+
+
+def test_graph_without_edges_fails_before_any_replication(tmp_path, monkeypatch, capsys):
+    attempted = []
+    monkeypatch.setattr(experiment, "_replicate", lambda *args: attempted.append(args))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no edges\n")
+    cfg = small_config(graph={"kind": "file", "path": str(empty)})
+    with pytest.raises(ValueError, match="the graph has no edges"):
+        run_experiment(cfg)
+    assert attempted == []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 1
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err == {"error": "the graph has no edges: Graph(nodes=0, edges=0)",
+                   "type": "ValueError"}
 
 
 def test_config_eta_count_checked():

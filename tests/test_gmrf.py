@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,20 @@ def test_tau_rejects_inadmissible_eta():
         tau_from_eta(single_edge(), 1.5)
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_tau_rejects_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        tau_from_eta(triangle(), eta)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        tau_from_eta(Graph(3, []), eta)
+
+
+def test_tau_is_one_for_every_finite_eta_without_edges():
+    # I - eta*H = I on a graph with no edges
+    for eta in (-1e300, -5.0, 0.0, 0.25, 7.0, 1e300):
+        assert np.array_equal(tau_from_eta(Graph(3, []), eta), np.ones(3))
+
+
 def _oracle_graphs():
     return [torus_with_chords(18, 18, 60, seed=1), knn_geometric_graph(300, 6, seed=3),
             *(random_graph(40, 0.2, seed=seed) for seed in range(3))]
@@ -61,6 +77,18 @@ def _oracle_graphs():
 def _ends_of_range(g):
     vals = np.linalg.eigvalsh(g.adjacency())
     return 0.98 / vals[0], 0.98 / vals[-1]
+
+
+def test_factorization_and_eta_range_agree_at_the_ends():
+    # the Cholesky factor is the only admissibility check; it accepts eta just
+    # inside either end of the Lanczos range and rejects it just outside
+    for g in _oracle_graphs():
+        lo, hi = eta_range(g)
+        for end in (lo, hi):
+            assert np.all(tau_from_eta(g, (1.0 - 1e-9) * end) > 0.0)
+            message = f"admissible range ({lo:.6g}, {hi:.6g})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                tau_from_eta(g, (1.0 + 1e-9) * end)
 
 
 def test_tau_matches_dense_inverse_oracle():
@@ -501,6 +529,14 @@ def test_gibbs_chains_rejects_partitions_that_are_not_concliques(problem):
     with pytest.raises(ValueError, match=problem):
         gibbs_chains([GmrfSpec(g, 0.1)], ConcliquePartition(partitions[problem]),
                      [(1, None)], 5)
+
+
+@pytest.mark.parametrize("trace_every", [0, 1])
+def test_gibbs_chains_rejects_a_graph_without_nodes(trace_every):
+    g = Graph(0, [])
+    with pytest.raises(ValueError, match="at least one node"):
+        gibbs_chains([GmrfSpec(g, 0.1)], concliques(g), [(1, None)], 10,
+                     trace_every=trace_every)
 
 
 def test_gibbs_chains_eta_zero_chain_returns_its_last_innovations_exactly():

@@ -112,6 +112,57 @@ def test_torus_with_chords_rejects_more_chords_than_free_pairs():
         torus_with_chords(2, 2, 3, seed=0)
 
 
+def torus_reference(rows, cols, chords, seed):
+    """The torus as a per-node loop builds it, plus the chord draws of
+    `torus_with_chords`: a pair at a time, skipping loops and present pairs."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            s = r * cols + c
+            edges.append((s, r * cols + (c + 1) % cols))
+            edges.append((s, ((r + 1) % rows) * cols + c))
+    n = rows * cols
+    present = set(Graph(n, edges).edges)
+    rng = stream(seed, graphs._TAG_CHORDS)
+    while len(edges) < 2 * n + chords:
+        u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if u != v and (u, v) not in present:
+            present.add((u, v))
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("rows, cols, chords", [
+    (2, 2, 0), (2, 2, 2), (2, 3, 0), (2, 3, 3), (3, 3, 0), (3, 3, 9),
+    (18, 18, 0), (18, 18, 60), (70, 70, 0), (70, 70, 900)])
+def test_torus_edges_equal_the_per_node_loop(rows, cols, chords):
+    want = torus_reference(rows, cols, chords, seed=1)
+    assert torus_with_chords(rows, cols, chords, seed=1).edges == want.edges
+    if not chords:
+        assert torus_lattice(rows, cols).edges == want.edges
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: torus_lattice(6.7, 6), "rows"),
+    (lambda: torus_lattice(6, 6.0), "cols"),
+    (lambda: torus_lattice(True, 6), "rows"),
+    (lambda: torus_with_chords(6, 6, 2.5, seed=0), "chords"),
+    (lambda: torus_with_chords(6, 6, False, seed=0), "chords"),
+    (lambda: knn_geometric_graph(30.9, 3, seed=0), "points"),
+    (lambda: knn_geometric_graph(30, 3.5, seed=0), "k"),
+    (lambda: knn_geometric_graph(30, True, seed=0), "k"),
+])
+def test_constructors_reject_counts_that_are_not_integers(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build()
+
+
+def test_constructors_accept_numpy_integer_counts():
+    assert torus_lattice(np.int64(3), np.int32(4)).edges == torus_lattice(3, 4).edges
+    assert (knn_geometric_graph(np.int64(30), np.int8(3), seed=0).edges
+            == knn_geometric_graph(30, 3, seed=0).edges)
+
+
 def test_knn_degree_and_determinism():
     g = knn_geometric_graph(3, 1, seed=0)
     assert np.all(g.degrees >= 1)
