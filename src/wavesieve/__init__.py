@@ -15,9 +15,9 @@ from .gmrf import (GmrfSpec, ChainConfig, tau_from_eta, gibbs_chain, gibbs_chain
                    direct_sample, joint_covariance, to_uniform, field_to_csv)
 from .wavelets import (ScalingFilter, PhiTable, WaveletSieve, haar_filter,
                        d4_filter, filter_by_name, cascade, phi_eval,
-                       mother_tensor_coeffs, wavelet_sieve,
-                       sieve_for_box, covering_sieve, partition_of_unity_residual,
-                       refinement_residual, phi_table_to_csv)
+                       mother_tensor_coeffs, sieve_for_box, covering_sieve,
+                       partition_of_unity_residual, refinement_residual,
+                       phi_table_to_csv)
 from .regression import (Dataset, RegressionFit, SvdReport, design_matrix,
                          svd_lstsq, fit, predict, predict_batch,
                          auto_rho, select_level, l2_error_mc, fit_to_json)

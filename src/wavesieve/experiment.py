@@ -13,6 +13,7 @@ function of the root seed.
 import ast
 import json
 import math
+import multiprocessing
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -377,8 +378,16 @@ def run_experiment(cfg):
     workers = min(_workers(), cfg.replications)
     chunks = [(cfg, range(w, cfg.replications, workers)) for w in range(workers)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_replicate_chunk, chunks))
+        # spawned workers start with OpenBLAS on one thread, set before numpy loads
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+                done = list(pool.map(_replicate_chunk, chunks))
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+            if saved is not None:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
     else:
         done = [_replicate_chunk(chunks[0])]
     outcomes = sorted((o for chunk in done for o in chunk), key=lambda item: item[0])

@@ -36,9 +36,7 @@ _TAG_CHAIN = 21
 _TAG_DIRECT = 22
 _TAG_PROBE = 23
 
-# bound on the bytes of standard normals drawn for all chains per block of
-# sweeps; 1 MiB was no faster on the paper config and raised its peak RSS 5%
-_BLOCK_BYTES = 1 << 18
+_SWEEP_BLOCK = 32   # sweeps per key of a chain stream, measured on the paper config
 
 # triangular blocks up to this order are inverted directly; larger ones are
 # split so the work goes to matrix products
@@ -151,10 +149,12 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     `streams` holds one (seed, rho) per innovation stream, in chain order:
     rho None feeds one chain, n standard normals per sweep; a float feeds two,
     drawing u then v (n each) per sweep, with u driving the first chain and
-    rho*u + sqrt(1 - rho^2)*v the second.  A block of k sweeps is one
-    `standard_normal((k, n))` or `((k, 2, n))` call per stream, which gives the
-    same values as one call per sweep; the innovation at position p of a
-    sweep goes to the p-th node of the classes laid end to end.
+    rho*u + sqrt(1 - rho^2)*v the second.  Sweeps b*S .. b*S + S - 1, S =
+    _SWEEP_BLOCK = 32, are one `standard_normal((k, n))` or `((k, 2, n))` call
+    on `stream(seed, _TAG_CHAIN, b)`, k <= S; the key depends only on the sweep
+    index, so batching, coupling and tracing keep each chain's innovations.
+    The innovation at position p of a sweep goes to the p-th node of the
+    classes laid end to end.
 
     The chains advance the standardized y = (x - alpha) / sqrt(tau2), whose
     update is the sum of the neighbours' eta*y plus the unit innovation.  The
@@ -176,9 +176,9 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     relative; the tests check that the final state has the bits of a full
     run.  Every sweep runs when a trace is asked for, or when the probe
     reaches (iterations - 1) // 3 sweeps, past which skipping cannot pay.  K
-    depends only on the graph, the partition, the etas and iterations, and
-    every sweep's normals are still drawn, so the streams and the result
-    bytes do not change.
+    depends only on the graph, the partition, the etas and iterations.  A key
+    block that ends at or before the first swept sweep is never drawn; the
+    innovations of the sweeps that do run are those of a full run.
 
     Returns the (chains, n) final states alpha + sqrt(tau2) * y and the stack
     of every `trace_every`-th post-burn-in state, shape (kept, chains, n), or
@@ -242,18 +242,17 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
                 skip = iterations - 2 * k0
                 break
         y[...], u[...] = 0.0, 0.0
-    rngs = [(stream(seed, _TAG_CHAIN), rho) for seed, rho in streams]
-    block = max(1, _BLOCK_BYTES // (8 * n * chains))
-    z = np.empty((min(block, iterations), n, chains))
+    z = np.empty((min(_SWEEP_BLOCK, iterations), n, chains))
     kept = []
-    for start in range(0, iterations, block):
-        k, c = min(block, iterations - start), 0
-        live = start + k > skip   # a block wholly before skip is drawn, never used
-        for rng, rho in rngs:
+    # a key block that ends at or before skip is never drawn
+    for start in range(skip - skip % _SWEEP_BLOCK, iterations, _SWEEP_BLOCK):
+        k, c = min(_SWEEP_BLOCK, iterations - start), 0
+        for seed, rho in streams:
+            rng = stream(seed, _TAG_CHAIN, start // _SWEEP_BLOCK)
             draws = rng.standard_normal((k, n) if rho is None else (k, 2, n))
-            if live and rho is None:
+            if rho is None:
                 z[:k, :, c] = draws
-            elif live:
+            else:
                 a, b = draws.transpose(1, 0, 2)
                 z[:k, :, c], z[:k, :, c + 1] = a, rho * a + np.sqrt(1.0 - rho * rho) * b
             c += 1 if rho is None else 2

@@ -9,8 +9,8 @@ d-dimensional design functions are
 
     Phi_{j,gamma}(x) = 2^{jd/2} * prod_i phi(2^j x_i - gamma_i),
 
-with translations gamma the product of one integer range per axis: a
-sup-norm box, or the ranges whose supports cover the unit cube.
+with translations gamma the product of one integer range per axis: the
+ranges whose supports meet the unit cube, or the minimal ones covering it.
 """
 
 import itertools
@@ -23,10 +23,8 @@ import numpy as np
 __all__ = [
     "ScalingFilter", "PhiTable", "WaveletSieve",
     "haar_filter", "d4_filter", "filter_by_name", "cascade",
-    "phi_eval", "mother_tensor_coeffs", "wavelet_sieve",
-    "sieve_for_box", "covering_sieve", "partition_of_unity_residual",
-    "refinement_residual",
-    "phi_table_to_csv",
+    "phi_eval", "mother_tensor_coeffs", "sieve_for_box", "covering_sieve",
+    "partition_of_unity_residual", "refinement_residual", "phi_table_to_csv",
 ]
 
 _IDENTITY_TOL = 1e-12
@@ -209,13 +207,6 @@ def _product_sieve(filt, d, j, first, last):
     """Sieve with the translations first..last on each of the d axes."""
     axis = np.arange(first, last + 1, dtype=np.int64)
     return WaveletSieve(filt, int(j), (axis,) * int(d))
-
-
-def wavelet_sieve(filt, d, j, w):
-    """Sieve on the full translation box ||gamma||_inf <= w."""
-    if w < 0:
-        raise ValueError("w must be non-negative")
-    return _product_sieve(filt, d, j, -w, w)
 
 
 def sieve_for_box(filt, d, j):

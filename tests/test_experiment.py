@@ -575,42 +575,73 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "66648ae4ff5776765f012613f9d892247bc02d1cb60ca5e34172455f92880ec9"),
+        "1a5d81fb9d84a6b96f156a14fabcdc47822972a2e6742dd95b4ae4e7ed42e168"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "800a2034f307ef7e757c17c7d526ef59f69c86c8427e5557305df57621d506ae"),
+        "72b4a14334dd33b2c7f3d3722108f65b96ba9c84c1c690bb7f6411b95bde1963"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "d9dcf310240f7a8a958220cdf577a1d582db6e6c0bbf76b77e04fa52ca8ee8cd"),
+        "3fce26f30081c9c7ac8343d6e4fe09a8debfb4a4ccf66266528170e3426aa0a7"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "b983a93c6921270ffb837e31c2a9b856cfb82fdc59a367a9c22aeb455c0af945"),
+        "e5bd5b2657bcc31f5eb15dff6cb1dba280615c62c310268454226df42e013883"),
 }
 
 
-@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
-                    reason=f"digests recorded with numpy {GOLDEN_NUMPY}; results.csv "
-                           "bytes are reproducible only under the same numpy version")
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_results_csv_digest(name, tmp_path):
-    overrides, digest = GOLDEN[name]
+golden_numpy = pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY,
+    reason=f"digests recorded with numpy {GOLDEN_NUMPY}; results.csv "
+           "bytes are reproducible only under the same numpy version")
+
+
+def cli_digest(name, tmp_path, env):
+    """sha256 of the results.csv the CLI writes for golden config `name`,
+    run in a fresh interpreter with `env` over this process's environment
+    (a None value removes the variable)."""
+    overrides, _ = GOLDEN[name]
     cfg = ExperimentConfig(wavelets=("haar", "d4"), levels=(1, 2), replications=2,
                            iterations=200, seed=11, out_dir=str(tmp_path), **overrides)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_to_dict(cfg)))
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "wavesieve.cli", "--config", str(config)],
-                          env=env, capture_output=True, text=True, timeout=600)
+                          env={k: v for k, v in env.items() if v is not None},
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "failed replications" not in proc.stdout
-    data = (tmp_path / "results.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    return hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+
+
+@golden_numpy
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_results_csv_digest(name, tmp_path):
+    assert cli_digest(name, tmp_path, {"OPENBLAS_NUM_THREADS": "1"}) == GOLDEN[name][1]
+
+
+@golden_numpy
+def test_pool_workers_run_blas_on_one_thread(tmp_path):
+    # with the thread count left to OpenBLAS, 2 workers must still give the
+    # 1-thread bytes: each worker starts with the variable set to 1
+    name = "d2_innovations_torus"
+    env = {"OPENBLAS_NUM_THREADS": None, experiment.WORKERS_ENV: "2"}
+    assert cli_digest(name, tmp_path, env) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("threads", [None, "3"])
+def test_pool_restores_the_callers_thread_variable(threads, monkeypatch):
+    monkeypatch.setenv(experiment.WORKERS_ENV, "2")
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    run_experiment(small_config())
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == threads
 
 
 @pytest.mark.filterwarnings("ignore:learning set is disconnected")

@@ -20,6 +20,20 @@ def triangle():
     return Graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
+# the engine's chain-stream layout: sweeps b*32 .. b*32 + 31 of a stream with
+# seed s are one standard_normal call on stream(s, 21, b)
+SWEEP_BLOCK = 32
+
+
+def chain_normals(seed, shape, sweeps):
+    """The first `sweeps` sweeps' innovations of chain stream `seed`, replayed
+    key block by key block, `shape` per sweep: (n,) for one chain, (2, n) for
+    a coupled pair's u and v."""
+    blocks = [stream(seed, 21, b).standard_normal((SWEEP_BLOCK, *shape))
+              for b in range(-(-sweeps // SWEEP_BLOCK))]
+    return np.concatenate([np.empty((0, *shape)), *blocks])[:sweeps]
+
+
 def random_graph(n, p, seed):
     rng = stream(seed, 999)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
@@ -254,7 +268,7 @@ def test_gibbs_sweep_agrees_with_conditional_params():
     cfg = ChainConfig(1, 0, 77)
     final, _ = gibbs_chain(spec, part, cfg)
 
-    z = stream(cfg.seed, 21).standard_normal(g.node_count)   # chain stream tag
+    z = chain_normals(cfg.seed, (g.node_count,), 1)[0]
     x = spec.alpha.copy()
     pos = 0
     for cls in part.classes:
@@ -301,11 +315,12 @@ def test_gibbs_chains_match_per_chain_sweeps_bitwise():
     rho, iterations = 0.6, 3500
     got, _ = gibbs_chains(specs, part, [(31, rho), (32, None)], iterations)
 
-    coupled, single = stream(31, 21), stream(32, 21)
+    coupled = iter(chain_normals(31, (2, g.node_count), iterations))
+    single = iter(chain_normals(32, (g.node_count,), iterations))
 
     def innovations():
-        u, v = coupled.standard_normal((2, g.node_count))
-        return u, rho * u + np.sqrt(1.0 - rho * rho) * v, single.standard_normal(g.node_count)
+        u, v = next(coupled)
+        return u, rho * u + np.sqrt(1.0 - rho * rho) * v, next(single)
 
     assert np.array_equal(got, reference_sweeps(specs, part, innovations, iterations))
 
@@ -327,40 +342,50 @@ def test_gibbs_chains_final_state_equals_a_full_run_bitwise(case):
     assert np.array_equal(got, full)
 
 
-def _poison_first_sweeps(monkeypatch, sweeps):
-    """Make the first `sweeps` sweeps of every chain stream's innovations NaN."""
-    real = gmrf.stream
+def _record_chain_blocks(monkeypatch, poison_before):
+    """Record the (seed, block) of every chain-stream key the engine builds,
+    and make the innovations of every sweep before `poison_before` NaN."""
+    real, built = gmrf.stream, []
 
     class Poisoned:
-        def __init__(self, rng):
-            self.rng, self.left = rng, sweeps
+        def __init__(self, rng, first):
+            self.rng, self.first = rng, first
 
         def standard_normal(self, shape):
             w = self.rng.standard_normal(shape)
-            w[:self.left] = np.nan
-            self.left = max(0, self.left - len(w))
+            w[:max(0, poison_before - self.first)] = np.nan
             return w
 
-    def poisoned_stream(seed, *keys):
+    def recording_stream(seed, *keys):
         rng = real(seed, *keys)
-        return Poisoned(rng) if keys == (gmrf._TAG_CHAIN,) else rng
+        if keys[0] != gmrf._TAG_CHAIN:
+            return rng
+        built.append((seed, keys[1]))
+        return Poisoned(rng, keys[1] * SWEEP_BLOCK)
 
-    monkeypatch.setattr(gmrf, "stream", poisoned_stream)
+    monkeypatch.setattr(gmrf, "stream", recording_stream)
+    return built
 
 
 def test_gibbs_chains_never_apply_the_sweeps_that_cannot_reach_the_final_state(monkeypatch):
-    # a NaN innovation poisons every later state of a chain that applies it:
-    # the untraced run still draws the first 1000 sweeps' normals (the final
-    # state keeps its bits) but never sweeps them, while a traced run does
+    # K0 = 70 on the paper graph at these etas, so the untraced run sweeps
+    # from 2860 = 89*32 + 12: it never builds blocks 0..88, and draws but
+    # never applies sweeps 2848..2859.  A NaN innovation poisons every later
+    # state of a chain that applies it, and a traced run applies them all.
     g = torus_with_chords(18, 18, 60, seed=1)
     part = concliques(g)
     specs = [GmrfSpec(g, eta) for eta in (0.12, -0.18, 0.12)]
     streams = [(41, 0.7), (42, None)]
     clean, _ = gibbs_chains(specs, part, streams, 3000)
-    _poison_first_sweeps(monkeypatch, 1000)
+    skip, blocks = 3000 - 2 * 70, -(-3000 // SWEEP_BLOCK)
+    built = _record_chain_blocks(monkeypatch, poison_before=skip)
     poisoned, _ = gibbs_chains(specs, part, streams, 3000)
-    traced, _ = gibbs_chains(specs, part, streams, 3000, trace_every=3000)
+    assert sorted(built) == [(seed, b) for seed in (41, 42)
+                             for b in range(skip // SWEEP_BLOCK, blocks)]
     assert np.array_equal(poisoned, clean)
+    built.clear()
+    traced, _ = gibbs_chains(specs, part, streams, 3000, trace_every=3000)
+    assert sorted(built) == [(seed, b) for seed in (41, 42) for b in range(blocks)]
     assert np.isnan(traced).all()
 
 
@@ -374,10 +399,10 @@ def test_gibbs_chains_traced_run_sweeps_every_sweep():
     got, trace = gibbs_chains(specs, part, [(51, rho)], 300, burn_in=9, trace_every=100)
 
     def replay(iterations):
-        coupled = stream(51, 21)
+        coupled = iter(chain_normals(51, (2, g.node_count), iterations))
 
         def innovations():
-            u, v = coupled.standard_normal((2, g.node_count))
+            u, v = next(coupled)
             return u, rho * u + np.sqrt(1.0 - rho * rho) * v
 
         return reference_sweeps(specs, part, innovations, iterations)
@@ -401,9 +426,8 @@ def test_gibbs_chains_short_and_degenerate_runs_match_per_chain_sweeps(etas, ite
     specs = [GmrfSpec(g, eta, alpha=0.5) for eta in etas]
     seeds = range(61, 61 + len(etas))
     got, _ = gibbs_chains(specs, part, [(seed, None) for seed in seeds], iterations)
-    rngs = [stream(seed, 21) for seed in seeds]
-    want = reference_sweeps(specs, part, lambda: [rng.standard_normal(g.node_count)
-                                                   for rng in rngs], iterations)
+    normals = [iter(chain_normals(seed, (g.node_count,), iterations)) for seed in seeds]
+    want = reference_sweeps(specs, part, lambda: [next(z) for z in normals], iterations)
     assert np.array_equal(got, want)
 
 
@@ -430,11 +454,9 @@ def test_gibbs_chains_sweeps_agree_with_conditional_params():
     rho = -0.4
     got, _ = gibbs_chains(specs, part, [(77, rho), (78, None)], 3)
 
-    pair, single = stream(77, 21), stream(78, 21)
     xs = [spec.alpha.copy() for spec in specs]
-    for _ in range(3):
-        u, v = pair.standard_normal(12), pair.standard_normal(12)
-        zs = (u, rho * u + np.sqrt(1.0 - rho * rho) * v, single.standard_normal(12))
+    for (u, v), w in zip(chain_normals(77, (2, 12), 3), chain_normals(78, (12,), 3)):
+        zs = (u, rho * u + np.sqrt(1.0 - rho * rho) * v, w)
         pos = 0
         for cls in part.classes:
             for x, spec, z in zip(xs, specs, zs):
@@ -472,7 +494,7 @@ def test_gibbs_engine_is_the_sweep_map_whose_fixed_point_is_the_joint_law():
     for g, eta in _compatibility_graphs():
         spec, part, n = GmrfSpec(g, eta, alpha=0.5), concliques(g), g.node_count
         A, B = sweep_map(spec, part)
-        z1, z2 = stream(13, 21).standard_normal((2, n))
+        z1, z2 = chain_normals(13, (n,), 2)
         one, _ = gibbs_chains([spec], part, [(13, None)], 1)
         two, _ = gibbs_chains([spec], part, [(13, None)], 2)
         assert np.max(np.abs(one[0] - 0.5 - B @ z1)) < 1e-12
@@ -492,7 +514,7 @@ def test_gibbs_chains_isolated_node_is_alpha_plus_innovation():
     part = concliques(g)
     spec = GmrfSpec(g, -0.3, alpha=0.7)
     got, _ = gibbs_chains([spec], part, [(9, None)], 3)
-    z = stream(9, 21).standard_normal((3, 5))[-1]
+    z = chain_normals(9, (5,), 3)[-1]
     at = int(np.flatnonzero(np.concatenate(part.classes) == 4)[0])
     assert got[0, 4] == 0.7 + np.sqrt(spec.tau2[4]) * z[at]
 
@@ -547,7 +569,7 @@ def test_gibbs_chains_eta_zero_chain_returns_its_last_innovations_exactly():
     got, trace = gibbs_chains(specs, part, [(4, None), (5, None)], 7, trace_every=3)
     order = np.concatenate(part.classes)
     z = np.empty(g.node_count)
-    z[order] = stream(4, 21).standard_normal((7, g.node_count))[-1]
+    z[order] = chain_normals(4, (g.node_count,), 7)[-1]
     assert np.array_equal(got[0], 0.25 + np.sqrt(specs[0].tau2) * z)
     assert np.array_equal(trace[-1], got)
 

@@ -11,8 +11,8 @@ from wavesieve.regression import (SVD_RTOL, Dataset, SvdReport, auto_rho,
                                   design_matrix, fit, fit_to_json, l2_error_mc,
                                   predict, predict_batch, select_level, svd_lstsq)
 from wavesieve.rng import stream
-from wavesieve.wavelets import (cascade, covering_sieve, d4_filter,
-                                haar_filter, sieve_for_box, wavelet_sieve)
+from wavesieve.wavelets import (WaveletSieve, cascade, covering_sieve, d4_filter,
+                                haar_filter, sieve_for_box)
 
 
 def gauss_solve(A, b):
@@ -48,11 +48,16 @@ HAAR = haar_filter()
 HAAR_TABLE = cascade(HAAR, 10)
 
 
+def box_sieve(filt, d, j, w):
+    """The sieve whose translations are -w..w on each of the d axes."""
+    return WaveletSieve(filt, j, (np.arange(-w, w + 1, dtype=np.int64),) * d)
+
+
 # ---------------------------------------------------------------------------
 # design matrix
 
 def test_design_matrix_single_cell():
-    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    sieve = box_sieve(HAAR, 1, 0, 0)
     data = Dataset(np.array([0.5]), np.array([1.0]))
     B = design_matrix(data, sieve, HAAR_TABLE)
     assert B.shape == (1, 1)
@@ -60,7 +65,7 @@ def test_design_matrix_single_cell():
 
 
 def test_design_matrix_level_one():
-    sieve = wavelet_sieve(HAAR, 1, 1, 1)   # gamma in {-1, 0, 1}
+    sieve = box_sieve(HAAR, 1, 1, 1)   # gamma in {-1, 0, 1}
     data = Dataset(np.array([0.2]), np.array([0.0]))
     B = design_matrix(data, sieve, HAAR_TABLE)
     cols = {tuple(g): B[0, i] for i, g in enumerate(sieve.K)}
@@ -70,14 +75,14 @@ def test_design_matrix_level_one():
 
 
 def test_design_matrix_outside_support_is_zero_row():
-    sieve = wavelet_sieve(HAAR, 2, 1, 1)
+    sieve = box_sieve(HAAR, 2, 1, 1)
     data = Dataset(np.array([[5.0, 5.0]]), np.array([0.0]))
     B = design_matrix(data, sieve, HAAR_TABLE)
     assert np.all(B == 0.0)
 
 
 def test_design_matrix_dimension_mismatch():
-    sieve = wavelet_sieve(HAAR, 2, 0, 1)
+    sieve = box_sieve(HAAR, 2, 0, 1)
     data = Dataset(np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError):
         design_matrix(data, sieve, HAAR_TABLE)
@@ -95,7 +100,7 @@ def dense_design_reference(X, sieve, table):
 
 TABLES = {f.name: (f, cascade(f, 10)) for f in (HAAR, d4_filter())}
 SIEVES = {"covering": covering_sieve, "box": sieve_for_box,
-          "full": lambda filt, d, j: wavelet_sieve(filt, d, j, (1 << j) + 1)}
+          "full": lambda filt, d, j: box_sieve(filt, d, j, (1 << j) + 1)}
 COORD = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -117,7 +122,7 @@ def test_design_matrix_equals_dense_reference(family, name, d, j, data):
 
 def test_fit_orthonormal_design_gives_cell_means():
     # haar level 0 translates with disjoint supports, several points per cell
-    sieve = wavelet_sieve(HAAR, 1, 0, 2)   # gammas -2..2, supports [g, g+1)
+    sieve = box_sieve(HAAR, 1, 0, 2)   # gammas -2..2, supports [g, g+1)
     X = np.array([0.1, 0.4, 0.9, 1.2, 1.7, -1.5])
     y = np.array([2.0, 4.0, 6.0, 1.0, 3.0, 10.0])
     f = fit(Dataset(X, y), sieve, HAAR_TABLE)
@@ -290,7 +295,7 @@ def test_fit_duplicated_column_splits_weight():
 
 
 def test_fit_degenerate_design_zero_coeffs():
-    sieve = wavelet_sieve(HAAR, 1, 0, 1)
+    sieve = box_sieve(HAAR, 1, 0, 1)
     data = Dataset(np.array([10.0, 11.0]), np.array([1.0, 2.0]))  # outside support
     with pytest.warns(UserWarning, match="degenerate"):
         f = fit(data, sieve, HAAR_TABLE)
@@ -316,19 +321,19 @@ def test_fit_optimality_against_perturbations():
 # truncation, prediction, level rule
 
 def test_predict_truncation_binds():
-    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    sieve = box_sieve(HAAR, 1, 0, 0)
     f = fit(Dataset(np.array([0.5]), np.array([10.0])), sieve, HAAR_TABLE, rho=5.0)
     assert predict(f, HAAR_TABLE, (0.5,)) == 5.0
 
 
 def test_predict_infinite_rho_is_raw():
-    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    sieve = box_sieve(HAAR, 1, 0, 0)
     f = fit(Dataset(np.array([0.5]), np.array([10.0])), sieve, HAAR_TABLE, rho=np.inf)
     assert predict(f, HAAR_TABLE, (0.5,)) == pytest.approx(10.0)
 
 
 def test_predict_outside_support_is_zero():
-    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    sieve = box_sieve(HAAR, 1, 0, 0)
     f = fit(Dataset(np.array([0.5]), np.array([10.0])), sieve, HAAR_TABLE, rho=5.0)
     assert predict(f, HAAR_TABLE, (3.0,)) == 0.0
 
@@ -376,7 +381,7 @@ def test_select_level_validation():
 
 
 def test_l2_error_examples():
-    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    sieve = box_sieve(HAAR, 1, 0, 0)
     f = fit(Dataset(np.array([0.5]), np.array([2.0])), sieve, HAAR_TABLE)
     xs = np.array([0.25, 0.75])
     assert l2_error_mc(f, HAAR_TABLE, lambda x: 2.0, xs) == pytest.approx(0.0)
@@ -389,7 +394,7 @@ def test_l2_error_examples():
 
 
 def test_l2_error_calls_the_truth_once_on_the_columns():
-    sieve = wavelet_sieve(HAAR, 2, 0, 0)
+    sieve = box_sieve(HAAR, 2, 0, 0)
     f = fit(Dataset(np.array([[0.5, 0.5]]), np.array([2.0])), sieve, HAAR_TABLE)
     X = stream(33).uniform(0.0, 1.0, (50, 2))
     calls = []
@@ -408,14 +413,14 @@ def test_l2_error_calls_the_truth_once_on_the_columns():
                                    lambda x: np.ones(3)])
 def test_l2_error_rejects_a_truth_it_cannot_use(truth):
     # a value at every test point, finite: a nan would turn the error into nan
-    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    sieve = box_sieve(HAAR, 1, 0, 0)
     f = fit(Dataset(np.array([0.5]), np.array([2.0])), sieve, HAAR_TABLE)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
         l2_error_mc(f, HAAR_TABLE, truth, np.array([0.25, 0.75]))
 
 
 def test_l2_error_empty_test_set():
-    sieve = wavelet_sieve(HAAR, 1, 0, 0)
+    sieve = box_sieve(HAAR, 1, 0, 0)
     f = fit(Dataset(np.array([0.5]), np.array([2.0])), sieve, HAAR_TABLE)
     with pytest.raises(ValueError):
         l2_error_mc(f, HAAR_TABLE, lambda x: 0.0, np.empty(0))

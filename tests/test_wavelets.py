@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from wavesieve.wavelets import (cascade, covering_sieve, d4_filter,
-                                filter_by_name, haar_filter,
+from wavesieve.wavelets import (WaveletSieve, cascade, covering_sieve,
+                                d4_filter, filter_by_name, haar_filter,
                                 mother_tensor_coeffs,
                                 partition_of_unity_residual, phi_eval,
                                 refinement_residual, shifted_inner,
-                                sieve_for_box, wavelet_sieve)
+                                sieve_for_box)
 
 TOL = 1e-12
 
@@ -16,6 +16,11 @@ TOL = 1e-12
 # of the refinement matrix solved by hand: (phi(1), phi(2)) = ((1+s3)/2, (1-s3)/2)
 D4_PHI1 = (1.0 + np.sqrt(3.0)) / 2.0
 D4_PHI2 = (1.0 - np.sqrt(3.0)) / 2.0
+
+
+def box_sieve(filt, d, j, w):
+    """The sieve whose translations are -w..w on each of the d axes."""
+    return WaveletSieve(filt, j, (np.arange(-w, w + 1, dtype=np.int64),) * d)
 
 
 @pytest.fixture(scope="module", params=["haar", "d4"])
@@ -101,13 +106,13 @@ def test_cascade_rejects_bad_resolution():
 def test_phi_eval_examples():
     f = haar_filter()
     table = cascade(f, 10)
-    s0 = wavelet_sieve(f, 2, 0, 1)
+    s0 = box_sieve(f, 2, 0, 1)
     assert phi_eval(s0, table, (0, 0), (0.5, 0.5)) == pytest.approx(1.0)
-    s1 = wavelet_sieve(f, 2, 1, 2)
+    s1 = box_sieve(f, 2, 1, 2)
     assert phi_eval(s1, table, (0, 0), (0.2, 0.2)) == pytest.approx(2.0)
     assert phi_eval(s1, table, (0, 0), (2.0, 2.0)) == 0.0
     d4t = cascade(d4_filter(), 10)
-    s4 = wavelet_sieve(d4_filter(), 1, 0, 4)
+    s4 = box_sieve(d4_filter(), 1, 0, 4)
     assert phi_eval(s4, d4t, (0,), (5.0,)) == 0.0
 
 
@@ -116,7 +121,7 @@ def test_phi_eval_partition_of_unity_scaled():
     for name, j, d in (("haar", 1, 2), ("d4", 2, 1)):
         f = filter_by_name(name)
         table = cascade(f, 10)
-        sieve = wavelet_sieve(f, d, j, 3 * (1 << j))
+        sieve = box_sieve(f, d, j, 3 * (1 << j))
         rng = np.random.default_rng(5)
         for _ in range(20):
             # dyadic interior points, exact in the table
@@ -160,21 +165,10 @@ def test_tensor_identity(filt):
     assert _tensor_identity_residual(filt) < TOL
 
 
-def test_wavelet_sieve_translation_sizes():
-    f = haar_filter()
-    assert wavelet_sieve(f, 2, 0, 0).K.tolist() == [[0, 0]]
-    assert wavelet_sieve(f, 2, 0, 1).K.tolist() == \
-        [list(g) for g in itertools.product((-1, 0, 1), repeat=2)]
-    assert wavelet_sieve(f, 1, 0, 2).K.shape == (5, 1)
-    with pytest.raises(ValueError):
-        wavelet_sieve(f, 2, 0, -1)
-
-
 def test_sieve_for_box_translations():
     # haar at level 1 on [0,1]: supports [g/2, (g+1)/2] must touch [0,1]
     f = haar_filter()
     assert sieve_for_box(f, 1, 1).K.ravel().tolist() == [-1, 0, 1, 2]
-    assert wavelet_sieve(f, 1, 1, 4).K.shape[0] == 9
     assert covering_sieve(f, 2, 1).K.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
