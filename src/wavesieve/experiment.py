@@ -16,7 +16,7 @@ import math
 import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -384,6 +384,9 @@ def run_experiment(cfg):
         try:
             with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
                 done = list(pool.map(_replicate_chunk, chunks))
+        except BrokenProcessPool as exc:   # spawned workers re-import the main module
+            raise RuntimeError(f"a worker process died; with {WORKERS_ENV} >= 2 a script must "
+                               'call run_experiment under `if __name__ == "__main__":`') from exc
         finally:
             del os.environ["OPENBLAS_NUM_THREADS"]
             if saved is not None:

@@ -11,12 +11,9 @@ precision D^{-1/2} (I - eta*H) D^{-1/2}, D = diag(tau2), is symmetric and the
 conditionals are compatible on every graph (Besag's symmetry condition).  With
 tau2 from `tau_from_eta` every marginal variance of the joint law is one.  In
 the standardized state y = (x - alpha) / sqrt(tau2) the chain is the plain
-eta-CAR with unit innovations, which is what the Gibbs engine advances: its
-state is eta*y, node-major with every conclique class in contiguous rows, and
-a class update is one gather of the neighbours' eta*y and the innovations,
-one segment sum and one multiply by eta.
-Every sampler draws its standard normals with `Generator.standard_normal`
-from the keyed stream of its seed and tag.
+eta-CAR with unit innovations, which is what the Gibbs engine `gibbs_chains`
+advances.  Every sampler draws its standard normals with
+`Generator.standard_normal` from the keyed stream of its seed and tag.
 """
 
 from dataclasses import dataclass
@@ -38,9 +35,7 @@ _TAG_PROBE = 23
 
 _SWEEP_BLOCK = 32   # sweeps per key of a chain stream, measured on the paper config
 
-# triangular blocks up to this order are inverted directly; larger ones are
-# split so the work goes to matrix products
-_TRIANGULAR_BLOCK = 128
+_TRIANGULAR_BLOCK = 128   # larger blocks are split, so the work goes to matrix products
 
 
 @dataclass(frozen=True)
@@ -72,38 +67,40 @@ def tau_from_eta(graph, eta):
 
 
 def _inverse_cholesky(graph, eta):
-    """L^{-1} for the Cholesky factor L L^T = I - eta*H, so that
-    (I - eta*H)^{-1} = L^{-T} L^{-1}.  I - eta*H is formed in the fresh
-    adjacency array and the factor is inverted in place, so past the
-    factorization the only n x n array alive is L; nothing keeps L after the
-    caller drops it.  If I - eta*H is not positive definite, the ValueError
-    names eta and the range `eta_range`, computed only then."""
+    """L^{-1} for the Cholesky factor L L^T = I - eta*H, written over I - eta*H in
+    the fresh adjacency array: one n x n array plus quarter-size temporaries, about
+    290 MiB at n = 4900 (a whole-matrix `np.linalg.cholesky` holds three n x n arrays).
+    If I - eta*H is not positive definite, the ValueError names eta and the range
+    `eta_range`, computed only then."""
     M = graph.adjacency()
     M *= -eta
     M.flat[::graph.node_count + 1] += 1.0
     try:
-        L = np.linalg.cholesky(M)
+        _cholesky_inverse_in_place(M)
     except np.linalg.LinAlgError as exc:
         lo, hi = eta_range(graph)
         raise ValueError(f"eta={eta} outside the graph's admissible range "
                          f"({lo:.6g}, {hi:.6g}): I - eta*H is not positive definite") from exc
-    del M
-    _invert_lower_in_place(L)
-    return L
+    return M
 
 
-def _invert_lower_in_place(L):
-    """Overwrite lower-triangular L with its inverse by recursive blocking:
-    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]."""
-    n = L.shape[0]
+def _cholesky_inverse_in_place(M):
+    """Overwrite M = [[A, .], [B, C]] = L L^T with L^{-1} = [[X, 0], [-Y B X^T X, Y]],
+    X and Y the inverse factors of A and of C - B X^T X B^T (Gustavson's recursive
+    blocking); a leaf's LinAlgError means M is not positive definite."""
+    n = M.shape[0]
     if n <= _TRIANGULAR_BLOCK:
-        L[...] = np.tril(np.linalg.inv(L))
+        M[...] = np.tril(np.linalg.inv(np.linalg.cholesky(M)))
         return
     h = n // 2
-    _invert_lower_in_place(L[:h, :h])
-    _invert_lower_in_place(L[h:, h:])
-    L[h:, :h] = L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
-    np.negative(L[h:, :h], out=L[h:, :h])
+    A, B, C = M[:h, :h], M[h:, :h], M[h:, h:]
+    _cholesky_inverse_in_place(A)
+    B[...] = B @ A.T
+    C -= B @ B.T
+    _cholesky_inverse_in_place(C)
+    np.matmul(C, B @ A, out=B)
+    np.negative(B, out=B)
+    M[:h, h:] = 0.0
 
 
 @dataclass(frozen=True)

@@ -575,20 +575,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "1a5d81fb9d84a6b96f156a14fabcdc47822972a2e6742dd95b4ae4e7ed42e168"),
+        "cbed6cc022d4472049ba7ce96063ca3517ae0ad4a4df1749880f58d5036ac377"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "72b4a14334dd33b2c7f3d3722108f65b96ba9c84c1c690bb7f6411b95bde1963"),
+        "f389fba4a6306e626bf19ecdfb97afc2aa8a46ebfaf5a280122e4d4e796feda5"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "3fce26f30081c9c7ac8343d6e4fe09a8debfb4a4ccf66266528170e3426aa0a7"),
+        "9b431ce52d0a3aa97319bc3e63c7958f856a7fc75027df8e5534cb3cc55b8f6a"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "e5bd5b2657bcc31f5eb15dff6cb1dba280615c62c310268454226df42e013883"),
+        "afdb913b9ad51cd96c054001daa48dce80b723e3a04ea3ac5613ae379e0a52af"),
 }
 
 
@@ -642,6 +642,27 @@ def test_pool_restores_the_callers_thread_variable(threads, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     run_experiment(small_config())
     assert os.environ.get("OPENBLAS_NUM_THREADS") == threads
+
+
+def test_unguarded_pool_script_names_the_missing_guard(tmp_path):
+    # spawn workers re-import the main module, so a script that calls
+    # run_experiment at module level re-runs the call in each worker, which
+    # dies; the error names the guard instead of a bare BrokenProcessPool
+    doc = json.dumps(config_to_dict(small_config()))
+    script = tmp_path / "unguarded.py"
+    script.write_text("import json\nfrom wavesieve import config_from_dict, run_experiment\n"
+                      f"run_experiment(config_from_dict(json.loads({doc!r})))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, experiment.WORKERS_ENV: "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0
+    # searched, not taken as the last line: the resource tracker may warn about
+    # the killed workers' semaphores after the traceback
+    error = re.search(r"^RuntimeError: a worker process died.*$", proc.stderr, re.M)
+    assert error, proc.stderr
+    assert experiment.WORKERS_ENV in error[0] and 'if __name__ == "__main__":' in error[0]
 
 
 @pytest.mark.filterwarnings("ignore:learning set is disconnected")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,32 @@ def test_tau_matches_dense_inverse_oracle():
         for eta in _ends_of_range(g):
             want = 1.0 / np.diag(np.linalg.inv(eye - eta * g.adjacency()))
             assert np.max(np.abs(tau_from_eta(g, eta) / want - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 128, 129, 257, 301])
+def test_inverse_cholesky_matches_the_inverse_of_the_whole_factor(n):
+    # 128 is one leaf; 129 splits into leaves of 64 and 65; 257 splits a
+    # 129-block again; 301 splits into odd halves at two levels
+    g = knn_geometric_graph(n, 6, seed=n) if n > 1 else Graph(1, [])
+    for eta in _ends_of_range(g) if n > 1 else (-0.5, 0.5):
+        got = gmrf._inverse_cholesky(g, eta)
+        want = np.linalg.inv(np.linalg.cholesky(np.eye(n) - eta * g.adjacency()))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not np.triu(got, 1).any()
+
+
+def test_tau_from_eta_holds_one_matrix_and_quarter_size_temporaries():
+    # the factor is formed and inverted in the one n x n array; a whole-matrix
+    # np.linalg.cholesky holds at least two traced n x n arrays at once
+    g = torus_lattice(24, 25)
+    n = g.node_count
+    tracemalloc.start()
+    try:
+        tau_from_eta(g, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_joint_covariance_matches_solve_oracle():
@@ -506,6 +533,47 @@ def test_gibbs_engine_is_the_sweep_map_whose_fixed_point_is_the_joint_law():
         cov, _ = joint_covariance(spec)
         assert np.max(np.abs(S - cov)) < 1e-12
         assert np.max(np.abs(np.diag(S) - 1.0)) < 1e-12
+
+
+def probe_k0(A):
+    """K0 by the engine's rule: sweeps of A from the probe's start
+    stream(0, 23) until max|y| is below 2^-60 of the start's."""
+    y = stream(0, 23).standard_normal((A.shape[0], 1))[:, 0]
+    tol, k0 = 2.0 ** -60 * np.abs(y).max(), 0
+    while np.abs(y).max() >= tol:
+        y, k0 = A @ y, k0 + 1
+    return k0
+
+
+def _skip_cases():
+    graphs = {"paper": (torus_with_chords(18, 18, 60, seed=1), (0.12, -0.18)),
+              "knn300": (knn_geometric_graph(300, 6, seed=3), (0.1,)),
+              "torus4x5": (torus_with_chords(4, 5, 6, 2), (0.1, -0.15, 0.2))}
+    return [pytest.param(g, eta, id=f"{name}-{eta:.4g}") for name, (g, etas) in graphs.items()
+            for eta in (*etas, *(0.9 * end for end in eta_range(g)))]
+
+
+@pytest.mark.parametrize("g, eta", _skip_cases())
+def test_skipped_sweeps_reach_the_final_state_only_through_a_negligible_map(g, eta, monkeypatch):
+    # exact oracle for the skip: the state K = 2*K0 sweeps before the end
+    # reaches the final state only through A^K, and ||A^K|| <= 2^-100 is far
+    # below the final state's last bit.  A is the sweep map of the
+    # standardized y in the engine's class order, (I - eta*L)^{-1} eta*U with
+    # L and U the adjacency to earlier and later classes.  The dense K0 is
+    # the engine's: with m key blocks past 2*K0, a run of 2*K0 + 32m sweeps
+    # first draws block m and a run one sweep shorter block m - 1.
+    part, spec = concliques(g), GmrfSpec(g, eta)
+    order, sd = np.concatenate(part.classes), np.sqrt(spec.tau2)
+    A = (sweep_map(spec, part)[0] * sd[None, :] / sd[:, None])[np.ix_(order, order)]
+    k0 = probe_k0(A)
+    m = -(-(k0 + 2) // SWEEP_BLOCK)   # so the probe cap (iterations - 1) // 3 reaches K0
+    built, firsts = _record_chain_blocks(monkeypatch, poison_before=0), []
+    for iterations in (2 * k0 + SWEEP_BLOCK * m, 2 * k0 + SWEEP_BLOCK * m - 1):
+        built.clear()
+        gibbs_chains([spec], part, [(1, None)], iterations)
+        firsts.append(min(b for _, b in built))
+    assert firsts == [m, m - 1]
+    assert np.abs(np.linalg.matrix_power(A, 2 * k0)).sum(axis=1).max() <= 2.0 ** -100
 
 
 def test_gibbs_chains_isolated_node_is_alpha_plus_innovation():
