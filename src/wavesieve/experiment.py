@@ -270,7 +270,7 @@ def config_to_dict(cfg):
 def _context(cfg):
     """Validated shared state: graph, concliques, one GmrfSpec per component
     (built once per distinct eta, which checks that eta is admissible),
-    filters with phi tables."""
+    one phi table per wavelet."""
     graph = _build_graph(cfg.graph)
     if graph.edge_count == 0:
         raise ValueError(f"the graph has no edges: {graph!r}")
@@ -278,10 +278,7 @@ def _context(cfg):
     if len(cfg.etas) != d + 1:
         raise ValueError(f"regression dimension {d} needs {d + 1} etas "
                          f"(design components plus noise), got {len(cfg.etas)}")
-    tables = {}
-    for name in cfg.wavelets:
-        filt = filter_by_name(name)
-        tables[name] = (filt, cascade(filt))
+    tables = {name: cascade(filter_by_name(name)) for name in cfg.wavelets}
     partition = concliques(graph)
     by_eta = {eta: GmrfSpec(graph, eta) for eta in dict.fromkeys(cfg.etas)}
     specs = tuple(by_eta[eta] for eta in cfg.etas)
@@ -322,9 +319,9 @@ def _fit_errors(cfg, tables, m_true, X_learn, y_learn, X_test):
     data = Dataset(X_learn, y_learn)
     out = {}
     for name in cfg.wavelets:
-        filt, table = tables[name]
+        table = tables[name]
         for j in cfg.levels:
-            sieve = covering_sieve(filt, X_learn.shape[1], j)
+            sieve = covering_sieve(table.filter, X_learn.shape[1], j)
             fitted = fit(data, sieve, table, rho=rho)
             out[(name, j)] = l2_error_mc(fitted, table, m_true, X_test)
     return out

@@ -194,7 +194,7 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
         raise ValueError("gibbs_chains needs a graph with at least one node")
     alpha = np.array([spec.alpha for spec in specs])
     sd = np.sqrt(np.array([spec.tau2 for spec in specs]))
-    eta = np.tile([spec.eta for spec in specs], (n, 1))
+    eta = np.array([spec.eta for spec in specs])
     # class order: row r holds node order[r]; rank, its inverse, maps a node to its row
     order = np.concatenate([np.empty(0, np.int64), *partition.classes])
     rank = np.argsort(order)
@@ -209,23 +209,22 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     rows = rows[np.argsort(owner, kind="stable")]
     bounds = np.concatenate(([0], np.cumsum(graph.degrees[order] + 1)))
     gather = rows[:, None] * chains + np.arange(chains)
-    # per class: flat gather indices, gather buffer, segment starts, class rows of y,
-    # eta and u
+    # per class: flat gather indices, gather buffer, segment starts, class rows of y and u
     plan, lo = [], 0
     for cls in partition.classes:
         hi = lo + cls.size
         at = slice(lo, hi)
         plan.append((gather[bounds[lo]:bounds[hi]], np.empty((bounds[hi] - bounds[lo], chains)),
-                     bounds[at] - bounds[lo], y[at], eta[at], u[at]))
+                     bounds[at] - bounds[lo], y[at], u[at]))
         lo = hi
     flat = src.reshape(-1)
 
     def sweep():
-        for idx, nbrs, segments, y_cls, eta_cls, u_cls in plan:
+        for idx, nbrs, segments, y_cls, u_cls in plan:
             # every index is in range; "clip" spares the copy "raise" makes of out
             flat.take(idx, out=nbrs, mode="clip")
             np.add.reduceat(nbrs, segments, axis=0, out=y_cls)
-            np.multiply(y_cls, eta_cls, out=u_cls)
+            np.multiply(y_cls, eta, out=u_cls)
 
     # the probe for K0: sweeps before skip = iterations - 2*K0 are not run
     skip = 0

@@ -9,6 +9,8 @@ normals with `Generator.standard_normal`; `polar_normals` is kept for callers
 that need its exact bits, such as the rate criterion of the acceptance tests.
 """
 
+import math
+
 import numpy as np
 
 __all__ = ["stream", "child_seed", "polar_normals", "normal_cdf"]
@@ -59,49 +61,13 @@ def polar_normals(rng, size):
     return out
 
 
-# Hart rational approximation of the standard normal CDF (double precision,
-# absolute error below 1e-14), with a continued fraction for the far tail.
-_HART_NUM = (3.52624965998911e-02, 0.700383064443688, 6.37396220353165,
-             33.912866078383, 112.079291497871, 221.213596169931,
-             220.206867912376)
-_HART_DEN = (8.83883476483184e-02, 1.75566716318264, 16.064177579207,
-             86.7807322029461, 296.564248779674, 637.333633378831,
-             793.826512519948, 440.413735824752)
-_SQRT_2PI = 2.506628274631000502
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def normal_cdf(x):
-    """Standard normal distribution function, vectorized.
-
-    Rational approximation on |x| < 7.07, continued fraction beyond, exact
-    zero tail past |x| = 37.  Scalar input returns a scalar.
+    """Standard normal distribution function 0.5 * erfc(-x / sqrt(2)), vectorized
+    over the C library's `erfc`; NaN maps to NaN.  Scalar input returns a scalar.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = np.abs(np.atleast_1d(x))
-    tail = np.zeros_like(z)
-
-    mid = z < 7.07106781186547
-    if np.any(mid):
-        zm = z[mid]
-        e = np.exp(-0.5 * zm * zm)
-        num = np.full_like(zm, _HART_NUM[0])
-        for c in _HART_NUM[1:]:
-            num = num * zm + c
-        den = np.full_like(zm, _HART_DEN[0])
-        for c in _HART_DEN[1:]:
-            den = den * zm + c
-        tail[mid] = e * num / den
-
-    far = (~mid) & (z <= 37.0)
-    if np.any(far):
-        zf = z[far]
-        b = zf + 0.65
-        b = zf + 4.0 / b
-        b = zf + 3.0 / b
-        b = zf + 2.0 / b
-        b = zf + 1.0 / b
-        tail[far] = np.exp(-0.5 * zf * zf) / (b * _SQRT_2PI)
-
-    out = np.where(np.atleast_1d(x) > 0.0, 1.0 - tail, tail)
-    return float(out[0]) if scalar else out
+    out = 0.5 * np.asarray(_erfc(-x * math.sqrt(0.5)), dtype=float)
+    return float(out) if x.ndim == 0 else out

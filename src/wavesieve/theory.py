@@ -93,26 +93,13 @@ def blocking_partition(n, q):
     R_axes = tuple(math.ceil(ni / (2 * q)) for ni in n)
     n_star = tuple(2 * q * Ri for Ri in R_axes)
 
-    # label every point of the enlarged rectangle, then group
-    axes = [np.arange(1, ns + 1) for ns in n_star]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=1)
-    bit = ((pts - 1) // q) % 2             # low/high q-interval per axis
-    ublk = (pts - 1) // (2 * q)            # big-interval index per axis
-    l_idx = (bit * (1 << np.arange(N))[None, :]).sum(axis=1)
-    radix = np.concatenate(([1], np.cumprod(R_axes[:-1]))).astype(np.int64)
-    u_idx = (ublk * radix[None, :]).sum(axis=1)
-
-    R = int(np.prod(R_axes))
-    key = l_idx * R + u_idx
-    order = np.argsort(key, kind="stable")
-    boundaries = np.flatnonzero(np.diff(key[order])) + 1
-    groups = np.split(order, boundaries)
-    blocks = {}
-    for grp in groups:
-        l0, u0 = divmod(int(key[grp[0]]), R)
-        blocks[(l0 + 1, u0 + 1)] = pts[grp]
-    return BlockingPartition(N, q, R_axes, n_star, blocks)
+    # every block is a q-sided cube: its points are one offset table shifted
+    offsets = np.indices((q,) * N).reshape(N, -1).T
+    partition = BlockingPartition(N, q, R_axes, n_star, {})
+    for l in range(1, 2 ** N + 1):
+        for u, box in partition.class_boxes(l).items():
+            partition.blocks[(l, u)] = offsets + [start for start, _ in box]
+    return partition
 
 
 def covering_bound(V, range_width, eps, p=1.0):

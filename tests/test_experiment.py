@@ -575,20 +575,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "cbed6cc022d4472049ba7ce96063ca3517ae0ad4a4df1749880f58d5036ac377"),
+        "2ca3753a515700943a9c8debc66452f688bf012dbd0693b6df07627cb86ca4d5"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "f389fba4a6306e626bf19ecdfb97afc2aa8a46ebfaf5a280122e4d4e796feda5"),
+        "5ffd204320995ea75d55a715115166c357d4ef8a63c5468be410bd4aad025187"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "9b431ce52d0a3aa97319bc3e63c7958f856a7fc75027df8e5534cb3cc55b8f6a"),
+        "ef5f641ec895a320246de18742df75e8db3b57e84fa869c710ca1f8a7d4720ba"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "afdb913b9ad51cd96c054001daa48dce80b723e3a04ea3ac5613ae379e0a52af"),
+        "30c363011f18f39cecdc21b61e8a5232c8ad295f413a7ac31ab27e19adc868e0"),
 }
 
 

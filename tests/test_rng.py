@@ -5,6 +5,8 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from wavesieve.gmrf import to_uniform
+from wavesieve.regression import Dataset
 from wavesieve.rng import child_seed, normal_cdf, polar_normals, stream
 
 
@@ -21,6 +23,24 @@ def test_normal_cdf_spot_values():
     assert normal_cdf(-1.959964) == pytest.approx(0.025, abs=1e-6)
     assert normal_cdf(40.0) == 1.0
     assert normal_cdf(-40.0) == 0.0
+
+
+def test_normal_cdf_relative_accuracy_in_the_lower_tail():
+    # an absolute bound holds trivially wherever Phi < 1e-12; a relative one
+    # reaches the far lower tail
+    x = np.linspace(-37, 5, 200001)
+    assert np.max(np.abs(normal_cdf(x) / scipy.special.ndtr(x) - 1.0)) < 1e-12
+
+
+def test_normal_cdf_propagates_nan_and_maps_infinities_to_the_ends():
+    assert np.isnan(normal_cdf(np.nan))
+    assert normal_cdf(np.inf) == 1.0
+    assert normal_cdf(-np.inf) == 0.0
+    u = to_uniform([0.3, np.nan, np.inf, -np.inf])
+    assert np.isnan(u[1]) and u[2] == 1.0 and u[3] == 0.0
+    # a NaN field value is refused as a design point, not read as coordinate 0
+    with pytest.raises(ValueError, match="non-finite design value"):
+        Dataset(u[:2, None], np.zeros(2))
 
 
 def test_normal_cdf_monotone():
