@@ -84,13 +84,18 @@ class Graph:
         sums[rows] = np.add.reduceat(x[self.indices], self.indptr[:-1][rows])
         return sums
 
-    def adjacency(self):
-        """A fresh dense symmetric 0/1 adjacency matrix (limited to small
-        graphs); the caller owns it and may overwrite it."""
+    def require_dense(self):
+        """Raise ValueError if the graph has more nodes than dense n x n
+        algebra is allowed (DENSE_NODE_LIMIT)."""
         if self.node_count > DENSE_NODE_LIMIT:
             raise ValueError(
                 f"dense adjacency limited to {DENSE_NODE_LIMIT} nodes, "
                 f"graph has {self.node_count}")
+
+    def adjacency(self):
+        """A fresh dense symmetric 0/1 adjacency matrix (limited to small
+        graphs); the caller owns it and may overwrite it."""
+        self.require_dense()
         H = np.zeros((self.node_count, self.node_count))
         H[np.repeat(np.arange(self.node_count), self.degrees), self.indices] = 1.0
         return H

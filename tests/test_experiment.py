@@ -575,20 +575,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "2ca3753a515700943a9c8debc66452f688bf012dbd0693b6df07627cb86ca4d5"),
+        "976d28d07580fafaf3e0f7e680bc6f06e0357995087b18033ad9d8b36d94ba02"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "5ffd204320995ea75d55a715115166c357d4ef8a63c5468be410bd4aad025187"),
+        "761f7aeb10a737e66352cdde92fc09730b1a654db50327ea44758b1febdb153c"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "ef5f641ec895a320246de18742df75e8db3b57e84fa869c710ca1f8a7d4720ba"),
+        "79b6c96ed6da02fbe2f07f5e772e34fd5388a53c3b055b93e7da8913efa0080f"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "30c363011f18f39cecdc21b61e8a5232c8ad295f413a7ac31ab27e19adc868e0"),
+        "94df3505a2d7f3a85cc2633315cfa04875b5208dbfaa8a812b1ce55ce1d32e3d"),
 }
 
 

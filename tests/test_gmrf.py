@@ -114,6 +114,65 @@ def test_tau_matches_dense_inverse_oracle():
             assert np.max(np.abs(tau_from_eta(g, eta) / want - 1.0)) < 1e-12
 
 
+def _elimination_graphs():
+    # a star (R is its hub), a complete graph (C is one node), isolated nodes
+    # next to edges, and a bipartite torus (C is one colour, m = n/2)
+    return {"star": Graph(30, [(0, t) for t in range(1, 30)]),
+            "complete": Graph(12, [(s, t) for s in range(12) for t in range(s + 1, 12)]),
+            "isolated": Graph(9, [(1, 2), (2, 3), (3, 1), (5, 6), (6, 7)]),
+            "bipartite": torus_lattice(24, 24)}
+
+
+def test_independent_set_is_maximal_and_eliminates_what_each_case_names():
+    graphs = _elimination_graphs()
+    for g in [*graphs.values(), *_oracle_graphs()]:
+        in_c = gmrf._independent_set(g)
+        u, v = np.repeat(np.arange(g.node_count), g.degrees), g.indices
+        assert not np.any(in_c[u] & in_c[v])
+        # every node left out has a neighbour in the set
+        assert np.all(np.bincount(u[in_c[v]], minlength=g.node_count)[~in_c] > 0)
+    n = {name: g.node_count for name, g in graphs.items()}
+    sizes = {name: int(gmrf._independent_set(g).sum()) for name, g in graphs.items()}
+    assert sizes == {"star": n["star"] - 1, "complete": 1, "isolated": 6,
+                     "bipartite": n["bipartite"] // 2}
+
+
+@pytest.mark.parametrize("name", sorted(_elimination_graphs()))
+def test_tau_eliminates_the_independent_set_exactly(name):
+    g = _elimination_graphs()[name]
+    eye = np.eye(g.node_count)
+    for eta in _ends_of_range(g):
+        want = 1.0 / np.diag(np.linalg.inv(eye - eta * g.adjacency()))
+        assert np.max(np.abs(tau_from_eta(g, eta) / want - 1.0)) < 1e-12
+    lo, hi = eta_range(g)
+    for end in (lo, hi):
+        assert np.all(tau_from_eta(g, (1.0 - 1e-9) * end) > 0.0)
+        message = f"admissible range ({lo:.6g}, {hi:.6g})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tau_from_eta(g, (1.0 + 1e-9) * end)
+
+
+def test_tau_rejects_an_eta_whose_square_overflows():
+    # eta^2 = inf turns entries of S into -inf, which its factor rejects
+    with pytest.raises(ValueError, match="not positive definite"):
+        tau_from_eta(torus_lattice(4, 4), 1e300)
+
+
+def test_tau_from_eta_keeps_the_dense_node_limit():
+    # the independent set would leave a 1 x 1 S here, but the limit holds
+    # before anything of the graph's size is allocated
+    g = Graph(5001, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense adjacency limited to 5000 nodes, "
+                                             "graph has 5001"):
+            tau_from_eta(g, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.node_count
+
+
 @pytest.mark.parametrize("n", [1, 128, 129, 257, 301])
 def test_inverse_cholesky_matches_the_inverse_of_the_whole_factor(n):
     # 128 is one leaf; 129 splits into leaves of 64 and 65; 257 splits a
@@ -138,6 +197,20 @@ def test_tau_from_eta_holds_one_matrix_and_quarter_size_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * n * n
+
+
+def test_tau_from_eta_factors_only_the_schur_complement():
+    # on the bipartite torus one colour is eliminated, so S is (n/2) x (n/2),
+    # a quarter of the n x n array the whole factorization would hold
+    g = torus_lattice(24, 24)
+    n = g.node_count
+    tracemalloc.start()
+    try:
+        tau_from_eta(g, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 8 * n * n
 
 
 def test_joint_covariance_matches_solve_oracle():
@@ -705,6 +778,36 @@ def test_gibbs_chains_coupled_correlates_innovations():
         # both margins standard normal
         assert np.max(np.abs(pairs.mean(axis=1))) < 0.02
         assert np.max(np.abs(pairs.var(axis=1) - 1.0)) < 0.02
+
+
+def test_coupled_pair_is_the_pair_of_sweep_maps_on_shared_innovations():
+    # exact oracle for `innovations` coupling: two coupled sweeps from alpha
+    # replay through each chain's sweep map, the first chain fed u and the
+    # second rho*u + sqrt(1 - rho^2)*v.  The stationary cross-covariance
+    # solves the Stein equation S = A1 S A2^T + rho B1 B2^T (solved by
+    # doubling); with equal etas it is rho times the joint covariance.
+    rho = 0.7
+    for g, etas in [(torus_with_chords(18, 18, 60, seed=1), (0.12, -0.18)),
+                    (Graph(4, [(0, 1), (0, 2), (0, 3)]), (0.4, -0.3)),
+                    (knn_geometric_graph(300, 6, seed=3), (0.12, 0.12))]:
+        n, part = g.node_count, concliques(g)
+        specs = [GmrfSpec(g, etas[0], alpha=0.5), GmrfSpec(g, etas[1], alpha=-1.0)]
+        (A1, B1), (A2, B2) = (sweep_map(spec, part) for spec in specs)
+        (u1, v1), (u2, v2) = chain_normals(17, (2, n), 2)
+        c = np.sqrt(1.0 - rho * rho)
+        w1, w2 = rho * u1 + c * v1, rho * u2 + c * v2
+        one, _ = gibbs_chains(specs, part, [(17, rho)], 1)
+        two, _ = gibbs_chains(specs, part, [(17, rho)], 2)
+        assert np.max(np.abs(one - [0.5 + B1 @ u1, -1.0 + B2 @ w1])) < 1e-12
+        assert np.max(np.abs(two - [0.5 + A1 @ (B1 @ u1) + B1 @ u2,
+                                    -1.0 + A2 @ (B2 @ w1) + B2 @ w2])) < 1e-12
+
+        S, P1, P2 = rho * B1 @ B2.T, A1, A2
+        while max(np.max(np.abs(P1)), np.max(np.abs(P2))) > 1e-20:
+            S, P1, P2 = S + P1 @ S @ P2.T, P1 @ P1, P2 @ P2
+        assert np.max(np.abs(S - A1 @ S @ A2.T - rho * B1 @ B2.T)) < 1e-12
+        if etas[0] == etas[1]:
+            assert np.max(np.abs(S - rho * joint_covariance(specs[0])[0])) < 1e-12
 
 
 def test_to_uniform_examples():
