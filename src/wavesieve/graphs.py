@@ -28,6 +28,9 @@ DENSE_NODE_LIMIT = 5000
 # tridiagonal eigh per check would otherwise cost more than the steps
 _LANCZOS_CHECK_EVERY = 8
 
+# rows of squared distances the kNN builder forms at once
+_KNN_ROW_BLOCK = 256
+
 # internal stream tags so one root seed can serve several operations
 _TAG_KNN = 11
 _TAG_CHORDS = 12
@@ -76,8 +79,9 @@ class Graph:
     def neighbor_sums(self, x):
         """Vector of sums of x over each node's neighbors (H @ x).
 
-        One fixed summation order for every graph size, so results do not
-        depend on whether a dense adjacency was ever materialized.
+        Each node's sum is one `np.add.reduceat` segment over its CSR row,
+        neighbours in increasing order, on every graph, so the sums depend
+        neither on the graph's size nor on the BLAS a dense H @ x would call.
         """
         sums = np.zeros(self.node_count)
         rows = self.degrees > 0
@@ -259,19 +263,28 @@ def knn_geometric_graph(points, k, seed):
 
 
 def _nearest_pairs(xy, k):
-    """[s, t] for every point s and each of its k nearest points t, picked as
-    a stable argsort of the squared distances would: everything below the
-    k-th distance, then the ties at it in index order up to k.  The n x n
-    arrays are freed on return, before the caller builds the graph."""
+    """[s, t] for every point s and each of its k nearest points t, in
+    increasing (s, t) order, picked as a stable argsort of the squared
+    distances would: everything below the k-th distance, then the ties at it
+    in index order up to k.  The rule is row-local, so the distances are
+    formed _KNN_ROW_BLOCK rows at a time: the arrays held are n x
+    _KNN_ROW_BLOCK, never n x n."""
     x, y = xy.T
-    d2 = np.subtract.outer(x, x) ** 2 + np.subtract.outer(y, y) ** 2
-    np.fill_diagonal(d2, np.inf)
-    # the fancy index copies the column, so the partitioned matrix is freed
-    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
-    below = d2 < kth
-    tie = d2 == kth
-    tie &= np.cumsum(tie, axis=1, dtype=np.int32) <= k - below.sum(axis=1, keepdims=True)
-    return np.argwhere(below | tie)
+    n = len(xy)
+    pairs = []
+    for lo in range(0, n, _KNN_ROW_BLOCK):
+        hi = min(lo + _KNN_ROW_BLOCK, n)
+        d2 = np.subtract.outer(x[lo:hi], x) ** 2 + np.subtract.outer(y[lo:hi], y) ** 2
+        np.fill_diagonal(d2[:, lo:hi], np.inf)
+        # the fancy index copies the column, so the partitioned block is freed
+        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+        below = d2 < kth
+        tie = d2 == kth
+        tie &= np.cumsum(tie, axis=1, dtype=np.int32) <= k - below.sum(axis=1, keepdims=True)
+        block = np.argwhere(below | tie)
+        block[:, 0] += lo
+        pairs.append(block)
+    return np.concatenate(pairs)
 
 
 # ---------------------------------------------------------------------------

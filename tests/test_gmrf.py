@@ -179,15 +179,18 @@ def test_inverse_cholesky_matches_the_inverse_of_the_whole_factor(n):
     # 129-block again; 301 splits into odd halves at two levels
     g = knn_geometric_graph(n, 6, seed=n) if n > 1 else Graph(1, [])
     for eta in _ends_of_range(g) if n > 1 else (-0.5, 0.5):
-        got = gmrf._inverse_cholesky(g, eta)
-        want = np.linalg.inv(np.linalg.cholesky(np.eye(n) - eta * g.adjacency()))
+        M = np.eye(n) - eta * g.adjacency()
+        want = np.linalg.inv(np.linalg.cholesky(M))
+        got = M.copy()
+        gmrf._cholesky_inverse_in_place(got)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert not np.triu(got, 1).any()
 
 
 def test_tau_from_eta_holds_one_matrix_and_quarter_size_temporaries():
-    # the factor is formed and inverted in the one n x n array; a whole-matrix
-    # np.linalg.cholesky holds at least two traced n x n arrays at once
+    # the odd side makes the torus non-bipartite, so S is larger than n/2 x n/2;
+    # S and its factor's quarter-size temporaries stay below 1.5 n x n arrays,
+    # where a whole-matrix np.linalg.cholesky holds at least two at once
     g = torus_lattice(24, 25)
     n = g.node_count
     tracemalloc.start()
@@ -310,6 +313,19 @@ def test_chain_config_validation():
     ChainConfig(0, 0, 0)   # zero-iteration chain stays at the initial state
     with pytest.raises(ValueError):
         ChainConfig(-1, 0, 0)
+
+
+@pytest.mark.parametrize("iterations, burn_in, trace_every, message", [
+    (-1, 0, 0, "iterations and burn_in must be non-negative"),
+    (10, -3, 0, "iterations and burn_in must be non-negative"),
+    (10, 20, 0, "burn_in must be smaller than iterations"),
+    (10, 0, -2, "trace_every must be non-negative")])
+def test_gibbs_chains_checks_its_run_length(iterations, burn_in, trace_every, message):
+    # the rule of ChainConfig, for callers that pass the run length directly
+    g = triangle()
+    spec = GmrfSpec(g, 0.2)
+    with pytest.raises(ValueError, match=message):
+        gibbs_chains([spec], concliques(g), [(1, None)], iterations, burn_in, trace_every)
 
 
 def test_gibbs_zero_iterations_returns_alpha():

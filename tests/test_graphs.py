@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -196,12 +197,27 @@ def test_knn_edges_equal_stable_argsort_reference(points, k, seed):
 
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
 def test_knn_ties_break_in_index_order(k):
-    # a shuffled 6 x 6 lattice: every inner point has 4 neighbours at one
-    # distance and 4 more at the next, so the k-th distance is mostly a tie
-    grid = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(-1, 2) / 8.0
-    xy = grid[stream(5).permutation(len(grid))]
-    pairs = sorted(map(tuple, graphs._nearest_pairs(xy, k)))
-    assert pairs == nearest_pairs_reference(xy, k)
+    # a shuffled square lattice: every inner point has 4 neighbours at one
+    # distance and 4 more at the next, so the k-th distance is mostly a tie;
+    # the 24 x 24 lattice spans several row blocks of the builder
+    for side in (6, 24):
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1)
+        xy = grid.reshape(-1, 2)[stream(5).permutation(side * side)] / 8.0
+        pairs = graphs._nearest_pairs(xy, k)
+        assert list(map(tuple, pairs.tolist())) == nearest_pairs_reference(xy, k)
+
+
+def test_knn_build_holds_no_n_by_n_array():
+    # the distances are formed in row blocks, so the build's peak stays well
+    # below the 8 n^2 bytes of one n x n array
+    n = 3000
+    tracemalloc.start()
+    try:
+        knn_geometric_graph(n, 6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 8 * n * n
 
 
 def test_knn_rejects_large_k():
