@@ -375,6 +375,13 @@ def run_experiment(cfg):
     workers = min(_workers(), cfg.replications)
     chunks = [(cfg, range(w, cfg.replications, workers)) for w in range(workers)]
     if workers > 1:
+        guard = (f"with {WORKERS_ENV} >= 2 a script must call run_experiment under "
+                 '`if __name__ == "__main__":`')
+        # a spawned worker that is still importing the main module re-ran this
+        # call; it raises before the pool creates its queues and semaphores
+        if getattr(multiprocessing.current_process(), "_inheriting", False):
+            raise RuntimeError(f"run_experiment called while a worker imports the main module; "
+                               f"{guard}")
         # spawned workers start with OpenBLAS on one thread, set before numpy loads
         saved = os.environ.get("OPENBLAS_NUM_THREADS")
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -382,8 +389,7 @@ def run_experiment(cfg):
             with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
                 done = list(pool.map(_replicate_chunk, chunks))
         except BrokenProcessPool as exc:   # spawned workers re-import the main module
-            raise RuntimeError(f"a worker process died; with {WORKERS_ENV} >= 2 a script must "
-                               'call run_experiment under `if __name__ == "__main__":`') from exc
+            raise RuntimeError(f"a worker process died; {guard}") from exc
         finally:
             del os.environ["OPENBLAS_NUM_THREADS"]
             if saved is not None:

@@ -37,6 +37,20 @@ _SWEEP_BLOCK = 32   # sweeps per key of a chain stream, measured on the paper co
 
 _TRIANGULAR_BLOCK = 128   # larger blocks are split, so the work goes to matrix products
 
+# the level rule of tau_from_eta, in flops of the dense factor (its docstring
+# gives the measurements)
+_FILL_COST = 5000.0   # per fill entry
+_QUERY_COST = 50.0    # per query entry and row of L^{-1}
+
+# the query read of tau_from_eta, measured on the dense graph (m = 1975).  The
+# entries of a block's sums stay within a 2 MiB L2 cache: in one band, blocks
+# of 2^13, 2^15 and 2^18 entries read in 307, 211 and 318 ms.  The rows go in
+# bands of at least 128: one band in node order reads in 235 ms, and 4, 8 and
+# 16 bands after the tail's reordering in 111, 98 and 95 ms, while on the
+# paper graph (m = 196) 8 bands cost 0.4 ms more than one
+_READ_BLOCK = 1 << 15
+_READ_BAND_ROWS = 128
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -61,98 +75,270 @@ def _check_run(iterations, burn_in, trace_every=0):
 def tau_from_eta(graph, eta):
     """Conditional variances making every marginal variance of the joint equal one.
 
-    tau2_s = 1 / [M^{-1}]_{ss} for M = I - eta*H, without factoring M.  A
-    greedy maximal independent set C (`_independent_set`) has M_CC = I, so C
-    is eliminated exactly: with R the other m nodes, the Schur complement
+    tau2_s = 1 / [M^{-1}]_{ss} for M = I - eta*H, by sparse elimination in
+    levels and one dense factor of the rest, the route for GMRF marginal
+    variances of Takahashi, Fagan & Chen (1973) and Rue & Martino (2007).
+    Each level eliminates a greedy maximal independent set C of the pattern
+    of the current Schur complement S, at first M itself.  S_CC is diagonal,
+    so C goes exactly: each pivot d_c must be positive, and each pair (a, b)
+    of neighbours of c receives the fill -s_ac s_cb / d_c.  An eliminated
+    node v leaves a query (1/d_v, -s_v / d_v), with [M^{-1}]_vv = scalar +
+    q^T S'^{-1} q for the next complement S'.  A later level that eliminates
+    a node c of its support adds q_c^2 / d_c to the scalar and pushes -q_c
+    s_c / d_c onto the rest of q, which keeps that identity.  The m nodes
+    left are factored densely in place, S = L L^T
+    (`_cholesky_inverse_in_place`).  Their tau2 are 1 / the column sums of
+    squares of L^{-1}, and a query's is 1 / (scalar + ||L^{-1} q||^2), read
+    in bands of rows of L^{-1}, in blocks whose sums hold at most
+    min(m^2 / 8, _READ_BLOCK) entries.
 
-        S = I - eta*H_RR - eta^2 * H_RC H_CR
+    The levels depend on the graph alone (`_elimination_plan`).  A level
+    that leaves m' of m nodes saves 2/3 (m^3 - m'^3) flops of the dense
+    factor.  It costs its fill, sum_{c in C} deg(c)^2 entries, and the growth
+    m' nnz' - m nnz of the query read, nnz counting query entries.  Levels
+    are added while the saving exceeds _FILL_COST flops per fill entry plus
+    _QUERY_COST per unit of growth; a level whose fill alone costs more is
+    not built.  The constants are measured at one BLAS thread on the
+    knn_fit and dense graphs: a fill entry takes about 200 ns to plan and
+    apply, a query entry about 2 ns per row of L^{-1}, and a flop of the
+    dense factor about 0.04 ns.  The 4900-node chorded torus of the dense
+    workload takes 3 levels (m = 2969, 2339, 1975), the 1600-node kNN graph
+    5 (m = 607) and the paper's 324-node torus 1 (m = 196).  Complete and
+    complete bipartite graphs take none, which is the whole-matrix factor.
 
-    is m x m, and M^{-1} has the blocks [M^{-1}]_RR = S^{-1} and [M^{-1}]_CC
-    = I + eta^2 * H_CR S^{-1} H_RC.  With S = L L^T the diagonals are, for r
-    in R, the column sums of squares of L^{-1}, and for c in C, 1 + ||eta *
-    sum_{r ~ c} L^{-1}[:, r]||^2 (scaled by eta before squaring, so that a
-    node without neighbours gets exactly one for every finite eta).  S is
-    formed from the adjacency lists: -eta at each edge inside R, and -eta^2
-    at (r, r') for each ordered pair of neighbours of each c in C.
-
-    The work is sum_c deg(c)^2 to form S, 2/3 m^3 to factor it and m * sum_c
-    deg(c) to read the tau2_c, against 2/3 n^3 for M; m = 2969 on the
-    4900-node chorded torus.  It exceeds M's when the nodes of C have degree
-    near m: K_{400,400} takes about 0.4 CPU s against 0.023 s (one BLAS thread).
-
-    eta must be finite, and the factorization of S decides admissibility:
-    M_CC = I is positive definite and inertia adds over the Schur complement,
-    so M is positive definite exactly when S is, i.e. when eta lies in
-    (1/h0, 1/hm).  If it is not, the ValueError names eta and the range
-    `eta_range` of the graph, computed only then.  On a graph with no edges
-    every node is in C, so every finite eta gives ones.  The graph must not
+    eta must be finite.  The pivots and the dense factor decide
+    admissibility: inertia adds over Schur complements, so M is positive
+    definite exactly when every pivot is positive and S is.  A pivot that is
+    not (nan included) or a failed factor raises the ValueError that names
+    eta and the graph's range `eta_range`, computed only then.  A node
+    without neighbours is eliminated with pivot one and no fill, so on a
+    graph with no edges every finite eta gives ones.  The graph must not
     exceed DENSE_NODE_LIMIT nodes.
     """
     if not np.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     graph.require_dense()
-    n, degrees = graph.node_count, graph.degrees
-    in_c = _independent_set(graph)
-    rest = np.flatnonzero(~in_c)
-    m = rest.size
-    # rank maps a node of R to its row of S
-    rank = np.zeros(n, np.int64)
-    rank[rest] = np.arange(m)
-    # S = I - eta*H_RR, less eta^2 at each ordered pair of neighbours of each c
+    n = graph.node_count
+    v, tail = _eliminate(graph, eta)
+    m = tail.nodes.size
     S = np.zeros((m, m))
-    flat = S.reshape(-1)
-    flat[::m + 1] = 1.0
-    owner = np.repeat(np.arange(n), degrees)
-    inside = ~in_c[owner] & ~in_c[graph.indices]
-    flat[rank[owner[inside]] * m + rank[graph.indices[inside]]] -= eta
-    # a Python float, so that an eta^2 past the float range is inf, not a
-    # warning; the factor of S then rejects it
-    eta2 = float(eta) * float(eta)
-    for c in np.flatnonzero(in_c).tolist():
-        nbr = rank[graph.neighbors[c]]
-        flat[(nbr[:, None] * m + nbr).ravel()] -= eta2
+    S.reshape(-1)[tail.entries] = v[1 + n:1 + n + tail.entries.size]
     try:
         _cholesky_inverse_in_place(S)
     except np.linalg.LinAlgError as exc:
-        lo, hi = eta_range(graph)
-        raise ValueError(f"eta={eta} outside the graph's admissible range "
-                         f"({lo:.6g}, {hi:.6g}): I - eta*H is not positive definite") from exc
-
-    tau2 = np.ones(n)
-    tau2[rest] = 1.0 / np.einsum("ij,ij->j", S, S)
-    # the nodes of C with neighbours, by stable descending degree, so that
-    # those with a k-th neighbour come first; cols[k] holds the positions in R
-    # of their k-th neighbours
-    cs = np.flatnonzero(in_c & (degrees > 0))
-    cs = cs[np.argsort(-degrees[cs], kind="stable")]
-    cols = [rank[graph.indices[graph.indptr[cs[degrees[cs] > k]] + k]]
-            for k in range(degrees[cs].max(initial=0))]
-    # ||eta * sum_{r ~ c} L^{-1}[:, r]||^2 over row blocks of L^{-1}, each
-    # block's sums at most m^2 / 8 entries; every r in R has a neighbour in C,
-    # so cs is empty only when R is
-    sq = np.zeros(cs.size)
-    rows = max(1, m * m // (8 * max(cs.size, 1)))
-    for lo in range(0, m, rows):
-        block = S[lo:lo + rows]
-        w = block.take(cols[0], axis=1)
-        for col in cols[1:]:
-            w[:, :col.size] += block.take(col, axis=1)
-        w *= eta
-        sq += np.einsum("ij,ij->j", w, w)
-    tau2[cs] = 1.0 / (1.0 + sq)
-    return tau2
+        _reject(graph, eta, exc)
+    # ||L^{-1} q||^2 of every query, band by band of the rows of L^{-1}, in
+    # row blocks whose sums hold at most min(m^2 / 8, _READ_BLOCK) entries;
+    # reads[k] adds the k-th entries of the band's queries that have one, a
+    # prefix of `who`
+    sq = np.zeros(n)
+    for lo, hi, who, reads in tail.bands:
+        reads = [(v[at], col) for at, col in reads]
+        rows = max(1, min(hi - lo, min(m * m // 8, _READ_BLOCK) // who.size))
+        part = np.empty((rows, who.size))
+        for top in range(lo, hi, rows):
+            block = S[top:min(top + rows, hi)]
+            w = np.zeros((block.shape[0], who.size))
+            for val, col in reads:
+                p = part[:block.shape[0], :col.size]
+                block.take(col, axis=1, out=p)
+                p *= val
+                w[:, :col.size] += p
+            sq[who] += np.einsum("ij,ij->j", w, w)
+    var = sq - v[1:1 + n]
+    var[tail.nodes] = np.einsum("ij,ij->j", S, S)
+    return 1.0 / var
 
 
-def _independent_set(graph):
-    """Boolean mask of a greedy maximal independent set: the nodes are visited
-    in stable ascending-degree order, and each one none of whose neighbours
-    was taken is taken."""
-    taken = np.zeros(graph.node_count, bool)
-    blocked = np.zeros(graph.node_count, bool)
-    for s in np.argsort(graph.degrees, kind="stable").tolist():
+def _eliminate(graph, eta):
+    """The state v after the levels of the graph's plan, and the plan's tail.
+
+    v holds a constant one, minus each node's query scalar, the diagonal of
+    the current Schur complement, its entries off the diagonal in CSR order
+    and the query entries.  Each level is applied as it is planned and then
+    dropped, so that the levels never hold memory together.
+    """
+    n = graph.node_count
+    v = np.concatenate(([1.0], np.zeros(n), np.ones(n), np.full(graph.indices.size, -float(eta))))
+
+    def apply(level):
+        nonlocal v
+        # past the float range a product is inf (or inf - inf nan); the pivot
+        # check and the dense factor both reject those
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(v[level.pivots] > 0.0):
+                _reject(graph, eta)
+            update = v[level.left] * v[level.right] / v[level.by]
+            v = np.bincount(level.target, np.concatenate((v[level.kept], -update)), level.size)
+
+    tail = _elimination_plan(graph, apply)
+    return v, tail
+
+
+def _reject(graph, eta, cause=None):
+    """Raise the ValueError naming eta and the graph's admissible range, which
+    is computed only here."""
+    lo, hi = eta_range(graph)
+    raise ValueError(f"eta={eta} outside the graph's admissible range "
+                     f"({lo:.6g}, {hi:.6g}): I - eta*H is not positive definite") from cause
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One level of `_elimination_plan`, as positions in the state v.
+
+    The pivots v[pivots] must be positive.  The next state has `size` entries
+    and sums v[kept] and the updates -v[left] * v[right] / v[by] into `target`.
+    """
+    pivots: np.ndarray
+    kept: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    by: np.ndarray
+    target: np.ndarray
+    size: int
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """The dense tail of an elimination plan: its `nodes` in order and the flat
+    positions in its m x m matrix of the state's diagonal and entries off
+    it; per band (lo, hi) of rows, the nodes `who` whose queries have an
+    entry left of hi, by descending count of those, and per k the positions
+    in the state and the tail columns of the k-th of them."""
+    nodes: np.ndarray
+    entries: np.ndarray
+    bands: tuple
+
+
+def _segments(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _elimination_plan(graph, visit):
+    """Call visit(level) for each level of `tau_from_eta` in turn, then return
+    the dense tail; both depend on the graph alone.
+
+    A level is a greedy maximal independent set C of the current pattern
+    (`_independent_set`), laid out as positions in the state v of
+    `_eliminate`.  Each of its updates is -v[left] * v[right] / v[by], by a
+    pivot: a fill entry (the entries of c to a and to b), a query's scalar
+    (its entry at c, twice) or a push (its entry at c and c's entry to a).
+    The unit query of a node of C takes the state's constant one as its entry
+    at c.  Positions in the next state follow the sorted pattern, so the order
+    of the sums, and with it the rounding, depends on the graph alone.
+
+    The tail orders its nodes by ascending count of query entries, so that
+    the first rows of L^{-1}, zero right of the diagonal, meet few of them.
+    It splits the rows into bands of at least _READ_BAND_ROWS rows, each of
+    which reads only the query entries left of its end.
+    """
+    n = graph.node_count
+    indptr, indices = graph.indptr, graph.indices
+    nodes = np.arange(n)
+    q_nodes = q_cols = np.empty(0, np.int64)   # the query entries, by node, then column
+    while True:
+        m, deg = nodes.size, np.diff(indptr)
+        in_c = _independent_set(indptr, indices)
+        c, rest = np.flatnonzero(in_c), np.flatnonzero(~in_c)
+        m2, fills = rest.size, int(np.sum(deg[c] ** 2))
+        if not _level_pays(m, m2, fills, 0):
+            break
+        # the state: a constant one, minus each node's query scalar, the
+        # diagonal, the entries off it, the query entries
+        diag, off, qs = 1 + n, 1 + n + m, 1 + n + m + indices.size
+        label = np.zeros(m, np.int64)
+        label[rest] = np.arange(m2)
+        owner = np.repeat(np.arange(m), deg)
+        # the fill: each ordered pair (first, second) of entries of a row of C
+        ce = np.flatnonzero(in_c[owner])
+        first = np.repeat(ce, deg[owner[ce]])
+        second = _segments(indptr[owner[ce]], deg[owner[ce]])
+        fa, fb = label[indices[first]], label[indices[second]]
+        kept = np.flatnonzero(~in_c[owner] & ~in_c[indices])
+        apart = fa != fb
+        pairs, at = np.unique(np.concatenate((label[owner[kept]] * m2 + label[indices[kept]],
+                                              fa[apart] * m2 + fb[apart])), return_inverse=True)
+        fill_at = diag + fa
+        fill_at[apart] = diag + m2 + at[kept.size:]
+        # the query entries at C and the unit queries of C's nodes (value the
+        # state's constant one) each update their node's scalar and push onto
+        # the entries of their pivot's row
+        hit = in_c[q_cols]
+        src = np.concatenate((qs + np.flatnonzero(hit), np.zeros(c.size, np.int64)))
+        piv = np.concatenate((q_cols[hit], c))
+        node = np.concatenate((q_nodes[hit], nodes[c]))
+        push = np.repeat(np.arange(piv.size), deg[piv])
+        entry = _segments(indptr[piv], deg[piv])
+        q_kept = np.flatnonzero(~hit)
+        q_pairs, q_at = np.unique(np.concatenate((q_nodes[q_kept] * m2 + label[q_cols[q_kept]],
+                                                  node[push] * m2 + label[indices[entry]])),
+                                  return_inverse=True)
+        if not _level_pays(m, m2, fills, m2 * q_pairs.size - m * q_nodes.size):
+            break
+        q_at += diag + m2 + pairs.size
+        visit(_Level(
+            pivots=diag + c,
+            kept=np.concatenate((np.arange(1 + n), diag + rest, off + kept, qs + q_kept)),
+            left=np.concatenate((off + first, src, src[push])),
+            right=np.concatenate((off + second, src, off + entry)),
+            by=np.concatenate((diag + owner[first], diag + piv, diag + piv[push])),
+            target=np.concatenate((np.arange(diag + m2), diag + m2 + at[:kept.size],
+                                   q_at[:q_kept.size], fill_at, 1 + node, q_at[q_kept.size:])),
+            size=diag + m2 + pairs.size + q_pairs.size))
+        rows, indices = np.divmod(pairs, max(m2, 1))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m2))))
+        q_nodes, q_cols = np.divmod(q_pairs, max(m2, 1))
+        nodes = nodes[rest]
+    # the tail in ascending count of query entries per column, so that the
+    # first rows of L^{-1}, zero right of the diagonal, meet few of them
+    m = nodes.size
+    order = np.argsort(np.bincount(q_cols, minlength=m), kind="stable")
+    rank = np.empty(m, np.int64)
+    rank[order] = np.arange(m)
+    owner = np.repeat(np.arange(m), np.diff(indptr))
+    q_cols = rank[q_cols]
+    # per band of rows, the k-th entries of the queries with an entry left of
+    # its end, by descending count; the query entries run by node
+    bands, base = [], 1 + n + m + indices.size
+    nbands = max(1, m // _READ_BAND_ROWS)
+    ends = [m * (b + 1) // nbands for b in range(nbands)]
+    for lo, hi in zip([0, *ends], ends):
+        live = np.flatnonzero(q_cols < hi)
+        counts = np.bincount(q_nodes[live], minlength=n)
+        who = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
+        starts, counts = (np.cumsum(counts) - counts)[who], counts[who]
+        reads = []
+        for k in range(counts.max(initial=0)):
+            at = live[starts[counts > k] + k]
+            reads.append((base + at, q_cols[at]))
+        if who.size:
+            bands.append((lo, hi, who, tuple(reads)))
+    return _Tail(
+        nodes=nodes[order], entries=np.concatenate((rank * (m + 1), rank[owner] * m + rank[indices])),
+        bands=tuple(bands))
+
+
+def _level_pays(m, m2, fills, growth):
+    """Whether eliminating m - m2 of m nodes with `fills` fill entries and query
+    growth `growth` saves more than it costs, in dense flops."""
+    return 2.0 / 3.0 * (m ** 3 - m2 ** 3) > _FILL_COST * fills + _QUERY_COST * growth
+
+
+def _independent_set(indptr, indices):
+    """Boolean mask of a greedy maximal independent set of the CSR pattern
+    (indptr, indices): the nodes are visited in stable ascending-degree order,
+    and each one none of whose neighbours was taken is taken."""
+    degrees = np.diff(indptr)
+    taken = np.zeros(degrees.size, bool)
+    blocked = np.zeros(degrees.size, bool)
+    bounds = indptr.tolist()
+    for s in np.argsort(degrees, kind="stable").tolist():
         if not blocked[s]:
             taken[s] = True
-            blocked[graph.neighbors[s]] = True
+            blocked[indices[bounds[s]:bounds[s + 1]]] = True
     return taken
 
 

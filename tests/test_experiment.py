@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -575,20 +576,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "976d28d07580fafaf3e0f7e680bc6f06e0357995087b18033ad9d8b36d94ba02"),
+        "2b5927a0d82ae8838b49907b1888ea99903a6a2920646c3296ec6f0a5086bd02"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "761f7aeb10a737e66352cdde92fc09730b1a654db50327ea44758b1febdb153c"),
+        "5ffd204320995ea75d55a715115166c357d4ef8a63c5468be410bd4aad025187"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "79b6c96ed6da02fbe2f07f5e772e34fd5388a53c3b055b93e7da8913efa0080f"),
+        "a4870a8b2fdf2332f095491b4fc40c4ee00526e5266b24e555abbb619d95e5dd"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "94df3505a2d7f3a85cc2633315cfa04875b5208dbfaa8a812b1ce55ce1d32e3d"),
+        "3b09d0fd45dd38d6f2a04d146cae03f1ed6579f78c82ce4028a3010ad6e24a3e"),
 }
 
 
@@ -663,6 +664,19 @@ def test_unguarded_pool_script_names_the_missing_guard(tmp_path):
     error = re.search(r"^RuntimeError: a worker process died.*$", proc.stderr, re.M)
     assert error, proc.stderr
     assert experiment.WORKERS_ENV in error[0] and 'if __name__ == "__main__":' in error[0]
+
+
+def test_bootstrapping_worker_raises_before_building_a_pool(monkeypatch):
+    # a spawned worker importing an unguarded main module re-runs the call; it
+    # must fail before the pool makes the semaphores the resource tracker
+    # would report as leaked
+    built = []
+    monkeypatch.setenv(experiment.WORKERS_ENV, "2")
+    monkeypatch.setattr(multiprocessing.current_process(), "_inheriting", True, raising=False)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", lambda *args: built.append(args))
+    with pytest.raises(RuntimeError, match=re.escape('if __name__ == "__main__":')):
+        run_experiment(small_config())
+    assert built == []
 
 
 @pytest.mark.filterwarnings("ignore:learning set is disconnected")

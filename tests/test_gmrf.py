@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -84,9 +85,16 @@ def test_tau_is_one_for_every_finite_eta_without_edges():
         assert np.array_equal(tau_from_eta(Graph(3, []), eta), np.ones(3))
 
 
+def _levelled_graphs():
+    # a chorded torus that takes 2 levels and a kNN graph that takes 3
+    return {"torus": torus_with_chords(40, 40, 200, seed=1),
+            "knn": knn_geometric_graph(1000, 6, seed=3)}
+
+
 def _oracle_graphs():
     return [torus_with_chords(18, 18, 60, seed=1), knn_geometric_graph(300, 6, seed=3),
-            *(random_graph(40, 0.2, seed=seed) for seed in range(3))]
+            *(random_graph(40, 0.2, seed=seed) for seed in range(3)),
+            *_levelled_graphs().values()]
 
 
 def _ends_of_range(g):
@@ -126,13 +134,13 @@ def _elimination_graphs():
 def test_independent_set_is_maximal_and_eliminates_what_each_case_names():
     graphs = _elimination_graphs()
     for g in [*graphs.values(), *_oracle_graphs()]:
-        in_c = gmrf._independent_set(g)
+        in_c = gmrf._independent_set(g.indptr, g.indices)
         u, v = np.repeat(np.arange(g.node_count), g.degrees), g.indices
         assert not np.any(in_c[u] & in_c[v])
         # every node left out has a neighbour in the set
         assert np.all(np.bincount(u[in_c[v]], minlength=g.node_count)[~in_c] > 0)
     n = {name: g.node_count for name, g in graphs.items()}
-    sizes = {name: int(gmrf._independent_set(g).sum()) for name, g in graphs.items()}
+    sizes = {name: int(gmrf._independent_set(g.indptr, g.indices).sum()) for name, g in graphs.items()}
     assert sizes == {"star": n["star"] - 1, "complete": 1, "isolated": 6,
                      "bipartite": n["bipartite"] // 2}
 
@@ -152,8 +160,108 @@ def test_tau_eliminates_the_independent_set_exactly(name):
             tau_from_eta(g, (1.0 + 1e-9) * end)
 
 
+def _complete(n):
+    return Graph(n, [(s, t) for s in range(n) for t in range(s + 1, n)])
+
+
+def _complete_bipartite(n):
+    return Graph(2 * n, [(s, t) for s in range(n) for t in range(n, 2 * n)])
+
+
+def _plan(g):
+    """The levels and the tail of the graph's elimination plan."""
+    levels = []
+    tail = gmrf._elimination_plan(g, levels.append)
+    return levels, tail
+
+
+def test_level_counts_are_pinned():
+    # the benchmark's paper, dense and knn_fit graphs, and complete graphs,
+    # whose fill makes every level cost more than it saves
+    cases = {"paper": (torus_with_chords(18, 18, 60, seed=1), 1, 196),
+             "dense": (torus_with_chords(70, 70, 900, seed=1), 3, 1975),
+             "knn_fit": (knn_geometric_graph(1600, 6, seed=3), 5, 607),
+             "torus": (_levelled_graphs()["torus"], 2, 759),
+             "knn": (_levelled_graphs()["knn"], 3, 521),
+             "K40,40": (_complete_bipartite(40), 0, 80),
+             "K12": (_complete(12), 0, 12)}
+    for name, (g, count, m) in cases.items():
+        levels, tail = _plan(g)
+        assert (len(levels), tail.nodes.size) == (count, m), name
+
+
+def test_level_rule_decides_from_the_fill_count_before_building_it(monkeypatch):
+    # K_{400,400} would fill each of 400 eliminated rows with 400^2 entries;
+    # the rule is asked once, with that count and no query growth, and says no
+    calls = []
+    rule = gmrf._level_pays
+    monkeypatch.setattr(gmrf, "_level_pays", lambda *args: calls.append(args) or rule(*args))
+    levels, tail = _plan(_complete_bipartite(400))
+    assert (levels, tail.nodes.size) == ([], 800)
+    assert calls == [(800, 400, 400 ** 3, 0)]
+
+
+def _plan_arrays(plan):
+    levels, tail = plan
+    arrays = [getattr(level, f.name) for level in levels for f in fields(level)]
+    arrays += [tail.nodes, tail.entries]
+    for lo, hi, who, reads in tail.bands:
+        arrays += [lo, hi, who, *(a for read in reads for a in read)]
+    return arrays
+
+
+def test_elimination_plan_is_a_function_of_the_graph(monkeypatch):
+    # both etas of a run, and a second graph built from the same edges, get
+    # the same plan, array for array
+    g = _levelled_graphs()["torus"]
+    plans = []
+    plan = gmrf._elimination_plan
+
+    def spy(graph, visit):
+        levels = []
+        tail = plan(graph, lambda level: levels.append(level) or visit(level))
+        plans.append((levels, tail))
+        return tail
+
+    monkeypatch.setattr(gmrf, "_elimination_plan", spy)
+    for graph, eta in ((g, 0.12), (g, -0.18), (Graph(g.node_count, g.edges), 0.12)):
+        tau_from_eta(graph, eta)
+    first = _plan_arrays(plans[0])
+    assert len(plans[0][0]) == 2
+    for other in plans[1:]:
+        arrays = _plan_arrays(other)
+        assert len(arrays) == len(first)
+        assert all(np.array_equal(a, b) for a, b in zip(first, arrays))
+
+
+def _no_dense_tail(monkeypatch):
+    def fail(S):
+        raise AssertionError("the dense tail was reached")
+    monkeypatch.setattr(gmrf, "_cholesky_inverse_in_place", fail)
+
+
+def test_a_pivot_of_a_later_level_rejects_eta(monkeypatch):
+    # the pivots of the first level are the ones of I - eta*H, so eta = 0.5,
+    # far outside the range, fails at a pivot of the second level, and the
+    # ValueError names the range without the dense tail being reached
+    g = _levelled_graphs()["torus"]
+    lo, hi = eta_range(g)
+    _no_dense_tail(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"admissible range ({lo:.6g}, {hi:.6g})")):
+        tau_from_eta(g, 0.5)
+
+
+def test_an_overflowing_eta_fails_at_a_pivot_over_several_levels(monkeypatch):
+    # eta^2 = inf makes the pivots of the second level -inf
+    _no_dense_tail(monkeypatch)
+    with pytest.raises(ValueError, match="not positive definite"):
+        tau_from_eta(_levelled_graphs()["torus"], 1e300)
+
+
 def test_tau_rejects_an_eta_whose_square_overflows():
-    # eta^2 = inf turns entries of S into -inf, which its factor rejects
+    # no level pays on this 16-node torus, so the whole-matrix factor meets
+    # the entries -1e300 and fails; the test over several levels, above,
+    # meets eta^2 = inf
     with pytest.raises(ValueError, match="not positive definite"):
         tau_from_eta(torus_lattice(4, 4), 1e300)
 
@@ -214,6 +322,20 @@ def test_tau_from_eta_factors_only_the_schur_complement():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 8 * n * n
+
+
+def test_tau_from_eta_holds_the_tail_not_the_first_schur_complement():
+    # two levels leave 759 of the 1600 nodes; one level would leave 955, and
+    # its S alone would take 0.36 n x n arrays
+    g = _levelled_graphs()["torus"]
+    n = g.node_count
+    tracemalloc.start()
+    try:
+        tau_from_eta(g, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * 8 * n * n
 
 
 def test_joint_covariance_matches_solve_oracle():
