@@ -184,8 +184,14 @@ _EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def _parse_expression(text, d):
-    """The compiled tree of `text` once every node is in the grammar over
-    x1..xd; otherwise ValueError quoting the offending piece."""
+    """(code, constants): the compiled tree of `text` once every node is in
+    the grammar over x1..xd, otherwise ValueError quoting the offending piece.
+
+    Each number becomes a name bound in `constants` to its np.float64 value
+    (compile takes no np.float64 constant), so constants follow the IEEE
+    rules of the columns: 0*2**1100 is nan and 1/0 inf, which the finiteness
+    checks reject, where Python's integers would compute 2**1100 exactly,
+    9**9**9 without end, and raise at 1/0."""
     try:
         tree = ast.parse(text, "<regression>", mode="eval")
     except SyntaxError as exc:
@@ -206,7 +212,25 @@ def _parse_expression(text, d):
                   or isinstance(node, ast.Constant) and type(node.value) in (int, float)):
             piece = ast.get_source_segment(text, node)
             raise ValueError(f"regression expression {text!r}: {piece!r} is not allowed")
-    return compile(tree, "<regression>", "eval")
+    names = _ConstantNames()
+    tree = ast.fix_missing_locations(names.visit(tree))
+    return compile(tree, "<regression>", "eval"), names.constants
+
+
+class _ConstantNames(ast.NodeTransformer):
+    """Replaces the k-th constant met by the name _k, bound in `constants` to
+    its np.float64 value."""
+
+    def __init__(self):
+        self.constants = {}
+
+    def visit_Constant(self, node):
+        name = f"_{len(self.constants)}"
+        try:
+            self.constants[name] = np.float64(node.value)
+        except OverflowError:   # an integer past the float range
+            self.constants[name] = np.float64(np.inf)
+        return ast.copy_location(ast.Name(name, ast.Load()), node)
 
 
 def _regression_target(cfg):
@@ -222,14 +246,15 @@ def _regression_target(cfg):
         raise ValueError("expression regression needs at least two etas "
                          "(design components plus one noise component)")
     try:
-        code = _parse_expression(cfg.regression, d)
+        code, constants = _parse_expression(cfg.regression, d)
     except (RecursionError, MemoryError):   # how parse and compile report deep nesting
         raise ValueError("regression expression is nested too deeply") from None
 
     def m_expr(*xs):
         local = {f"x{i + 1}": x for i, x in enumerate(xs)}
         with np.errstate(all="ignore"):   # inf and nan fail the finiteness checks
-            return eval(code, {"__builtins__": {}}, {**_EXPR_FUNCS, **_EXPR_CONSTS, **local})
+            return eval(code, {"__builtins__": {}},
+                        {**_EXPR_FUNCS, **_EXPR_CONSTS, **constants, **local})
 
     return m_expr, d
 

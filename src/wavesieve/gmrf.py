@@ -40,16 +40,6 @@ _TRIANGULAR_BLOCK = 128   # larger blocks are split, so the work goes to matrix 
 # the level rule of tau_from_eta, in flops of the dense factor (its docstring
 # gives the measurements)
 _FILL_COST = 5000.0   # per fill entry
-_QUERY_COST = 50.0    # per query entry and row of L^{-1}
-
-# the query read of tau_from_eta, measured on the dense graph (m = 1975).  The
-# entries of a block's sums stay within a 2 MiB L2 cache: in one band, blocks
-# of 2^13, 2^15 and 2^18 entries read in 307, 211 and 318 ms.  The rows go in
-# bands of at least 128: one band in node order reads in 235 ms, and 4, 8 and
-# 16 bands after the tail's reordering in 111, 98 and 95 ms, while on the
-# paper graph (m = 196) 8 bands cost 0.4 ms more than one
-_READ_BLOCK = 1 << 15
-_READ_BAND_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -75,36 +65,38 @@ def _check_run(iterations, burn_in, trace_every=0):
 def tau_from_eta(graph, eta):
     """Conditional variances making every marginal variance of the joint equal one.
 
-    tau2_s = 1 / [M^{-1}]_{ss} for M = I - eta*H, by sparse elimination in
-    levels and one dense factor of the rest, the route for GMRF marginal
-    variances of Takahashi, Fagan & Chen (1973) and Rue & Martino (2007).
-    Each level eliminates a greedy maximal independent set C of the pattern
-    of the current Schur complement S, at first M itself.  S_CC is diagonal,
-    so C goes exactly: each pivot d_c must be positive, and each pair (a, b)
-    of neighbours of c receives the fill -s_ac s_cb / d_c.  An eliminated
-    node v leaves a query (1/d_v, -s_v / d_v), with [M^{-1}]_vv = scalar +
-    q^T S'^{-1} q for the next complement S'.  A later level that eliminates
-    a node c of its support adds q_c^2 / d_c to the scalar and pushes -q_c
-    s_c / d_c onto the rest of q, which keeps that identity.  The m nodes
-    left are factored densely in place, S = L L^T
-    (`_cholesky_inverse_in_place`).  Their tau2 are 1 / the column sums of
-    squares of L^{-1}, and a query's is 1 / (scalar + ||L^{-1} q||^2), read
-    in bands of rows of L^{-1}, in blocks whose sums hold at most
-    min(m^2 / 8, _READ_BLOCK) entries.
+    tau2_s = 1 / Sigma_ss for Sigma = M^{-1}, M = I - eta*H, by selected
+    inversion: sparse elimination in levels, one dense factor of the rest
+    and Takahashi's backward recursion over the same levels, the route for
+    GMRF marginal variances of Takahashi, Fagan & Chen (1973) and Rue &
+    Martino (2007).  Each level eliminates a greedy maximal independent set
+    C of the pattern of the current Schur complement S, at first M itself.
+    S_CC is diagonal, so C goes exactly: each pivot d_c must be positive, and
+    each fill triple, an ordered pair (a, b) of neighbours of c, adds
+    -s_ca s_cb / d_c to the entry (a, b) of the next complement S'.  The m
+    nodes left are factored densely in place, S = L L^T
+    (`_cholesky_inverse_in_place`), and Sigma = L^{-T} L^{-1} is read on
+    their pattern.  Then each level, last to first, takes Sigma on the
+    pattern of S from Sigma on that of S': S's entries that stay keep theirs,
+    and for c in C and its neighbours a
+
+        Sigma_ca = Sigma_ac = -sum_b (s_cb / d_c) Sigma_ab,
+        Sigma_cc = 1 / d_c - sum_a (s_ca / d_c) Sigma_ca,
+
+    where each Sigma_ab is the entry of S' that a fill triple targets.  tau2
+    is 1 / the diagonal of the first level's Sigma.
 
     The levels depend on the graph alone (`_elimination_plan`).  A level
     that leaves m' of m nodes saves 2/3 (m^3 - m'^3) flops of the dense
-    factor.  It costs its fill, sum_{c in C} deg(c)^2 entries, and the growth
-    m' nnz' - m nnz of the query read, nnz counting query entries.  Levels
-    are added while the saving exceeds _FILL_COST flops per fill entry plus
-    _QUERY_COST per unit of growth; a level whose fill alone costs more is
-    not built.  The constants are measured at one BLAS thread on the
-    knn_fit and dense graphs: a fill entry takes about 200 ns to plan and
-    apply, a query entry about 2 ns per row of L^{-1}, and a flop of the
-    dense factor about 0.04 ns.  The 4900-node chorded torus of the dense
-    workload takes 3 levels (m = 2969, 2339, 1975), the 1600-node kNN graph
-    5 (m = 607) and the paper's 324-node torus 1 (m = 196).  Complete and
-    complete bipartite graphs take none, which is the whole-matrix factor.
+    factor and costs its fill, sum_{c in C} deg(c)^2 entries.  Levels are
+    added while the saving exceeds _FILL_COST flops per fill entry; a level
+    whose fill costs more is not built.  The constant is measured at one
+    BLAS thread on the knn_fit and dense graphs: a fill entry takes about
+    200 ns to plan, apply and walk back, and a flop of the dense factor
+    about 0.04 ns.  The 4900-node chorded torus of the dense workload takes
+    5 levels (m = 1608), the 1600-node kNN graph 5 (m = 607) and the
+    paper's 324-node torus 1 (m = 196).  Complete and complete bipartite
+    graphs take none, which is the whole-matrix factor.
 
     eta must be finite.  The pivots and the dense factor decide
     admissibility: inertia adds over Schur complements, so M is positive
@@ -119,60 +111,52 @@ def tau_from_eta(graph, eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     graph.require_dense()
     n = graph.node_count
-    v, tail = _eliminate(graph, eta)
-    m = tail.nodes.size
-    S = np.zeros((m, m))
-    S.reshape(-1)[tail.entries] = v[1 + n:1 + n + tail.entries.size]
-    try:
-        _cholesky_inverse_in_place(S)
-    except np.linalg.LinAlgError as exc:
-        _reject(graph, eta, exc)
-    # ||L^{-1} q||^2 of every query, band by band of the rows of L^{-1}, in
-    # row blocks whose sums hold at most min(m^2 / 8, _READ_BLOCK) entries;
-    # reads[k] adds the k-th entries of the band's queries that have one, a
-    # prefix of `who`
-    sq = np.zeros(n)
-    for lo, hi, who, reads in tail.bands:
-        reads = [(v[at], col) for at, col in reads]
-        rows = max(1, min(hi - lo, min(m * m // 8, _READ_BLOCK) // who.size))
-        part = np.empty((rows, who.size))
-        for top in range(lo, hi, rows):
-            block = S[top:min(top + rows, hi)]
-            w = np.zeros((block.shape[0], who.size))
-            for val, col in reads:
-                p = part[:block.shape[0], :col.size]
-                block.take(col, axis=1, out=p)
-                p *= val
-                w[:, :col.size] += p
-            sq[who] += np.einsum("ij,ij->j", w, w)
-    var = sq - v[1:1 + n]
-    var[tail.nodes] = np.einsum("ij,ij->j", S, S)
-    return 1.0 / var
-
-
-def _eliminate(graph, eta):
-    """The state v after the levels of the graph's plan, and the plan's tail.
-
-    v holds a constant one, minus each node's query scalar, the diagonal of
-    the current Schur complement, its entries off the diagonal in CSR order
-    and the query entries.  Each level is applied as it is planned and then
-    dropped, so that the levels never hold memory together.
-    """
-    n = graph.node_count
-    v = np.concatenate(([1.0], np.zeros(n), np.ones(n), np.full(graph.indices.size, -float(eta))))
-
-    def apply(level):
-        nonlocal v
+    levels, indptr, indices = _elimination_plan(graph)
+    # the state of a complement: its diagonal, then its entries off it in CSR order
+    v = np.concatenate((np.ones(n), np.full(graph.indices.size, -float(eta))))
+    forward = []   # per level, the pivots d_c and the ratios s_ca / d_c
+    for level in levels:
         # past the float range a product is inf (or inf - inf nan); the pivot
         # check and the dense factor both reject those
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(v[level.pivots] > 0.0):
+            d = v[level.pivots]
+            if not np.all(d > 0.0):
                 _reject(graph, eta)
-            update = v[level.left] * v[level.right] / v[level.by]
+            ratio = v[level.rows] / d[level.by]
+            update = v[level.first] * ratio[level.second]
             v = np.bincount(level.target, np.concatenate((v[level.kept], -update)), level.size)
-
-    tail = _elimination_plan(graph, apply)
-    return v, tail
+        forward.append((d, ratio))
+    m = indptr.size - 1
+    owner = np.repeat(np.arange(m), np.diff(indptr))
+    S = np.zeros((m, m))
+    np.fill_diagonal(S, v[:m])
+    S[owner, indices] = v[m:]
+    try:
+        # S is symmetric, so the call leaves L^{-1} in S.T: the rows of S are
+        # its columns, zero left of the diagonal
+        _cholesky_inverse_in_place(S.T)
+    except np.linalg.LinAlgError as exc:
+        _reject(graph, eta, exc)
+    # Sigma_bb is the sum of squares of row b, and Sigma_ab for a < b, the
+    # prefix of row b's sorted pattern, is S[a, b:] @ S[b, b:]; it goes to
+    # (b, a) in the lower triangle, which no later product reads
+    sigma = np.concatenate((np.einsum("ij,ij->i", S, S), np.empty(indices.size)))
+    below = np.bincount(owner[indices < owner], minlength=m).tolist()
+    for b, lo, count in zip(range(m), indptr.tolist(), below):
+        a = indices[lo:lo + count]
+        S[b, a] = S[a, b:] @ S[b, b:]
+    sigma[m:] = S[np.maximum(owner, indices), np.minimum(owner, indices)]
+    for level, (d, ratio) in zip(reversed(levels), reversed(forward)):
+        kept = level.kept.size
+        # every entry of the level's complement is kept, a pivot, or in a row
+        # or a column of C
+        size = kept + level.pivots.size + 2 * level.rows.size
+        prev = np.bincount(level.first, -ratio[level.second] * sigma[level.target[kept:]], size)
+        prev[level.kept] = sigma[level.target[:kept]]
+        prev[level.mirror] = prev[level.rows]
+        prev[level.pivots] = 1.0 / d - np.bincount(level.by, ratio * prev[level.rows], d.size)
+        sigma = prev
+    return 1.0 / sigma[:n]
 
 
 def _reject(graph, eta, cause=None):
@@ -185,30 +169,24 @@ def _reject(graph, eta, cause=None):
 
 @dataclass(frozen=True)
 class _Level:
-    """One level of `_elimination_plan`, as positions in the state v.
+    """One level of `_elimination_plan`, as positions in the state of its
+    complement S (the diagonal, then the entries off it in CSR order).
 
-    The pivots v[pivots] must be positive.  The next state has `size` entries
-    and sums v[kept] and the updates -v[left] * v[right] / v[by] into `target`.
+    The pivots v[pivots] must be positive.  `rows` are the entries (c, a) of
+    the rows of C, `mirror` the entries (a, c) and `by` the index in `pivots`
+    of each one's c.  Fill triple k pairs the entry v[first[k]], (c, a), with
+    the entry (c, b) at rows[second[k]].  The next state has `size` entries
+    and sums v[kept], then the fills, into `target`.
     """
     pivots: np.ndarray
-    kept: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    rows: np.ndarray
+    mirror: np.ndarray
     by: np.ndarray
+    kept: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
     target: np.ndarray
     size: int
-
-
-@dataclass(frozen=True)
-class _Tail:
-    """The dense tail of an elimination plan: its `nodes` in order and the flat
-    positions in its m x m matrix of the state's diagonal and entries off
-    it; per band (lo, hi) of rows, the nodes `who` whose queries have an
-    entry left of hi, by descending count of those, and per k the positions
-    in the state and the tail columns of the k-th of them."""
-    nodes: np.ndarray
-    entries: np.ndarray
-    bands: tuple
 
 
 def _segments(starts, counts):
@@ -217,114 +195,56 @@ def _segments(starts, counts):
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _elimination_plan(graph, visit):
-    """Call visit(level) for each level of `tau_from_eta` in turn, then return
-    the dense tail; both depend on the graph alone.
+def _elimination_plan(graph):
+    """The levels of `tau_from_eta` and the CSR pattern (indptr, indices) of
+    the dense tail they leave; both depend on the graph alone.
 
     A level is a greedy maximal independent set C of the current pattern
-    (`_independent_set`), laid out as positions in the state v of
-    `_eliminate`.  Each of its updates is -v[left] * v[right] / v[by], by a
-    pivot: a fill entry (the entries of c to a and to b), a query's scalar
-    (its entry at c, twice) or a push (its entry at c and c's entry to a).
-    The unit query of a node of C takes the state's constant one as its entry
-    at c.  Positions in the next state follow the sorted pattern, so the order
-    of the sums, and with it the rounding, depends on the graph alone.
-
-    The tail orders its nodes by ascending count of query entries, so that
-    the first rows of L^{-1}, zero right of the diagonal, meet few of them.
-    It splits the rows into bands of at least _READ_BAND_ROWS rows, each of
-    which reads only the query entries left of its end.
+    (`_independent_set`), laid out as a `_Level`.  Its fill triples pair
+    every entry (c, a) of a row of C with every entry (c, b) of the same row,
+    b = a included.  Positions in the next state follow the sorted pattern,
+    so the order of the sums, and with it the rounding, depends on the graph
+    alone.
     """
-    n = graph.node_count
     indptr, indices = graph.indptr, graph.indices
-    nodes = np.arange(n)
-    q_nodes = q_cols = np.empty(0, np.int64)   # the query entries, by node, then column
+    levels = []
     while True:
-        m, deg = nodes.size, np.diff(indptr)
+        m, deg = indptr.size - 1, np.diff(indptr)
         in_c = _independent_set(indptr, indices)
         c, rest = np.flatnonzero(in_c), np.flatnonzero(~in_c)
         m2, fills = rest.size, int(np.sum(deg[c] ** 2))
-        if not _level_pays(m, m2, fills, 0):
-            break
-        # the state: a constant one, minus each node's query scalar, the
-        # diagonal, the entries off it, the query entries
-        diag, off, qs = 1 + n, 1 + n + m, 1 + n + m + indices.size
+        if not _level_pays(m, m2, fills):
+            return levels, indptr, indices
         label = np.zeros(m, np.int64)
         label[rest] = np.arange(m2)
         owner = np.repeat(np.arange(m), deg)
-        # the fill: each ordered pair (first, second) of entries of a row of C
+        # C's entries; the rows are sorted, so (a, c) is found by its key a*m + c
         ce = np.flatnonzero(in_c[owner])
-        first = np.repeat(ce, deg[owner[ce]])
-        second = _segments(indptr[owner[ce]], deg[owner[ce]])
-        fa, fb = label[indices[first]], label[indices[second]]
+        mirror = np.searchsorted(owner * m + indices, indices[ce] * m + owner[ce])
+        # the fill: each ordered pair (first, second) of entries of a row of C
+        span = np.repeat(deg[c], deg[c])
+        first = np.repeat(ce, span)
+        second = _segments(np.repeat(np.cumsum(deg[c]) - deg[c], deg[c]), span)
+        fa, fb = label[indices[first]], label[indices[ce[second]]]
         kept = np.flatnonzero(~in_c[owner] & ~in_c[indices])
         apart = fa != fb
         pairs, at = np.unique(np.concatenate((label[owner[kept]] * m2 + label[indices[kept]],
                                               fa[apart] * m2 + fb[apart])), return_inverse=True)
-        fill_at = diag + fa
-        fill_at[apart] = diag + m2 + at[kept.size:]
-        # the query entries at C and the unit queries of C's nodes (value the
-        # state's constant one) each update their node's scalar and push onto
-        # the entries of their pivot's row
-        hit = in_c[q_cols]
-        src = np.concatenate((qs + np.flatnonzero(hit), np.zeros(c.size, np.int64)))
-        piv = np.concatenate((q_cols[hit], c))
-        node = np.concatenate((q_nodes[hit], nodes[c]))
-        push = np.repeat(np.arange(piv.size), deg[piv])
-        entry = _segments(indptr[piv], deg[piv])
-        q_kept = np.flatnonzero(~hit)
-        q_pairs, q_at = np.unique(np.concatenate((q_nodes[q_kept] * m2 + label[q_cols[q_kept]],
-                                                  node[push] * m2 + label[indices[entry]])),
-                                  return_inverse=True)
-        if not _level_pays(m, m2, fills, m2 * q_pairs.size - m * q_nodes.size):
-            break
-        q_at += diag + m2 + pairs.size
-        visit(_Level(
-            pivots=diag + c,
-            kept=np.concatenate((np.arange(1 + n), diag + rest, off + kept, qs + q_kept)),
-            left=np.concatenate((off + first, src, src[push])),
-            right=np.concatenate((off + second, src, off + entry)),
-            by=np.concatenate((diag + owner[first], diag + piv, diag + piv[push])),
-            target=np.concatenate((np.arange(diag + m2), diag + m2 + at[:kept.size],
-                                   q_at[:q_kept.size], fill_at, 1 + node, q_at[q_kept.size:])),
-            size=diag + m2 + pairs.size + q_pairs.size))
+        # a fill with a = b targets a's diagonal, the others their entry
+        fa[apart] = m2 + at[kept.size:]
+        levels.append(_Level(
+            pivots=c, rows=m + ce, mirror=m + mirror, by=np.repeat(np.arange(c.size), deg[c]),
+            kept=np.concatenate((rest, m + kept)), first=m + first, second=second,
+            target=np.concatenate((np.arange(m2), m2 + at[:kept.size], fa)),
+            size=m2 + pairs.size))
         rows, indices = np.divmod(pairs, max(m2, 1))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m2))))
-        q_nodes, q_cols = np.divmod(q_pairs, max(m2, 1))
-        nodes = nodes[rest]
-    # the tail in ascending count of query entries per column, so that the
-    # first rows of L^{-1}, zero right of the diagonal, meet few of them
-    m = nodes.size
-    order = np.argsort(np.bincount(q_cols, minlength=m), kind="stable")
-    rank = np.empty(m, np.int64)
-    rank[order] = np.arange(m)
-    owner = np.repeat(np.arange(m), np.diff(indptr))
-    q_cols = rank[q_cols]
-    # per band of rows, the k-th entries of the queries with an entry left of
-    # its end, by descending count; the query entries run by node
-    bands, base = [], 1 + n + m + indices.size
-    nbands = max(1, m // _READ_BAND_ROWS)
-    ends = [m * (b + 1) // nbands for b in range(nbands)]
-    for lo, hi in zip([0, *ends], ends):
-        live = np.flatnonzero(q_cols < hi)
-        counts = np.bincount(q_nodes[live], minlength=n)
-        who = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
-        starts, counts = (np.cumsum(counts) - counts)[who], counts[who]
-        reads = []
-        for k in range(counts.max(initial=0)):
-            at = live[starts[counts > k] + k]
-            reads.append((base + at, q_cols[at]))
-        if who.size:
-            bands.append((lo, hi, who, tuple(reads)))
-    return _Tail(
-        nodes=nodes[order], entries=np.concatenate((rank * (m + 1), rank[owner] * m + rank[indices])),
-        bands=tuple(bands))
 
 
-def _level_pays(m, m2, fills, growth):
-    """Whether eliminating m - m2 of m nodes with `fills` fill entries and query
-    growth `growth` saves more than it costs, in dense flops."""
-    return 2.0 / 3.0 * (m ** 3 - m2 ** 3) > _FILL_COST * fills + _QUERY_COST * growth
+def _level_pays(m, m2, fills):
+    """Whether eliminating m - m2 of m nodes with `fills` fill entries saves
+    more than it costs, in dense flops."""
+    return 2.0 / 3.0 * (m ** 3 - m2 ** 3) > _FILL_COST * fills
 
 
 def _independent_set(indptr, indices):

@@ -86,7 +86,7 @@ def test_tau_is_one_for_every_finite_eta_without_edges():
 
 
 def _levelled_graphs():
-    # a chorded torus that takes 2 levels and a kNN graph that takes 3
+    # a chorded torus and a kNN graph that take 3 levels each
     return {"torus": torus_with_chords(40, 40, 200, seed=1),
             "knn": knn_geometric_graph(1000, 6, seed=3)}
 
@@ -94,7 +94,7 @@ def _levelled_graphs():
 def _oracle_graphs():
     return [torus_with_chords(18, 18, 60, seed=1), knn_geometric_graph(300, 6, seed=3),
             *(random_graph(40, 0.2, seed=seed) for seed in range(3)),
-            *_levelled_graphs().values()]
+            *_levelled_graphs().values(), knn_geometric_graph(1600, 6, seed=3)]
 
 
 def _ends_of_range(g):
@@ -168,46 +168,35 @@ def _complete_bipartite(n):
     return Graph(2 * n, [(s, t) for s in range(n) for t in range(n, 2 * n)])
 
 
-def _plan(g):
-    """The levels and the tail of the graph's elimination plan."""
-    levels = []
-    tail = gmrf._elimination_plan(g, levels.append)
-    return levels, tail
-
-
 def test_level_counts_are_pinned():
     # the benchmark's paper, dense and knn_fit graphs, and complete graphs,
     # whose fill makes every level cost more than it saves
     cases = {"paper": (torus_with_chords(18, 18, 60, seed=1), 1, 196),
-             "dense": (torus_with_chords(70, 70, 900, seed=1), 3, 1975),
+             "dense": (torus_with_chords(70, 70, 900, seed=1), 5, 1608),
              "knn_fit": (knn_geometric_graph(1600, 6, seed=3), 5, 607),
-             "torus": (_levelled_graphs()["torus"], 2, 759),
+             "torus": (_levelled_graphs()["torus"], 3, 636),
              "knn": (_levelled_graphs()["knn"], 3, 521),
              "K40,40": (_complete_bipartite(40), 0, 80),
              "K12": (_complete(12), 0, 12)}
     for name, (g, count, m) in cases.items():
-        levels, tail = _plan(g)
-        assert (len(levels), tail.nodes.size) == (count, m), name
+        levels, indptr, _ = gmrf._elimination_plan(g)
+        assert (len(levels), indptr.size - 1) == (count, m), name
 
 
 def test_level_rule_decides_from_the_fill_count_before_building_it(monkeypatch):
     # K_{400,400} would fill each of 400 eliminated rows with 400^2 entries;
-    # the rule is asked once, with that count and no query growth, and says no
+    # the rule is asked once, with that count, and says no
     calls = []
     rule = gmrf._level_pays
     monkeypatch.setattr(gmrf, "_level_pays", lambda *args: calls.append(args) or rule(*args))
-    levels, tail = _plan(_complete_bipartite(400))
-    assert (levels, tail.nodes.size) == ([], 800)
-    assert calls == [(800, 400, 400 ** 3, 0)]
+    levels, indptr, _ = gmrf._elimination_plan(_complete_bipartite(400))
+    assert (levels, indptr.size - 1) == ([], 800)
+    assert calls == [(800, 400, 400 ** 3)]
 
 
 def _plan_arrays(plan):
-    levels, tail = plan
-    arrays = [getattr(level, f.name) for level in levels for f in fields(level)]
-    arrays += [tail.nodes, tail.entries]
-    for lo, hi, who, reads in tail.bands:
-        arrays += [lo, hi, who, *(a for read in reads for a in read)]
-    return arrays
+    levels, indptr, indices = plan
+    return [*(getattr(level, f.name) for level in levels for f in fields(level)), indptr, indices]
 
 
 def test_elimination_plan_is_a_function_of_the_graph(monkeypatch):
@@ -217,17 +206,15 @@ def test_elimination_plan_is_a_function_of_the_graph(monkeypatch):
     plans = []
     plan = gmrf._elimination_plan
 
-    def spy(graph, visit):
-        levels = []
-        tail = plan(graph, lambda level: levels.append(level) or visit(level))
-        plans.append((levels, tail))
-        return tail
+    def spy(graph):
+        plans.append(plan(graph))
+        return plans[-1]
 
     monkeypatch.setattr(gmrf, "_elimination_plan", spy)
     for graph, eta in ((g, 0.12), (g, -0.18), (Graph(g.node_count, g.edges), 0.12)):
         tau_from_eta(graph, eta)
     first = _plan_arrays(plans[0])
-    assert len(plans[0][0]) == 2
+    assert len(plans[0][0]) == 3
     for other in plans[1:]:
         arrays = _plan_arrays(other)
         assert len(arrays) == len(first)
@@ -325,7 +312,7 @@ def test_tau_from_eta_factors_only_the_schur_complement():
 
 
 def test_tau_from_eta_holds_the_tail_not_the_first_schur_complement():
-    # two levels leave 759 of the 1600 nodes; one level would leave 955, and
+    # three levels leave 636 of the 1600 nodes; one level would leave 955, and
     # its S alone would take 0.36 n x n arrays
     g = _levelled_graphs()["torus"]
     n = g.node_count
