@@ -37,7 +37,7 @@ _SWEEP_BLOCK = 32   # sweeps per key of a chain stream, measured on the paper co
 
 _TRIANGULAR_BLOCK = 128   # larger blocks are split, so the work goes to matrix products
 
-# the level rule of tau_from_eta, in flops of the dense factor (its docstring
+# the level rule of tau_from_eta, in flops of the dense inverse (its docstring
 # gives the measurements)
 _FILL_COST = 5000.0   # per fill entry
 
@@ -66,7 +66,7 @@ def tau_from_eta(graph, eta):
     """Conditional variances making every marginal variance of the joint equal one.
 
     tau2_s = 1 / Sigma_ss for Sigma = M^{-1}, M = I - eta*H, by selected
-    inversion: sparse elimination in levels, one dense factor of the rest
+    inversion: sparse elimination in levels, one dense inverse of the rest
     and Takahashi's backward recursion over the same levels, the route for
     GMRF marginal variances of Takahashi, Fagan & Chen (1973) and Rue &
     Martino (2007).  Each level eliminates a greedy maximal independent set
@@ -74,11 +74,11 @@ def tau_from_eta(graph, eta):
     S_CC is diagonal, so C goes exactly: each pivot d_c must be positive, and
     each fill triple, an ordered pair (a, b) of neighbours of c, adds
     -s_ca s_cb / d_c to the entry (a, b) of the next complement S'.  The m
-    nodes left are factored densely in place, S = L L^T
-    (`_cholesky_inverse_in_place`), and Sigma = L^{-T} L^{-1} is read on
-    their pattern.  Then each level, last to first, takes Sigma on the
-    pattern of S from Sigma on that of S': S's entries that stay keep theirs,
-    and for c in C and its neighbours a
+    nodes left are inverted densely in place (`_inverse_in_place`), and
+    Sigma = S^{-1} is read on their pattern from its lower triangle alone,
+    so it is exactly symmetric.  Then each level, last to first, takes Sigma
+    on the pattern of S from Sigma on that of S': S's entries that stay keep
+    theirs, and for c in C and its neighbours a
 
         Sigma_ca = Sigma_ac = -sum_b (s_cb / d_c) Sigma_ab,
         Sigma_cc = 1 / d_c - sum_a (s_ca / d_c) Sigma_ca,
@@ -88,23 +88,24 @@ def tau_from_eta(graph, eta):
 
     The levels depend on the graph alone (`_elimination_plan`).  A level
     that leaves m' of m nodes saves 2/3 (m^3 - m'^3) flops of the dense
-    factor and costs its fill, sum_{c in C} deg(c)^2 entries.  Levels are
+    inverse and costs its fill, sum_{c in C} deg(c)^2 entries.  Levels are
     added while the saving exceeds _FILL_COST flops per fill entry; a level
     whose fill costs more is not built.  The constant is measured at one
     BLAS thread on the knn_fit and dense graphs: a fill entry takes about
-    200 ns to plan, apply and walk back, and a flop of the dense factor
-    about 0.04 ns.  The 4900-node chorded torus of the dense workload takes
-    5 levels (m = 1608), the 1600-node kNN graph 5 (m = 607) and the
-    paper's 324-node torus 1 (m = 196).  Complete and complete bipartite
-    graphs take none, which is the whole-matrix factor.
+    200 ns to plan, apply and walk back, and each of the 2/3 m^3 flops of
+    the dense inverse about 0.04 ns.  The 4900-node chorded torus of the
+    dense workload takes 5 levels (m = 1608), the 1600-node kNN graph 5
+    (m = 607) and the paper's 324-node torus 1 (m = 196).  Complete and
+    complete bipartite graphs take none, which is the whole-matrix inverse.
 
-    eta must be finite.  The pivots and the dense factor decide
+    eta must be finite.  The pivots and the dense inverse decide
     admissibility: inertia adds over Schur complements, so M is positive
-    definite exactly when every pivot is positive and S is.  A pivot that is
-    not (nan included) or a failed factor raises the ValueError that names
-    eta and the graph's range `eta_range`, computed only then.  A node
-    without neighbours is eliminated with pivot one and no fill, so on a
-    graph with no edges every finite eta gives ones.  The graph must not
+    definite exactly when every pivot is positive and S is, and S is when
+    the Cholesky factor of every leaf of its inverse exists.  A pivot that
+    is not positive (nan included) or a failed factor raises the ValueError
+    that names eta and the graph's range `eta_range`, computed only then.  A
+    node without neighbours is eliminated with pivot one and no fill, so on
+    a graph with no edges every finite eta gives ones.  The graph must not
     exceed DENSE_NODE_LIMIT nodes.
     """
     if not np.isfinite(eta):
@@ -117,7 +118,7 @@ def tau_from_eta(graph, eta):
     forward = []   # per level, the pivots d_c and the ratios s_ca / d_c
     for level in levels:
         # past the float range a product is inf (or inf - inf nan); the pivot
-        # check and the dense factor both reject those
+        # check and the dense inverse both reject those
         with np.errstate(over="ignore", invalid="ignore"):
             d = v[level.pivots]
             if not np.all(d > 0.0):
@@ -132,20 +133,12 @@ def tau_from_eta(graph, eta):
     np.fill_diagonal(S, v[:m])
     S[owner, indices] = v[m:]
     try:
-        # S is symmetric, so the call leaves L^{-1} in S.T: the rows of S are
-        # its columns, zero left of the diagonal
-        _cholesky_inverse_in_place(S.T)
+        _inverse_in_place(S)
     except np.linalg.LinAlgError as exc:
         _reject(graph, eta, exc)
-    # Sigma_bb is the sum of squares of row b, and Sigma_ab for a < b, the
-    # prefix of row b's sorted pattern, is S[a, b:] @ S[b, b:]; it goes to
-    # (b, a) in the lower triangle, which no later product reads
-    sigma = np.concatenate((np.einsum("ij,ij->i", S, S), np.empty(indices.size)))
-    below = np.bincount(owner[indices < owner], minlength=m).tolist()
-    for b, lo, count in zip(range(m), indptr.tolist(), below):
-        a = indices[lo:lo + count]
-        S[b, a] = S[a, b:] @ S[b, b:]
-    sigma[m:] = S[np.maximum(owner, indices), np.minimum(owner, indices)]
+    # the lower triangle alone, so Sigma is exactly symmetric
+    lower = S[np.maximum(owner, indices), np.minimum(owner, indices)]
+    sigma = np.concatenate((np.diagonal(S), lower))
     for level, (d, ratio) in zip(reversed(levels), reversed(forward)):
         kept = level.kept.size
         # every entry of the level's complement is kept, a pivot, or in a row
@@ -262,23 +255,28 @@ def _independent_set(indptr, indices):
     return taken
 
 
-def _cholesky_inverse_in_place(M):
-    """Overwrite M = [[A, .], [B, C]] = L L^T with L^{-1} = [[X, 0], [-Y B X^T X, Y]],
-    X and Y the inverse factors of A and of C - B X^T X B^T (Gustavson's recursive
-    blocking); a leaf's LinAlgError means M is not positive definite."""
+def _inverse_in_place(M):
+    """Overwrite the symmetric M = [[A, B^T], [B, C]] with M^{-1}, reading only
+    its lower triangle: with U = A^{-1} B^T and S = C - B U, M^{-1} is
+    [[A^{-1} + U S^{-1} U^T, -U S^{-1}], [-S^{-1} U^T, S^{-1}]], with A^{-1}
+    and S^{-1} inverted the same way.  A leaf is X^T X for X the inverse of
+    its Cholesky factor; a leaf's LinAlgError means M is not positive
+    definite."""
     n = M.shape[0]
     if n <= _TRIANGULAR_BLOCK:
-        M[...] = np.tril(np.linalg.inv(np.linalg.cholesky(M)))
+        X = np.linalg.inv(np.linalg.cholesky(M))
+        np.matmul(X.T, X, out=M)
         return
     h = n // 2
-    A, B, C = M[:h, :h], M[h:, :h], M[h:, h:]
-    _cholesky_inverse_in_place(A)
-    B[...] = B @ A.T
-    C -= B @ B.T
-    _cholesky_inverse_in_place(C)
-    np.matmul(C, B @ A, out=B)
+    A, U, B, C = M[:h, :h], M[:h, h:], M[h:, :h], M[h:, h:]
+    _inverse_in_place(A)
+    np.matmul(A, B.T, out=U)
+    C -= B @ U
+    _inverse_in_place(C)
+    np.matmul(C, U.T, out=B)
+    A += U @ B
     np.negative(B, out=B)
-    M[:h, h:] = 0.0
+    U[...] = B.T
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,10 @@ def _design(X, sieve, table):
         X = X[:, None]
     if X.shape[1] != sieve.d:
         raise ValueError(f"points have dimension {X.shape[1]}, sieve expects {sieve.d}")
+    if table.filter.name != sieve.filter.name or not np.array_equal(table.filter.h,
+                                                                    sieve.filter.h):
+        raise ValueError(f"table of filter {table.filter.name!r} cannot evaluate a sieve "
+                         f"of filter {sieve.filter.name!r}")
     # one n x |axis| factor table per axis, multiplied in axis order into the
     # row-wise Kronecker product: the columns follow the lexicographic K
     n, scale = X.shape[0], 2.0 ** sieve.j

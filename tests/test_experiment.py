@@ -588,20 +588,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "d94de95c2711c12ab9dd2080c354edd7ea1278cfb935fddb63932d7ce0b1e418"),
+        "233b148a7c64a7ddcda91d7dfdb7f339a62e013278e62f092d28e669b1d3b714"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "e9f45ee7bf880f2d8df37165702cc48e8f45a38a1b3e2925fd59cffb0e9e44c5"),
+        "91ac1cfd310fac0821cf7ad4d284f643380412cd8707501e66d7b66a636a423c"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "a995563205e0081bd94e49be26fd5866cb4ba29fb5fbdf9516acf70c3ad10798"),
+        "e78c9a75fad17bc0f456c7dabb794043678a3905eece2ac4a7bda83086486964"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "bd74ef26c7beb63ba2fe2029df96fc13a2055bc365d4e898d9a45731e91c71f4"),
+        "51e18e5dbcee869f16a8ab00e268078a9fb7da9bd4796ff5041cf2f0b1522947"),
 }
 
 

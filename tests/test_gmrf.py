@@ -224,7 +224,7 @@ def test_elimination_plan_is_a_function_of_the_graph(monkeypatch):
 def _no_dense_tail(monkeypatch):
     def fail(S):
         raise AssertionError("the dense tail was reached")
-    monkeypatch.setattr(gmrf, "_cholesky_inverse_in_place", fail)
+    monkeypatch.setattr(gmrf, "_inverse_in_place", fail)
 
 
 def test_a_pivot_of_a_later_level_rejects_eta(monkeypatch):
@@ -270,22 +270,46 @@ def test_tau_from_eta_keeps_the_dense_node_limit():
 
 @pytest.mark.parametrize("n", [1, 128, 129, 257, 301])
 def test_inverse_cholesky_matches_the_inverse_of_the_whole_factor(n):
-    # 128 is one leaf; 129 splits into leaves of 64 and 65; 257 splits a
-    # 129-block again; 301 splits into odd halves at two levels
+    # _inverse_in_place against np.linalg.inv of the whole matrix.  128 is
+    # one leaf; 129 splits into leaves of 64 and 65; 257 splits a 129-block
+    # again; 301 splits into odd halves at two levels.  The NaN above the
+    # diagonal shows that only the lower triangle is read
     g = knn_geometric_graph(n, 6, seed=n) if n > 1 else Graph(1, [])
     for eta in _ends_of_range(g) if n > 1 else (-0.5, 0.5):
         M = np.eye(n) - eta * g.adjacency()
-        want = np.linalg.inv(np.linalg.cholesky(M))
+        want = np.linalg.inv(M)
         got = M.copy()
-        gmrf._cholesky_inverse_in_place(got)
+        got[np.triu_indices(n, 1)] = np.nan
+        gmrf._inverse_in_place(got)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert not np.triu(got, 1).any()
+
+
+def test_tau_from_eta_reads_one_triangle_of_the_tail_inverse(monkeypatch):
+    # Sigma of the tail is read from the lower triangle alone, so it is
+    # exactly symmetric, as the backward walk's mirror assumes: NaN above the
+    # diagonal of the finished inverse leaves every tau2 bit as it was
+    g = _levelled_graphs()["torus"]
+    want = tau_from_eta(g, 0.1)
+    invert, open_calls = gmrf._inverse_in_place, []
+
+    # the recursion calls the patched name for its halves, whose upper
+    # triangles it still reads; only the outermost call is poisoned
+    def lower_only(S):
+        open_calls.append(S)
+        invert(S)
+        open_calls.pop()
+        if not open_calls:
+            S[np.triu_indices(S.shape[0], 1)] = np.nan
+
+    monkeypatch.setattr(gmrf, "_inverse_in_place", lower_only)
+    assert np.array_equal(tau_from_eta(g, 0.1), want)
 
 
 def test_tau_from_eta_holds_one_matrix_and_quarter_size_temporaries():
     # the odd side makes the torus non-bipartite, so S is larger than n/2 x n/2;
-    # S and its factor's quarter-size temporaries stay below 1.5 n x n arrays,
-    # where a whole-matrix np.linalg.cholesky holds at least two at once
+    # S, inverted in place, and its inverse's quarter-size temporaries stay
+    # below 1.5 n x n arrays, where a whole-matrix np.linalg.inv holds at
+    # least two at once
     g = torus_lattice(24, 25)
     n = g.node_count
     tracemalloc.start()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -86,6 +87,25 @@ def test_design_matrix_dimension_mismatch():
     data = Dataset(np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError):
         design_matrix(data, sieve, HAAR_TABLE)
+
+
+def test_design_rejects_a_table_of_another_filter():
+    # fit, predict_batch and l2_error_mc all evaluate through the table: a d4
+    # table must not fill a haar sieve, nor a table whose filter has the
+    # sieve's name but other coefficients
+    X = stream(36).uniform(0.0, 1.0, (40, 2))
+    data = Dataset(X, X[:, 0])
+    sieve = covering_sieve(HAAR, 2, 2)
+    d4_table = cascade(d4_filter())
+    renamed = replace(d4_table, filter=replace(d4_table.filter, name="haar"))
+    for table in (d4_table, renamed):
+        with pytest.raises(ValueError, match="cannot evaluate a sieve of filter 'haar'"):
+            fit(data, sieve, table)
+    fitted = fit(data, sieve, cascade(haar_filter()))
+    with pytest.raises(ValueError, match="cannot evaluate"):
+        predict_batch(fitted, d4_table, X)
+    with pytest.raises(ValueError, match="cannot evaluate"):
+        l2_error_mc(fitted, d4_table, lambda x1, x2: x1, X)
 
 
 def dense_design_reference(X, sieve, table):
