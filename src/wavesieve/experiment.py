@@ -15,6 +15,7 @@ import json
 import math
 import multiprocessing
 import numbers
+import operator
 import os
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -91,6 +92,8 @@ class ExperimentConfig:
                 raise ValueError(f"wavelets: {exc}") from None
         if not isinstance(self.regression, str):
             raise ValueError(f"regression must be a string, got {self.regression!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
         reals = [(k, getattr(self, k)) for k in ("copula_rho", "noise_scale", "test_fraction")]
         reals += [(f"etas[{i}]", eta) for i, eta in enumerate(self.etas)]
         for key, value in reals:
@@ -105,9 +108,15 @@ class ExperimentConfig:
         kind = self.graph.get("kind")
         if kind not in _GRAPH_KEYS:
             raise ValueError(f"unknown graph kind {kind!r}")
-        unknown = sorted(set(self.graph) - _GRAPH_KEYS[kind] - {"kind"})
+        required, optional = _GRAPH_KEYS[kind]
+        unknown = sorted(set(self.graph) - {"kind", *required, *optional})
         if unknown:
             raise ValueError(f"unknown graph keys for kind {kind!r}: {unknown}")
+        for key in required:
+            if key not in self.graph:
+                raise ValueError(f"graph.{key} is required for kind {kind!r}")
+        if not isinstance(self.graph.get("path", ""), str):
+            raise ValueError(f"graph.path must be a string, got {self.graph['path']!r}")
         # every graph key but kind and path is a count or a seed
         integers = [(key, getattr(self, key)) for key in ("replications", "iterations", "seed")]
         integers += [(f"graph.{key}", self.graph[key])
@@ -125,6 +134,10 @@ class ExperimentConfig:
             raise ValueError("levels must be nonempty")
         if not self.wavelets:
             raise ValueError("wavelets must be nonempty")
+        for key in ("wavelets", "levels"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must not repeat an entry, got {list(values)!r}")
         if self.coupling not in ("innovations", "final"):
             raise ValueError("coupling must be 'innovations' or 'final'")
         if not 0.0 < self.test_fraction < 1.0:
@@ -159,10 +172,10 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-# the keys each graph kind reads, besides "kind"
-_GRAPH_KEYS = {"torus": {"rows", "cols", "chords", "chord_seed"},
-               "knn": {"points", "k", "point_seed"},
-               "file": {"path"}}
+# the keys each graph kind reads besides "kind": (required, optional)
+_GRAPH_KEYS = {"torus": (("rows", "cols"), ("chords", "chord_seed")),
+               "knn": (("points", "k"), ("point_seed",)),
+               "file": (("path",), ())}
 
 
 def _build_graph(graph_cfg):
@@ -179,58 +192,43 @@ def _build_graph(graph_cfg):
 # numpy ufuncs, so that one call evaluates a whole design column
 _EXPR_FUNCS = {name: getattr(np, name) for name in
                ("exp", "log", "sqrt", "sin", "cos", "tan", "abs")}
-_EXPR_CONSTS = {"pi": math.pi, "e": math.e}
-_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_EXPR_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
+_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv, ast.Pow: operator.pow,
+             ast.UAdd: operator.pos, ast.USub: operator.neg}
+# the deepest nesting _evaluate walks: its frames stay well inside Python's
+# default recursion limit of 1000 from any call depth a run reaches
+_EXPR_DEPTH = 500
 
 
-def _parse_expression(text, d):
-    """(code, constants): the compiled tree of `text` once every node is in
-    the grammar over x1..xd, otherwise ValueError quoting the offending piece.
+def _evaluate(text, node, names, depth=0):
+    """The value of the parsed expression `node` of `text`, its names read
+    from `names`, or ValueError quoting the leftmost piece outside the grammar.
 
-    Each number becomes a name bound in `constants` to its np.float64 value
-    (compile takes no np.float64 constant), so constants follow the IEEE
-    rules of the columns: 0*2**1100 is nan and 1/0 inf, which the finiteness
-    checks reject, where Python's integers would compute 2**1100 exactly,
-    9**9**9 without end, and raise at 1/0."""
-    try:
-        tree = ast.parse(text, "<regression>", mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"regression expression {text!r}: {exc.msg}") from None
-    values = {f"x{i + 1}" for i in range(d)} | _EXPR_CONSTS.keys()
-    pending = [tree.body]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINOPS):
-            pending += [node.left, node.right]
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            pending.append(node.operand)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in _EXPR_FUNCS and len(node.args) == 1
-              and not isinstance(node.args[0], ast.Starred) and not node.keywords):
-            pending.append(node.args[0])
-        elif not (isinstance(node, ast.Name) and node.id in values
-                  or isinstance(node, ast.Constant) and type(node.value) in (int, float)):
-            piece = ast.get_source_segment(text, node)
-            raise ValueError(f"regression expression {text!r}: {piece!r} is not allowed")
-    names = _ConstantNames()
-    tree = ast.fix_missing_locations(names.visit(tree))
-    return compile(tree, "<regression>", "eval"), names.constants
-
-
-class _ConstantNames(ast.NodeTransformer):
-    """Replaces the k-th constant met by the name _k, bound in `constants` to
-    its np.float64 value."""
-
-    def __init__(self):
-        self.constants = {}
-
-    def visit_Constant(self, node):
-        name = f"_{len(self.constants)}"
+    Each number is an np.float64, as are pi and e, so constants follow the
+    IEEE rules of the columns: 0*2**1100 and (-pi)**pi are nan and 1/0 inf,
+    which the finiteness checks reject, where Python would compute 2**1100
+    exactly, 9**9**9 without end, raise at 1/0 and make (-pi)**pi complex."""
+    if depth > _EXPR_DEPTH:
+        raise ValueError("regression expression is nested too deeply")
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_evaluate(text, node.left, names, depth + 1),
+                                        _evaluate(text, node.right, names, depth + 1))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_evaluate(text, node.operand, names, depth + 1))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCS and len(node.args) == 1
+            and not isinstance(node.args[0], ast.Starred) and not node.keywords):
+        return _EXPR_FUNCS[node.func.id](_evaluate(text, node.args[0], names, depth + 1))
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         try:
-            self.constants[name] = np.float64(node.value)
+            return np.float64(node.value)
         except OverflowError:   # an integer past the float range
-            self.constants[name] = np.float64(np.inf)
-        return ast.copy_location(ast.Name(name, ast.Load()), node)
+            return np.float64(np.inf)
+    piece = ast.get_source_segment(text, node)
+    raise ValueError(f"regression expression {text!r}: {piece!r} is not allowed")
 
 
 def _regression_target(cfg):
@@ -245,17 +243,20 @@ def _regression_target(cfg):
     if d < 1:
         raise ValueError("expression regression needs at least two etas "
                          "(design components plus one noise component)")
+    text = cfg.regression
     try:
-        code, constants = _parse_expression(cfg.regression, d)
-    except (RecursionError, MemoryError):   # how parse and compile report deep nesting
+        tree = ast.parse(text, "<regression>", mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"regression expression {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):   # how the parser reports deep nesting
         raise ValueError("regression expression is nested too deeply") from None
 
     def m_expr(*xs):
-        local = {f"x{i + 1}": x for i, x in enumerate(xs)}
+        names = {**_EXPR_CONSTS, **{f"x{i + 1}": x for i, x in enumerate(xs)}}
         with np.errstate(all="ignore"):   # inf and nan fail the finiteness checks
-            return eval(code, {"__builtins__": {}},
-                        {**_EXPR_FUNCS, **_EXPR_CONSTS, **constants, **local})
+            return _evaluate(text, tree.body, names)
 
+    m_expr(*np.zeros((d, 0)))   # checks the grammar before any replication
     return m_expr, d
 
 

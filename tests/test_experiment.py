@@ -195,6 +195,17 @@ def test_expression_constants_follow_the_columns_float_rules(text, value):
     np.testing.assert_array_equal(m_expr(np.array([0.25, 0.5]), np.zeros(2)), [value, value])
 
 
+@pytest.mark.parametrize("text, value", [("x1 + (-pi) ** pi", math.nan),
+                                         ("x1 + pi / (e - e)", math.inf)],
+                         ids=["power", "division"])
+def test_named_constants_follow_the_columns_float_rules(text, value):
+    # as Python floats, (-pi) ** pi would be complex and pi / (e - e) raise
+    m_expr, _ = experiment._regression_target(small_config(regression=text, etas=(0.1,) * 3))
+    got = m_expr(np.array([0.25, 0.5]), np.zeros(2))
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, [value, value])
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -269,6 +280,18 @@ def test_config_validation():
     ("wavelets", [1], "wavelets: unknown filter 1"),
     ("wavelets", ["haar", "db2"], "wavelets: unknown filter 'db2'"),
     ("wavelets", [["haar"]], "wavelets: unknown filter"),
+    ("graph", {"kind": "torus", "cols": 6}, "graph.rows is required"),
+    ("graph", {"kind": "knn", "points": 30}, "graph.k is required"),
+    ("graph", {"kind": "file"}, "graph.path is required"),
+    # open() would take an integer or a bool for a file descriptor
+    ("graph", {"kind": "file", "path": 5}, "graph.path must be a string"),
+    ("graph", {"kind": "file", "path": True}, "graph.path must be a string"),
+    ("graph", {"kind": "file", "path": ["g.txt"]}, "graph.path must be a string"),
+    ("out_dir", 5, "out_dir must be a string"),
+    ("out_dir", True, "out_dir must be a string"),
+    ("out_dir", ["a"], "out_dir must be a string"),
+    ("wavelets", ["haar", "haar"], "wavelets must not repeat"),
+    ("levels", [1, 1], "levels must not repeat"),
 ], ids=["burn_in", "test_fraction", "copula_rho", "negative_level",
         "float_replications", "float_iterations", "negative_iterations",
         "float_seed", "negative_seed", "string_levels", "string_wavelets",
@@ -280,7 +303,9 @@ def test_config_validation():
         "string_copula_rho", "nan_copula_rho", "string_test_fraction",
         "inf_test_fraction", "int_regression", "float_level", "string_level",
         "bool_level", "string_eta", "bool_eta", "nan_eta", "int_wavelet",
-        "unknown_wavelet", "list_wavelet"])
+        "unknown_wavelet", "list_wavelet", "missing_rows", "missing_k", "missing_path",
+        "int_path", "bool_path", "list_path", "int_out_dir", "bool_out_dir",
+        "list_out_dir", "repeated_wavelet", "repeated_level"])
 def test_config_rejects_values_that_fail_late(key, value, match):
     # each of these would otherwise be ignored, fail every replication of a
     # run or crash inside it
@@ -338,6 +363,32 @@ def test_expression_outside_the_grammar_fails_before_any_replication(text, messa
     with pytest.raises(ValueError, match=re.escape(message)):
         run_experiment(small_config(regression=text, etas=(0.1, 0.1, 0.1)))
     assert attempted == []
+
+
+@pytest.mark.parametrize("levels", [experiment._EXPR_DEPTH, experiment._EXPR_DEPTH + 1, 494],
+                         ids=["limit", "past_limit", "parent_deepest"])
+def test_expression_nesting_limit(levels, monkeypatch):
+    # 494 unary levels were the deepest the former compiled evaluator took,
+    # called from the top level
+    cfg = small_config(regression="-" * levels + "x1", etas=(0.1, 0.1, 0.1))
+    if levels > experiment._EXPR_DEPTH:
+        attempted = []
+        monkeypatch.setattr(experiment, "_replicate", lambda *args: attempted.append(args))
+        with pytest.raises(ValueError, match="nested too deeply"):
+            run_experiment(cfg)
+        assert attempted == []
+        return
+    m_expr, _ = experiment._regression_target(cfg)
+
+    def deeper(frames):
+        return deeper(frames - 1) if frames else m_expr(np.array([0.25]), np.zeros(1))
+
+    np.testing.assert_array_equal(deeper(100), [(-1) ** levels * 0.25])
+
+
+def test_expression_error_quotes_the_leftmost_piece():
+    with pytest.raises(ValueError, match="'x3' is not allowed"):
+        experiment._regression_target(small_config(regression="x3 + y", etas=(0.1,) * 3))
 
 
 def test_config_eta_range_checked_at_run():
