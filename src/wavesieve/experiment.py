@@ -390,7 +390,7 @@ def _replicate_chunk(args):
 def _workers():
     """Worker process count from WORKERS_ENV: a positive integer, 1 when unset."""
     raw = os.environ.get(WORKERS_ENV, "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     return int(raw)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import eta_range
+from .graphs import _segments, eta_range
 from .rng import normal_cdf, stream
 
 __all__ = [
@@ -180,12 +180,6 @@ class _Level:
     second: np.ndarray
     target: np.ndarray
     size: int
-
-
-def _segments(starts, counts):
-    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _elimination_plan(graph):

@@ -7,7 +7,6 @@ color class) partitions, and connected learn/test splits grown by BFS.
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -45,8 +44,8 @@ class PowerIterationError(RuntimeError):
 class Graph:
     """Immutable undirected graph on nodes 0..n-1 without self loops.
 
-    A plain value: it holds its edges and adjacency lists and nothing
-    computed from them later, so it is safe to share across threads.
+    A plain value holding its edges and their CSR arrays (`indptr`, `indices`,
+    `degrees`), nothing computed later, so it is safe to share across threads.
     """
 
     def __init__(self, node_count, edges):
@@ -73,8 +72,6 @@ class Graph:
         self.indices = tails[np.argsort(heads * n + tails)]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n))))
         self.degrees = np.diff(self.indptr)
-        bounds = self.indptr.tolist()
-        self.neighbors = tuple(self.indices[a:b] for a, b in zip(bounds, bounds[1:]))
 
     def neighbor_sums(self, x):
         """Vector of sums of x over each node's neighbors (H @ x).
@@ -344,8 +341,9 @@ def concliques(graph):
     by max degree + 1.
     """
     color = np.full(graph.node_count, -1, dtype=np.int64)
+    bounds = graph.indptr.tolist()
     for s in np.argsort(-graph.degrees, kind="stable").tolist():
-        used = set(color[graph.neighbors[s]].tolist())
+        used = set(color[graph.indices[bounds[s]:bounds[s + 1]]].tolist())
         c = 0
         while c in used:
             c += 1
@@ -355,52 +353,58 @@ def concliques(graph):
     return ConcliquePartition(classes)
 
 
-def _bfs_order(graph, start, seen=None):
-    """Nodes reachable from `start` in BFS order, never entering a node
-    already marked in `seen`; marks the nodes it reaches."""
-    if seen is None:
-        seen = np.zeros(graph.node_count, dtype=bool)
-    order = []
-    queue = deque([start])
+def _segments(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _bfs_order(graph, start, seen):
+    """Nodes reachable from `start` in first-in first-out BFS order, never
+    entering a node already marked in `seen`; marks the nodes it reaches.
+    Each level is the unmarked neighbours of the last, gathered in its order
+    and each node's CSR order and kept at their first occurrence, as a queue
+    would take them."""
+    level, levels = np.array([start]), []
     seen[start] = True
-    while queue:
-        s = queue.popleft()
-        order.append(s)
-        for t in graph.neighbors[s]:
-            if not seen[t]:
-                seen[t] = True
-                queue.append(int(t))
-    return np.array(order, dtype=np.int64)
+    while level.size:
+        levels.append(level)
+        reach = graph.indices[_segments(graph.indptr[level], graph.degrees[level])]
+        reach = reach[~seen[reach]]
+        level = reach[np.sort(np.unique(reach, return_index=True)[1])]
+        seen[level] = True
+    return np.concatenate(levels)
 
 
 def connected_split(graph, test_fraction, seed):
     """(learn_nodes, test_nodes): test set grown by BFS from a seeded start node.
 
-    The test set is connected by construction.  The learning complement can
-    come out disconnected on some graphs; that is reported as a warning, not
-    an error.  Deterministic given the seed.
+    The test set, connected by construction, is the first ceil(test_fraction
+    * n) nodes of a first-in first-out BFS that takes each node's neighbours
+    in increasing order; results.csv's bytes depend on that order.  The
+    learning complement can come out disconnected on some graphs; that is
+    reported as a warning, not an error.  Deterministic given the seed.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be strictly between 0 and 1")
     n = graph.node_count
     rng = stream(seed, _TAG_SPLIT)
-    order = _bfs_order(graph, int(rng.integers(0, n))) if n else np.empty(0, np.int64)
+    seen = np.zeros(n, dtype=bool)
+    order = _bfs_order(graph, int(rng.integers(0, n)), seen) if n else np.empty(0, np.int64)
     if order.size < n:
         raise ValueError("connected_split requires a connected graph")
     target = math.ceil(test_fraction * n)
     if target >= n:
         raise ValueError("test fraction leaves an empty learning set")
     test = np.sort(order[:target])
-    seen = np.zeros(n, dtype=bool)
-    seen[test] = True
+    seen[order[target:]] = False
     learn = np.flatnonzero(~seen)
 
-    # learning-set components: a BFS from each learning node not yet seen
+    # learning-set components: a walk from each node still unmarked
     sub = 0
-    for s in learn:
-        if not seen[s]:
-            sub += 1
-            _bfs_order(graph, s, seen)
+    while not seen.all():
+        sub += 1
+        _bfs_order(graph, int(np.argmin(seen)), seen)
     if sub > 1:
         warnings.warn(f"learning set is disconnected ({sub} components)", stacklevel=2)
     return learn, test

@@ -603,7 +603,7 @@ def test_run_parallel_workers_match_sequential(tmp_path, monkeypatch):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
-@pytest.mark.parametrize("value", ["two", "0", "-1", ""])
+@pytest.mark.parametrize("value", ["two", "0", "-1", "", "²"])
 def test_run_rejects_bad_worker_count(value, monkeypatch):
     # a value that is not a positive integer names the variable instead of
     # failing inside int() or silently meaning one worker

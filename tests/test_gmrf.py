@@ -382,7 +382,8 @@ def conditional_params(spec, state, s):
     """Besag oracle: (mean, variance) of node s given the rest of the field
     frozen at `state`, from the model's edge weights eta * sqrt(tau2_s /
     tau2_t), one node at a time."""
-    nbrs = spec.graph.neighbors[s]
+    indptr, indices = spec.graph.indptr, spec.graph.indices
+    nbrs = indices[indptr[s]:indptr[s + 1]]
     x = np.asarray(state, dtype=float)
     y = (x[nbrs] - spec.alpha[nbrs]) / np.sqrt(spec.tau2[nbrs])
     mean = spec.alpha[s] + spec.eta * np.sqrt(spec.tau2[s]) * np.sum(y)
@@ -547,7 +548,8 @@ def reference_sweeps(specs, partition, innovations, iterations):
             for y, spec, zc in zip(ys, specs, z):
                 new = np.empty(cls.size)
                 for i, s in enumerate(cls):
-                    terms = spec.eta * y[spec.graph.neighbors[s]]
+                    row = spec.graph.indices[spec.graph.indptr[s]:spec.graph.indptr[s + 1]]
+                    terms = spec.eta * y[row]
                     first, rest = (terms[0], terms[1:]) if terms.size else (0.0, terms)
                     new[i] = first + np.sum(np.append(rest, zc[pos + i]))
                 y[cls] = new
@@ -827,7 +829,7 @@ def _bad_partitions():
     # the checkerboard of the 4 x 4 torus, broken three ways
     g = torus_lattice(4, 4)
     even, odd = concliques(g).classes
-    moved = g.neighbors[even[0]][0]
+    moved = g.indices[g.indptr[even[0]]]   # the first neighbour of even[0]
     return g, {
         "do not cover node": (even,),
         "repeat node": (even, odd, even[:1]),

@@ -1,5 +1,8 @@
+import math
+import re
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -267,10 +270,8 @@ def test_csr_matches_the_per_node_lists():
         assert g.indptr.tolist() == np.cumsum([0] + [len(a) for a in lists]).tolist()
         assert g.indices.tolist() == [t for a in lists for t in a]
         assert g.degrees.tolist() == [len(a) for a in lists]
-        assert len(g.neighbors) == n
         for s in range(n):
-            assert g.neighbors[s].tolist() == lists[s]
-            assert g.neighbors[s].base is g.indices
+            assert g.indices[g.indptr[s]:g.indptr[s + 1]].tolist() == lists[s]
         # each sum is the list's own reduceat, in list order; isolated nodes give zero
         x = stream(7).standard_normal(n)
         want = [np.add.reduceat(x[a], [0])[0] if a else 0.0 for a in lists]
@@ -424,18 +425,11 @@ def test_concliques_even_torus_checkerboard():
     part = concliques(g)
     assert len(part) == 2
     _assert_valid_concliques(g, part)
-    # independent bipartition oracle: 2-color by BFS, classes must agree in size
-    color = np.full(36, -1)
-    color[0] = 0
-    queue = [0]
-    while queue:
-        s = queue.pop()
-        for t in g.neighbors[s]:
-            if color[t] < 0:
-                color[t] = 1 - color[s]
-                queue.append(int(t))
-    assert sorted(c.size for c in part.classes) == sorted(
-        [int((color == 0).sum()), int((color == 1).sum())])
+    # independent bipartition oracle: the parity of the BFS depth 2-colors
+    # the even torus, and the classes must agree with it
+    depth = bfs_reference(neighbor_lists_reference(g), 0, [False] * 36)
+    assert sorted(c.tolist() for c in part.classes) == sorted(
+        [[s for s in range(36) if depth[s] % 2 == parity] for parity in (0, 1)])
 
 
 def test_concliques_triangle():
@@ -463,6 +457,79 @@ def test_concliques_bound_and_validity_random():
 # ---------------------------------------------------------------------------
 # splits
 
+def bfs_reference(lists, start, seen):
+    """A first-in first-out BFS from `start` over the per-node lists `lists`,
+    one node at a time through a deque, never entering a node marked in the
+    list `seen`; marks the nodes it reaches.  Returns {node: depth} in the
+    order the nodes were reached."""
+    depth = {start: 0}
+    seen[start] = True
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for t in lists[s]:
+            if not seen[t]:
+                seen[t] = True
+                depth[t] = depth[s] + 1
+                queue.append(t)
+    return depth
+
+
+def split_reference(g, test_fraction, seed):
+    """(learn, test, components) as connected_split defines them: the test set
+    is the first ceil(test_fraction * n) nodes of `bfs_reference` from the
+    seeded start, and a walk from each learning node not yet reached counts the
+    learning set's components; None when the graph is disconnected."""
+    n, lists = g.node_count, neighbor_lists_reference(g)
+    start = int(stream(seed, graphs._TAG_SPLIT).integers(0, n))
+    order = list(bfs_reference(lists, start, [False] * n))
+    if len(order) < n:
+        return None
+    test = sorted(order[:math.ceil(test_fraction * n)])
+    seen = [False] * n
+    for s in test:
+        seen[s] = True
+    learn = [s for s in range(n) if not seen[s]]
+    components = 0
+    for s in learn:
+        if not seen[s]:
+            components += 1
+            bfs_reference(lists, s, seen)
+    return learn, test, components
+
+
+def star_graph(n):
+    return Graph(n, [(0, s) for s in range(1, n)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: torus_with_chords(18, 18, 60, seed=1),
+    lambda: knn_geometric_graph(300, 6, seed=3),
+    lambda: path_graph(30),
+    # the centre is in every test set of two or more nodes, so each
+    # learning node is a component of its own
+    lambda: star_graph(40),
+    lambda: random_graph(40, 0.1, seed=4),
+    lambda: random_graph(40, 0.1, seed=0),   # disconnected: every split is refused
+], ids=["torus_18x18_chords", "knn_300", "path", "star", "random", "random_disconnected"])
+@pytest.mark.parametrize("test_fraction", [0.1, 0.3, 0.7])
+def test_connected_split_equals_the_deque_bfs(build, test_fraction):
+    g = build()
+    for seed in range(6):
+        want = split_reference(g, test_fraction, seed)
+        if want is None:
+            with pytest.raises(ValueError, match="connected graph"):
+                connected_split(g, test_fraction, seed)
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            learn, test = connected_split(g, test_fraction, seed)
+        assert learn.tolist() == want[0] and test.tolist() == want[1]
+        counts = [int(re.fullmatch(r"learning set is disconnected \((\d+) components\)",
+                                   str(w.message)).group(1)) for w in caught]
+        assert counts == ([want[2]] if want[2] > 1 else [])
+
+
 def test_connected_split_path():
     g = path_graph(10)
     with warnings.catch_warnings():
@@ -487,18 +554,10 @@ def test_connected_split_torus():
     g = torus_lattice(6, 6)
     learn, test = connected_split(g, 0.25, seed=2)
     assert test.size == 9
-    # BFS reachability oracle within the test set
+    # BFS reachability oracle within the test set: the learning set is marked
     members = set(test.tolist())
-    seen = {int(test[0])}
-    stack = [int(test[0])]
-    while stack:
-        s = stack.pop()
-        for t in g.neighbors[s]:
-            t = int(t)
-            if t in members and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    assert seen == members
+    seen = [s not in members for s in range(36)]
+    assert set(bfs_reference(neighbor_lists_reference(g), int(test[0]), seen)) == members
     # exact partition
     assert sorted(learn.tolist() + test.tolist()) == list(range(36))
 
