@@ -8,27 +8,29 @@ stdout and the exit code is nonzero.
 
 import argparse
 import json
+import re
 import sys
 
 from .experiment import config_from_dict, format_table, run_experiment
 
 
+_GRAPH_FORMS = "torus:RxC[+CHORDS] | knn:N,K | file:PATH"
+
+
 def _parse_graph(text):
-    """torus:RxC[+CHORDS] | knn:N,K | file:PATH"""
-    kind, _, rest = text.partition(":")
-    if kind == "torus" and rest:
-        chords = 0
-        if "+" in rest:
-            rest, chord_s = rest.split("+", 1)
-            chords = int(chord_s)
-        rows, cols = rest.lower().split("x")
-        return {"kind": "torus", "rows": int(rows), "cols": int(cols), "chords": chords}
-    if kind == "knn" and rest:
-        n, k = rest.split(",")
-        return {"kind": "knn", "points": int(n), "k": int(k)}
-    if kind == "file" and rest:
-        return {"kind": "file", "path": rest}
-    raise ValueError(f"cannot parse graph spec {text!r}")
+    """The config's graph dict for a spec of one of the _GRAPH_FORMS; any
+    other spec raises the ValueError that names it and the forms."""
+    torus = re.fullmatch(r"torus:(\d+)[xX](\d+)(?:\+(\d+))?", text)
+    if torus:
+        rows, cols, chords = map(int, torus.groups("0"))
+        return {"kind": "torus", "rows": rows, "cols": cols, "chords": chords}
+    knn = re.fullmatch(r"knn:(\d+),(\d+)", text)
+    if knn:
+        return {"kind": "knn", "points": int(knn[1]), "k": int(knn[2])}
+    kind, _, path = text.partition(":")
+    if kind == "file" and path:
+        return {"kind": "file", "path": path}
+    raise ValueError(f"cannot parse graph spec {text!r}; expected {_GRAPH_FORMS}")
 
 
 def build_parser():
@@ -40,7 +42,7 @@ def build_parser():
     p.add_argument("--seed", type=int, help="root seed override")
     p.add_argument("--out", help="output directory override")
     p.add_argument("--reps", type=int, help="replication count override")
-    p.add_argument("--graph", help="graph override: torus:RxC[+CHORDS] | knn:N,K | file:PATH")
+    p.add_argument("--graph", help=f"graph override: {_GRAPH_FORMS}")
     p.add_argument("--levels", help="comma separated levels override, e.g. 1,2,3,4")
     p.add_argument("--wavelets", help="comma separated wavelet names, e.g. haar,d4")
     return p

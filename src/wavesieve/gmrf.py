@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _segments, eta_range
+from .graphs import _independent_set, _segments, eta_range
 from .rng import normal_cdf, stream
 
 __all__ = [
@@ -186,18 +186,18 @@ def _elimination_plan(graph):
     """The levels of `tau_from_eta` and the CSR pattern (indptr, indices) of
     the dense tail they leave; both depend on the graph alone.
 
-    A level is a greedy maximal independent set C of the current pattern
-    (`_independent_set`), laid out as a `_Level`.  Its fill triples pair
-    every entry (c, a) of a row of C with every entry (c, b) of the same row,
-    b = a included.  Positions in the next state follow the sorted pattern,
-    so the order of the sums, and with it the rounding, depends on the graph
-    alone.
+    A level is the greedy maximal independent set C (`_independent_set`) of
+    the current pattern in stable ascending-degree order, as a `_Level`.
+    Its fill triples pair every entry (c, a) of a row of C with every entry
+    (c, b) of the same row, b = a included.  Positions in the next state
+    follow the sorted pattern, so the order of the sums, and with it the
+    rounding, depends on the graph alone.
     """
     indptr, indices = graph.indptr, graph.indices
     levels = []
     while True:
         m, deg = indptr.size - 1, np.diff(indptr)
-        in_c = _independent_set(indptr, indices)
+        in_c = _independent_set(indptr, indices, np.argsort(deg, kind="stable"))
         c, rest = np.flatnonzero(in_c), np.flatnonzero(~in_c)
         m2, fills = rest.size, int(np.sum(deg[c] ** 2))
         if not _level_pays(m, m2, fills):
@@ -232,21 +232,6 @@ def _level_pays(m, m2, fills):
     """Whether eliminating m - m2 of m nodes with `fills` fill entries saves
     more than it costs, in dense flops."""
     return 2.0 / 3.0 * (m ** 3 - m2 ** 3) > _FILL_COST * fills
-
-
-def _independent_set(indptr, indices):
-    """Boolean mask of a greedy maximal independent set of the CSR pattern
-    (indptr, indices): the nodes are visited in stable ascending-degree order,
-    and each one none of whose neighbours was taken is taken."""
-    degrees = np.diff(indptr)
-    taken = np.zeros(degrees.size, bool)
-    blocked = np.zeros(degrees.size, bool)
-    bounds = indptr.tolist()
-    for s in np.argsort(degrees, kind="stable").tolist():
-        if not blocked[s]:
-            taken[s] = True
-            blocked[indices[bounds[s]:bounds[s + 1]]] = True
-    return taken
 
 
 def _inverse_in_place(M):
@@ -373,12 +358,12 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     src = np.zeros((2 * n, chains))
     u, innovation = src[:n], src[n:]
     y = np.zeros((n, chains))
-    # row r's segment: its node's neighbours' rows in list order, then its innovation
-    # row n + r; the stable sort keeps each segment's entries in that order
-    owner = np.concatenate((np.repeat(rank, graph.degrees), np.arange(n)))
-    rows = np.concatenate((rank[graph.indices], np.arange(n, 2 * n)))
-    rows = rows[np.argsort(owner, kind="stable")]
-    bounds = np.concatenate(([0], np.cumsum(graph.degrees[order] + 1)))
+    # row r's segment: its node's neighbours' rows in CSR order, then innovation row n + r
+    degrees = graph.degrees[order]
+    ends = np.cumsum(degrees)
+    rows = np.insert(rank[graph.indices[_segments(graph.indptr[order], degrees)]], ends,
+                     np.arange(n, 2 * n))
+    bounds = np.concatenate(([0], ends + np.arange(1, n + 1)))
     gather = rows[:, None] * chains + np.arange(chains)
     # per class: flat gather indices, gather buffer, segment starts, class rows of y and u
     plan, lo = [], 0

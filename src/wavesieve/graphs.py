@@ -107,8 +107,19 @@ class Graph:
 
 @dataclass(frozen=True)
 class ConcliquePartition:
-    """Node classes no two members of which are adjacent."""
+    """Node classes no two members of which are adjacent.
+
+    Each class is taken as a 1-D array of integer node ids, bool excluded;
+    anything else raises the ValueError naming the class."""
     classes: tuple
+
+    def __post_init__(self):
+        classes = tuple(map(np.asarray, self.classes))
+        for k, cls in enumerate(classes):
+            if cls.ndim != 1 or not np.issubdtype(cls.dtype, np.integer):
+                raise ValueError(f"class {k} must be a 1-D array of integer node ids, "
+                                 f"got dtype {cls.dtype} and shape {cls.shape}")
+        object.__setattr__(self, "classes", tuple(c.astype(np.int64, copy=False) for c in classes))
 
     def __len__(self):
         return len(self.classes)
@@ -294,8 +305,11 @@ def eigen_bounds(graph, tol=1e-8):
     sec. 10.1), started from a fixed random vector.  Every few steps the
     extreme Ritz pairs (theta, y) of the tridiagonal T_m are checked; it
     stops once both residuals ||H Q y - theta Q y|| = beta_m |y_m| are
-    <= tol, which bounds each eigenvalue error by tol for symmetric H.  The
-    Krylov dimension n caps the iteration.
+    <= tol, which bounds each eigenvalue error by tol for symmetric H.  As
+    |y_m| <= 1, a step whose beta_m is <= tol is checked at once: an exact
+    or numerical breakdown of the Krylov space (beta_m = 0 or at rounding
+    level) stops there instead of dividing by beta_m.  The Krylov dimension
+    n caps the iteration.
     """
     if graph.edge_count == 0:
         raise ValueError("eigen bounds need at least one edge")
@@ -311,7 +325,7 @@ def eigen_bounds(graph, tol=1e-8):
         for _ in range(2):   # classical Gram-Schmidt twice keeps the basis orthonormal
             w -= basis[:m + 1].T @ (basis[:m + 1] @ w)
         off[m] = np.linalg.norm(w)
-        if m % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1 or m == n - 1:
+        if off[m] <= tol or m % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1 or m == n - 1:
             T = np.diag(diag[:m + 1]) + np.diag(off[:m], 1) + np.diag(off[:m], -1)
             theta, y = np.linalg.eigh(T)
             if off[m] * max(abs(y[m, 0]), abs(y[m, -1])) <= tol:
@@ -335,22 +349,31 @@ def eta_range(graph):
 # concliques and splits
 
 def concliques(graph):
-    """Greedy proper coloring in descending-degree order; classes are concliques.
+    """Greedy proper coloring in stable descending-degree order, by classes:
+    class k is the greedy independent set (`_independent_set`) of the nodes
+    no earlier class took, the class k of first-fit coloring in that order.
+    Greedy bounds the class count by max degree + 1."""
+    order = np.argsort(-graph.degrees, kind="stable")
+    classes = []
+    while order.size or not classes:   # no nodes still make one (empty) class
+        taken = _independent_set(graph.indptr, graph.indices, order)
+        classes.append(np.flatnonzero(taken))
+        order = order[~taken[order]]
+    return ConcliquePartition(tuple(classes))
 
-    Any proper coloring yields valid classes; greedy bounds the class count
-    by max degree + 1.
-    """
-    color = np.full(graph.node_count, -1, dtype=np.int64)
-    bounds = graph.indptr.tolist()
-    for s in np.argsort(-graph.degrees, kind="stable").tolist():
-        used = set(color[graph.indices[bounds[s]:bounds[s + 1]]].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        color[s] = c
-    # no nodes still make one (empty) class
-    classes = tuple(np.flatnonzero(color == c) for c in range(color.max(initial=0) + 1))
-    return ConcliquePartition(classes)
+
+def _independent_set(indptr, indices, order):
+    """Boolean mask of the greedy independent set of the nodes of `order` in
+    the CSR pattern (indptr, indices): the nodes are visited in that order,
+    and each one none of whose neighbours was taken is taken."""
+    taken = np.zeros(indptr.size - 1, bool)
+    blocked = np.zeros(indptr.size - 1, bool)
+    bounds = indptr.tolist()
+    for s in order.tolist():
+        if not blocked[s]:
+            taken[s] = True
+            blocked[indices[bounds[s]:bounds[s + 1]]] = True
+    return taken
 
 
 def _segments(starts, counts):

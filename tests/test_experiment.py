@@ -517,8 +517,12 @@ def test_parse_graph_forms():
         {"kind": "torus", "rows": 18, "cols": 18, "chords": 60}
     assert _parse_graph("knn:100,4") == {"kind": "knn", "points": 100, "k": 4}
     assert _parse_graph("file:/tmp/g.txt") == {"kind": "file", "path": "/tmp/g.txt"}
-    with pytest.raises(ValueError):
-        _parse_graph("nonsense")
+    for spec in ("nonsense", "knn:10,3,4", "knn:10", "torus:3x3x3", "torus:3x", "torus:3x3+",
+                 "torus:axb"):
+        # the message names the spec and the accepted forms, not an unpack or int() failure
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse graph spec {spec!r}; "
+                                                       "expected torus:RxC[+CHORDS]")):
+            _parse_graph(spec)
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -662,12 +666,12 @@ golden_numpy = pytest.mark.skipif(
            "bytes are reproducible only under the same numpy version")
 
 
-def cli_digest(name, tmp_path, env):
-    """sha256 of the results.csv the CLI writes for golden config `name`,
-    run in a fresh interpreter with `env` over this process's environment
-    (a None value removes the variable)."""
+def cli_digest(name, tmp_path, env, levels=(1, 2)):
+    """sha256 of the results.csv the CLI writes for golden config `name` at
+    `levels`, run in a fresh interpreter with `env` over this process's
+    environment (a None value removes the variable)."""
     overrides, _ = GOLDEN[name]
-    cfg = ExperimentConfig(wavelets=("haar", "d4"), levels=(1, 2), replications=2,
+    cfg = ExperimentConfig(wavelets=("haar", "d4"), levels=levels, replications=2,
                            iterations=200, seed=11, out_dir=str(tmp_path), **overrides)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_to_dict(cfg)))
@@ -691,10 +695,19 @@ def test_results_csv_digest(name, tmp_path):
 @golden_numpy
 def test_pool_workers_run_blas_on_one_thread(tmp_path):
     # with the thread count left to OpenBLAS, 2 workers must still give the
-    # 1-thread bytes: each worker starts with the variable set to 1
-    name = "d2_innovations_torus"
-    env = {"OPENBLAS_NUM_THREADS": None, experiment.WORKERS_ENV: "2"}
-    assert cli_digest(name, tmp_path, env) == GOLDEN[name][1]
+    # 1-thread bytes: each worker starts with the variable set to 1.  Up to
+    # level 4 the d4 fits are large enough that 2 BLAS threads give other
+    # bytes, so a worker that kept 2 threads would fail
+    def digest(threads, workers):
+        out = tmp_path / f"{threads}-{workers}"
+        out.mkdir()
+        env = {"OPENBLAS_NUM_THREADS": threads, experiment.WORKERS_ENV: workers}
+        return cli_digest("d2_innovations_torus", out, env, levels=(1, 2, 3, 4))
+
+    sequential = digest("1", None)
+    if (os.cpu_count() or 1) > 1:   # on one CPU OpenBLAS runs one thread whatever the variable says
+        assert digest("2", None) != sequential
+    assert digest(None, "2") == sequential
 
 
 @pytest.mark.parametrize("threads", [None, "3"])

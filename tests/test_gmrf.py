@@ -71,6 +71,13 @@ def test_tau_rejects_inadmissible_eta():
         tau_from_eta(single_edge(), 1.5)
 
 
+def test_spec_names_the_range_where_lanczos_breaks_down():
+    # the Krylov space of one edge among 5 nodes is invariant after three steps
+    with pytest.raises(ValueError, match=re.escape("eta=1.5 outside the graph's admissible "
+                                                   "range (-1, 1)")):
+        GmrfSpec(Graph(5, [(0, 1)]), 1.5)
+
+
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
 def test_tau_rejects_non_finite_eta(eta):
     with pytest.raises(ValueError, match="eta must be finite"):
@@ -134,13 +141,15 @@ def _elimination_graphs():
 def test_independent_set_is_maximal_and_eliminates_what_each_case_names():
     graphs = _elimination_graphs()
     for g in [*graphs.values(), *_oracle_graphs()]:
-        in_c = gmrf._independent_set(g.indptr, g.indices)
+        in_c = gmrf._independent_set(g.indptr, g.indices, np.argsort(g.degrees, kind="stable"))
         u, v = np.repeat(np.arange(g.node_count), g.degrees), g.indices
         assert not np.any(in_c[u] & in_c[v])
         # every node left out has a neighbour in the set
         assert np.all(np.bincount(u[in_c[v]], minlength=g.node_count)[~in_c] > 0)
     n = {name: g.node_count for name, g in graphs.items()}
-    sizes = {name: int(gmrf._independent_set(g.indptr, g.indices).sum()) for name, g in graphs.items()}
+    sizes = {name: int(gmrf._independent_set(g.indptr, g.indices,
+                                             np.argsort(g.degrees, kind="stable")).sum())
+             for name, g in graphs.items()}
     assert sizes == {"star": n["star"] - 1, "complete": 1, "isolated": 6,
                      "bipartite": n["bipartite"] // 2}
 
@@ -843,6 +852,16 @@ def test_gibbs_chains_rejects_partitions_that_are_not_concliques(problem):
     with pytest.raises(ValueError, match=problem):
         gibbs_chains([GmrfSpec(g, 0.1)], ConcliquePartition(partitions[problem]),
                      [(1, None)], 5)
+
+
+def test_gibbs_chains_take_list_classes_as_arrays():
+    g = torus_lattice(3, 3)
+    classes = ([0, 4, 8], [1, 5, 6], [2, 3, 7])
+    runs = [gibbs_chains([GmrfSpec(g, 0.1)], ConcliquePartition(part), [(1, None)], 40,
+                         trace_every=7)
+            for part in (classes, tuple(map(np.array, classes)))]
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("trace_every", [0, 1])

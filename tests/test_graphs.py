@@ -326,6 +326,25 @@ def test_validate_names_the_first_edge_inside_a_class():
             part.validate(g)
 
 
+def test_partition_classes_may_be_lists_or_any_integer_arrays():
+    classes = ([0, 4, 8], [1, 5, 6], [2, 3, 7])
+    # uint64 classes would concatenate to float64 node ids, so they are taken as int64
+    for part in (ConcliquePartition(classes),
+                 ConcliquePartition(tuple(np.array(c, np.uint64) for c in classes))):
+        part.validate(torus_lattice(3, 3))
+        assert all(c.dtype == np.int64 for c in part.classes)
+
+
+@pytest.mark.parametrize("classes, k", [
+    (([0.0, 4.0, 8.0], [1, 5, 6], [2, 3, 7]), 0),
+    (([0, 4, 8], [True, False], [2, 3, 7]), 1),
+    (([0, 4, 8], [1, 5, 6], [[2, 3, 7]]), 2),
+])
+def test_partition_rejects_classes_that_are_not_1d_integer_arrays(classes, k):
+    with pytest.raises(ValueError, match=f"class {k} must be a 1-D array of integer node ids"):
+        ConcliquePartition(classes)
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -354,6 +373,10 @@ def test_eigen_bounds_even_torus():
 def test_eigen_bounds_match_dense_oracle():
     graphs = [random_graph(30, 0.2, seed=seed) for seed in range(5)]
     graphs += [torus_with_chords(18, 18, 60, seed=1), knn_geometric_graph(300, 6, seed=3)]
+    # one edge among isolated nodes: the spectrum is -1, 0 and 1, so the Krylov
+    # space breaks down after three steps, with beta_m 0 (n = 5) or at rounding
+    # level (n = 10)
+    graphs += [Graph(5, [(0, 1)]), Graph(10, [(0, 1)])]
     for g in graphs:
         if g.edge_count == 0:
             continue
@@ -452,6 +475,44 @@ def test_concliques_bound_and_validity_random():
         part = concliques(g)
         assert len(part) <= int(g.degrees.max(initial=0)) + 1
         _assert_valid_concliques(g, part)
+
+
+def first_fit_reference(g):
+    """The classes of the first-fit coloring that visits the nodes in stable
+    descending-degree order and gives each the smallest color none of its
+    neighbours has, one node at a time; no nodes make one empty class."""
+    color = np.full(g.node_count, -1, dtype=np.int64)
+    for s in np.argsort(-g.degrees, kind="stable").tolist():
+        used = set(color[g.indices[g.indptr[s]:g.indptr[s + 1]]].tolist())
+        c = 0
+        while c in used:
+            c += 1
+        color[s] = c
+    return [np.flatnonzero(color == c) for c in range(color.max(initial=0) + 1)]
+
+
+def _first_fit_graphs():
+    graphs = {"paper": torus_with_chords(18, 18, 60, seed=1),
+              "dense": torus_with_chords(70, 70, 900, seed=1),
+              "knn_fit": knn_geometric_graph(1600, 6, seed=3),
+              "torus2": torus_lattice(2, 2), "torus6": torus_lattice(6, 6),
+              "torus7": torus_lattice(7, 7), "star": star_graph(12),
+              "triangle": Graph(3, [(0, 1), (1, 2), (0, 2)]), "edgeless": Graph(5, []),
+              "isolated": Graph(9, [(1, 2), (2, 3), (3, 1), (5, 6), (6, 7)]),
+              "empty": Graph(0, [])}
+    rng = stream(26)
+    for seed in range(30):
+        graphs[f"random{seed}"] = random_graph(int(rng.integers(1, 60)), rng.uniform(0.0, 0.4),
+                                               seed=400 + seed)
+    return graphs
+
+
+def test_concliques_equal_the_first_fit_coloring():
+    for name, g in _first_fit_graphs().items():
+        got, want = concliques(g).classes, first_fit_reference(g)
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # ---------------------------------------------------------------------------
