@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .gmrf import GmrfSpec, gibbs_chains, to_uniform
+from .gmrf import GmrfSpec, chain_engine, to_uniform
 from .graphs import (concliques, connected_split, knn_geometric_graph,
                      load_graph, torus_with_chords)
 from .regression import Dataset, auto_rho, fit, l2_error_mc
@@ -294,9 +294,10 @@ def config_to_dict(cfg):
 # the run itself
 
 def _context(cfg):
-    """Validated shared state: graph, concliques, one GmrfSpec per component
-    (built once per distinct eta, which checks that eta is admissible),
-    one phi table per wavelet."""
+    """Validated shared state: the graph, the `chain_engine` of one GmrfSpec
+    per component on its concliques, which runs the K0 probe once per run (a
+    spec is built once per distinct eta, which checks that eta is
+    admissible), one phi table per wavelet, the regression target and d."""
     graph = _build_graph(cfg.graph)
     if graph.edge_count == 0:
         raise ValueError(f"the graph has no edges: {graph!r}")
@@ -305,25 +306,23 @@ def _context(cfg):
         raise ValueError(f"regression dimension {d} needs {d + 1} etas "
                          f"(design components plus noise), got {len(cfg.etas)}")
     tables = {name: cascade(filter_by_name(name)) for name in cfg.wavelets}
-    partition = concliques(graph)
     by_eta = {eta: GmrfSpec(graph, eta) for eta in dict.fromkeys(cfg.etas)}
-    specs = tuple(by_eta[eta] for eta in cfg.etas)
-    return graph, partition, specs, tables, m_true, d
+    engine = chain_engine([by_eta[eta] for eta in cfg.etas], concliques(graph), cfg.iterations)
+    return graph, engine, tables, m_true, d
 
 
-def _simulate_design(cfg, partition, specs, rep):
+def _simulate_design(cfg, engine, d, rep):
     """Design components mapped to the unit cube, plus the noise component,
-    all simulated as one batch of chains.  The `innovations` pair shares the
-    design stream; otherwise design component i owns the stream keyed
-    (rep, i), or (rep,) for the first one when d <= 2."""
-    d = len(specs) - 1
+    all simulated by one run of the context's engine.  The `innovations`
+    pair shares the design stream; otherwise design component i owns the
+    stream keyed (rep, i), or (rep,) for the first one when d <= 2."""
     if d == 2 and cfg.coupling == "innovations":
         streams = [(child_seed(cfg.seed, _SLOT_DESIGN, rep), cfg.copula_rho)]
     else:
         keys = [(rep, i) if i or d > 2 else (rep,) for i in range(d)]
         streams = [(child_seed(cfg.seed, _SLOT_DESIGN, *key), None) for key in keys]
     streams.append((child_seed(cfg.seed, _SLOT_NOISE, rep), None))   # the noise chain
-    fields, _ = gibbs_chains(specs, partition, streams, cfg.iterations)
+    fields, _ = engine(streams)
     design = list(fields[:d])
     if d == 2 and cfg.coupling == "final":
         mix = math.sqrt(1.0 - cfg.copula_rho ** 2)
@@ -354,8 +353,8 @@ def _fit_errors(cfg, tables, m_true, X_learn, y_learn, X_test):
 
 
 def _replicate(cfg, ctx, rep):
-    graph, partition, specs, tables, m_true, d = ctx
-    X, noise = _simulate_design(cfg, partition, specs, rep)
+    graph, engine, tables, m_true, d = ctx
+    X, noise = _simulate_design(cfg, engine, d, rep)
     y = m_true(*X.T) + cfg.noise_scale * noise
     learn, test = connected_split(graph, cfg.test_fraction,
                                   child_seed(cfg.seed, _SLOT_SPLIT, rep))

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _independent_set, _segments, eta_range
+from .graphs import _independent_set, _integer, _segments, eta_range
 from .rng import normal_cdf, stream
 
 __all__ = [
     "GmrfSpec", "ChainConfig",
-    "tau_from_eta", "gibbs_chain", "gibbs_chains",
+    "tau_from_eta", "gibbs_chain", "gibbs_chains", "chain_engine",
     "direct_sample", "joint_covariance", "to_uniform", "field_to_csv",
 ]
 
@@ -53,7 +53,11 @@ class ChainConfig:
 
 
 def _check_run(iterations, burn_in, trace_every=0):
-    """The run length rule of ChainConfig, and a non-negative trace_every."""
+    """The run length rule of ChainConfig, and a non-negative trace_every;
+    each must be an integer, bool excluded, as `Graph` checks its node count."""
+    for name, value in (("iterations", iterations), ("burn_in", burn_in),
+                        ("trace_every", trace_every)):
+        _integer(name, value)
     if iterations < 0 or burn_in < 0:
         raise ValueError("iterations and burn_in must be non-negative")
     if iterations > 0 and burn_in >= iterations:
@@ -336,18 +340,24 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     of every `trace_every`-th post-burn-in state, shape (kept, chains, n), or
     None when trace_every == 0.
     """
+    return chain_engine(specs, partition, iterations, burn_in, trace_every)(streams)
+
+
+def chain_engine(specs, partition, iterations, burn_in=0, trace_every=0):
+    """`gibbs_chains` built up to its streams: run(streams) -> (fields, trace).
+    The checks, the class order, the gather rows and the K0 probe are done
+    once here; each run checks its streams and sweeps them from zero.  Runs
+    share the state buffers, so an engine is not for concurrent callers."""
     _check_run(iterations, burn_in, trace_every)
+    if not specs:
+        raise ValueError("chain_engine needs at least one spec")
     graph, chains = specs[0].graph, len(specs)
     if any(spec.graph is not graph for spec in specs):
         raise ValueError("batched chains must share one graph")
-    if any(rho is not None and not -1.0 < rho < 1.0 for _, rho in streams):
-        raise ValueError("|rho| must be below 1")
-    if sum(1 if rho is None else 2 for _, rho in streams) != chains:
-        raise ValueError("streams must feed exactly one chain per spec")
     partition.validate(graph)
     n = graph.node_count
     if n == 0:
-        raise ValueError("gibbs_chains needs a graph with at least one node")
+        raise ValueError("chain_engine needs a graph with at least one node")
     alpha = np.array([spec.alpha for spec in specs])
     sd = np.sqrt(np.array([spec.tau2 for spec in specs]))
     eta = np.array([spec.eta for spec in specs])
@@ -393,32 +403,39 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
             if np.all(np.abs(y).max(axis=0) < tol):
                 skip = iterations - 2 * k0
                 break
-        y[...], u[...] = 0.0, 0.0
-    z = np.empty((min(_SWEEP_BLOCK, iterations), n, chains))
-    kept = []
-    # a key block that ends at or before skip is never drawn
-    for start in range(skip - skip % _SWEEP_BLOCK, iterations, _SWEEP_BLOCK):
-        k, c = min(_SWEEP_BLOCK, iterations - start), 0
-        for seed, rho in streams:
-            rng = stream(seed, _TAG_CHAIN, start // _SWEEP_BLOCK)
-            draws = rng.standard_normal((k, n) if rho is None else (k, 2, n))
-            if rho is None:
-                z[:k, :, c] = draws
-            else:
-                a, b = draws.transpose(1, 0, 2)
-                z[:k, :, c], z[:k, :, c + 1] = a, rho * a + np.sqrt(1.0 - rho * rho) * b
-            c += 1 if rho is None else 2
-        for it in range(max(start, skip), start + k):
-            innovation[...] = z[it - start]
-            sweep()
-            if trace_every and it >= burn_in and (it - burn_in) % trace_every == 0:
-                kept.append(y.copy())
 
     def field(ys):
         """alpha + sqrt(tau2) * y in node order from rows of y in class order."""
         return alpha + sd * np.swapaxes(ys[..., rank, :], -1, -2)
 
-    return field(y), field(np.array(kept).reshape(-1, n, chains)) if trace_every else None
+    def run(streams):
+        if any(rho is not None and not -1.0 < rho < 1.0 for _, rho in streams):
+            raise ValueError("|rho| must be below 1")
+        if sum(1 if rho is None else 2 for _, rho in streams) != chains:
+            raise ValueError("streams must feed exactly one chain per spec")
+        y[...], u[...] = 0.0, 0.0
+        z = np.empty((min(_SWEEP_BLOCK, iterations), n, chains))
+        kept = []
+        # a key block that ends at or before skip is never drawn
+        for start in range(skip - skip % _SWEEP_BLOCK, iterations, _SWEEP_BLOCK):
+            k, c = min(_SWEEP_BLOCK, iterations - start), 0
+            for seed, rho in streams:
+                rng = stream(seed, _TAG_CHAIN, start // _SWEEP_BLOCK)
+                draws = rng.standard_normal((k, n) if rho is None else (k, 2, n))
+                if rho is None:
+                    z[:k, :, c] = draws
+                else:
+                    a, b = draws.transpose(1, 0, 2)
+                    z[:k, :, c], z[:k, :, c + 1] = a, rho * a + np.sqrt(1.0 - rho * rho) * b
+                c += 1 if rho is None else 2
+            for it in range(max(start, skip), start + k):
+                innovation[...] = z[it - start]
+                sweep()
+                if trace_every and it >= burn_in and (it - burn_in) % trace_every == 0:
+                    kept.append(y.copy())
+        return field(y), field(np.array(kept).reshape(-1, n, chains)) if trace_every else None
+
+    return run
 
 
 def joint_covariance(spec):

@@ -105,12 +105,13 @@ class Graph:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcliquePartition:
     """Node classes no two members of which are adjacent.
 
     Each class is taken as a 1-D array of integer node ids, bool excluded;
-    anything else raises the ValueError naming the class."""
+    anything else raises the ValueError naming the class.  A partition
+    compares and hashes by identity."""
     classes: tuple
 
     def __post_init__(self):

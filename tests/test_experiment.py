@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesieve import experiment, graphs
+from wavesieve import experiment, gmrf, graphs
 from wavesieve.cli import _parse_graph, main
 from wavesieve.experiment import (ExperimentConfig, config_from_dict,
                                   config_to_dict, emit_table, format_table,
@@ -771,8 +771,25 @@ def test_results_csv_bytes_do_not_depend_on_the_sweeps_the_engine_skips(tmp_path
         return (out_dir / "results.csv").read_bytes()
 
     skipping = run(tmp_path / "skip")
-    full = experiment.gibbs_chains
-    monkeypatch.setattr(experiment, "gibbs_chains",
-                        lambda specs, partition, streams, iterations:
-                        full(specs, partition, streams, iterations, trace_every=iterations))
+    full = experiment.chain_engine
+    monkeypatch.setattr(experiment, "chain_engine",
+                        lambda specs, partition, iterations:
+                        full(specs, partition, iterations, trace_every=iterations))
     assert run(tmp_path / "full") == skipping
+
+
+def test_a_run_probes_its_chains_once(monkeypatch):
+    # the K0 probe depends on the graph, the etas and the run length alone, so
+    # the engine that runs it is built once per run, not per replication
+    real, probes = gmrf.stream, []
+
+    def spy(seed, *keys):
+        if (seed, *keys) == (0, gmrf._TAG_PROBE):
+            probes.append(keys)
+        return real(seed, *keys)
+
+    monkeypatch.delenv(experiment.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(gmrf, "stream", spy)
+    table = run_experiment(small_config(replications=3))
+    assert not table.failures and all(row.n_reps == 3 for row in table.rows)
+    assert len(probes) == 1

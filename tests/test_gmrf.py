@@ -454,21 +454,35 @@ def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(10, 10, 0)
     ChainConfig(0, 0, 0)   # zero-iteration chain stays at the initial state
+    ChainConfig(np.int64(10), np.int32(2), 0)
     with pytest.raises(ValueError):
         ChainConfig(-1, 0, 0)
+    for iterations, burn_in, name in ((5.0, 0, "iterations"), (True, 0, "iterations"),
+                                      (5, 1.5, "burn_in"), (5, False, "burn_in")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ChainConfig(iterations, burn_in, 1)
 
 
 @pytest.mark.parametrize("iterations, burn_in, trace_every, message", [
     (-1, 0, 0, "iterations and burn_in must be non-negative"),
     (10, -3, 0, "iterations and burn_in must be non-negative"),
     (10, 20, 0, "burn_in must be smaller than iterations"),
-    (10, 0, -2, "trace_every must be non-negative")])
+    (10, 0, -2, "trace_every must be non-negative"),
+    (5.0, 0, 0, "iterations must be an integer, got 5.0"),
+    (5, 1.5, 1, "burn_in must be an integer, got 1.5"),
+    (5, 0, 2.5, "trace_every must be an integer, got 2.5"),
+    (True, 0, 0, "iterations must be an integer, got True"),
+    (5, 0, True, "trace_every must be an integer, got True"),
+    (np.float64(5), 0, 0, "iterations must be an integer"),
+    (5, 0, 0, "needs at least one spec")])
 def test_gibbs_chains_checks_its_run_length(iterations, burn_in, trace_every, message):
-    # the rule of ChainConfig, for callers that pass the run length directly
+    # the rule of ChainConfig, for callers that pass the run length directly;
+    # the last case passes no spec at all
     g = triangle()
-    spec = GmrfSpec(g, 0.2)
+    specs = [] if message.startswith("needs") else [GmrfSpec(g, 0.2)]
     with pytest.raises(ValueError, match=message):
-        gibbs_chains([spec], concliques(g), [(1, None)], iterations, burn_in, trace_every)
+        gibbs_chains(specs, concliques(g), [(1, None)][:len(specs)], iterations, burn_in,
+                     trace_every)
 
 
 def test_gibbs_zero_iterations_returns_alpha():
@@ -600,6 +614,26 @@ def test_gibbs_chains_final_state_equals_a_full_run_bitwise(case):
     got, _ = gibbs_chains(specs, part, streams, 3000)
     full, _ = gibbs_chains(specs, part, streams, 3000, trace_every=3000)
     assert np.array_equal(got, full)
+
+
+@pytest.mark.parametrize("trace_every", [0, 7])
+@pytest.mark.parametrize("name", ["paper", "torus4x5"])
+def test_one_engine_runs_every_set_of_streams_to_the_bits_of_gibbs_chains(name, trace_every):
+    # the engine is built and probed once; each run starts from zero, so no
+    # state of the probe or of an earlier run reaches a later one (with no
+    # burn-in the first traced state shows the start)
+    g = torus_with_chords(18, 18, 60, seed=1) if name == "paper" else torus_with_chords(4, 5, 6, 2)
+    part = concliques(g)
+    specs = [GmrfSpec(g, eta, alpha=0.5) for eta in (0.12, -0.18, 0.12)]
+    iterations, burn_in = 3000, 0
+    engine = gmrf.chain_engine(specs, part, iterations, burn_in, trace_every)
+    for streams in ([(41, 0.7), (42, None)], [(5, None), (6, None), (7, None)],
+                    [(41, 0.7), (42, None)], [(8, -0.3), (9, None)]):
+        got = engine(streams)
+        want = gibbs_chains(specs, part, streams, iterations, burn_in, trace_every)
+        assert np.array_equal(got[0], want[0])
+        assert (got[1] is None) == (trace_every == 0) == (want[1] is None)
+        assert trace_every == 0 or np.array_equal(got[1], want[1])
 
 
 def _record_chain_blocks(monkeypatch, poison_before):

@@ -335,6 +335,15 @@ def test_partition_classes_may_be_lists_or_any_integer_arrays():
         assert all(c.dtype == np.int64 for c in part.classes)
 
 
+def test_partition_compares_and_hashes_by_identity():
+    # array classes would make a field-wise == ambiguous and the hash fail
+    g = torus_lattice(4, 4)
+    part, again = concliques(g), concliques(g)
+    assert part == part
+    assert len({part, part}) == 1
+    assert part != again and len({part, again}) == 2
+
+
 @pytest.mark.parametrize("classes, k", [
     (([0.0, 4.0, 8.0], [1, 5, 6], [2, 3, 7]), 0),
     (([0, 4, 8], [True, False], [2, 3, 7]), 1),
