@@ -16,6 +16,7 @@ advances.  Every sampler draws its standard normals with
 `Generator.standard_normal` from the keyed stream of its seed and tag.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ _TRIANGULAR_BLOCK = 128   # larger blocks are split, so the work goes to matrix 
 # the level rule of tau_from_eta, in flops of the dense inverse (its docstring
 # gives the measurements)
 _FILL_COST = 5000.0   # per fill entry
+
+_PLANS = weakref.WeakKeyDictionary()   # graph -> its _elimination_plan, dropped with the graph
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,19 @@ def tau_from_eta(graph, eta):
     where each Sigma_ab is the entry of S' that a fill triple targets.  tau2
     is 1 / the diagonal of the first level's Sigma.
 
-    The levels depend on the graph alone (`_elimination_plan`).  A level
-    that leaves m' of m nodes saves 2/3 (m^3 - m'^3) flops of the dense
-    inverse and costs its fill, sum_{c in C} deg(c)^2 entries.  Levels are
-    added while the saving exceeds _FILL_COST flops per fill entry; a level
-    whose fill costs more is not built.  The constant is measured at one
-    BLAS thread on the knn_fit and dense graphs: a fill entry takes about
-    200 ns to plan, apply and walk back, and each of the 2/3 m^3 flops of
-    the dense inverse about 0.04 ns.  The 4900-node chorded torus of the
-    dense workload takes 5 levels (m = 1608), the 1600-node kNN graph 5
-    (m = 607) and the paper's 324-node torus 1 (m = 196).  Complete and
-    complete bipartite graphs take none, which is the whole-matrix inverse.
+    The levels depend on the graph alone (`_elimination_plan`), so the plan
+    is built once per graph and every later eta reuses it; a map keyed
+    weakly by the graph holds it, so it dies with the graph.  A level that
+    leaves m' of m nodes saves 2/3 (m^3 - m'^3) flops of the dense inverse
+    and costs its fill, sum_{c in C} deg(c)^2 entries.  Levels are added
+    while the saving exceeds _FILL_COST flops per fill entry; a level whose
+    fill costs more is not built.  The constant is measured at one BLAS
+    thread on the knn_fit and dense graphs: a fill entry takes about 200 ns
+    to plan, apply and walk back, and each of the 2/3 m^3 flops of the dense
+    inverse about 0.04 ns.  The 4900-node chorded torus of the dense
+    workload takes 5 levels (m = 1608), the 1600-node kNN graph 5 (m = 607)
+    and the paper's 324-node torus 1 (m = 196).  Complete and complete
+    bipartite graphs take none, which is the whole-matrix inverse.
 
     eta must be finite.  The pivots and the dense inverse decide
     admissibility: inertia adds over Schur complements, so M is positive
@@ -116,7 +121,9 @@ def tau_from_eta(graph, eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     graph.require_dense()
     n = graph.node_count
-    levels, indptr, indices = _elimination_plan(graph)
+    if graph not in _PLANS:
+        _PLANS[graph] = _elimination_plan(graph)
+    levels, indptr, indices = _PLANS[graph]
     # the state of a complement: its diagonal, then its entries off it in CSR order
     v = np.concatenate((np.ones(n), np.full(graph.indices.size, -float(eta))))
     forward = []   # per level, the pivots d_c and the ratios s_ca / d_c
@@ -316,12 +323,15 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     update is the sum of the neighbours' eta*y plus the unit innovation.  The
     rows are renumbered once so that every class is contiguous, and the state
     is stored node-major, one column per chain, as u = eta*y, followed by the
-    sweep's innovations.  A class update is then three calls: one `take`
-    gathers each member's neighbours' u followed by its own innovation, one
-    `np.add.reduceat` sums every member's segment into the class's rows of y,
-    and one multiply by eta writes those rows of u.  Every segment ends in an
-    innovation, so none is empty, as `reduceat` needs.  y is kept apart from
-    u, so an eta = 0 chain returns its innovations exactly.
+    sweep's innovations and one zero row.  Each class has a (width, size)
+    slot table, width its largest degree plus one: column r lists its r-th
+    member's neighbours' rows in CSR order, then that member's innovation
+    row, then the zero row for the slots left.  A class update is then three
+    calls: one `take` gathers the slots, one `np.add.reduce` over the slot
+    axis sums each column left to right, (((u_1 + u_2) + ...) + u_d) + z,
+    into the class's rows of y (the trailing zeros add exactly), and one
+    multiply by eta writes those rows of u.  y is kept apart from u, so an
+    eta = 0 chain returns its innovations exactly.
 
     `iterations` keeps its meaning, but when trace_every == 0 only the last K
     sweeps run, from zero: the sweep is linear, y' = A y + B z, so the state K
@@ -364,32 +374,31 @@ def chain_engine(specs, partition, iterations, burn_in=0, trace_every=0):
     # class order: row r holds node order[r]; rank, its inverse, maps a node to its row
     order = np.concatenate([np.empty(0, np.int64), *partition.classes])
     rank = np.argsort(order)
-    # rows 0..n-1: u = eta*y, rows n..2n-1: the innovations
-    src = np.zeros((2 * n, chains))
-    u, innovation = src[:n], src[n:]
+    # rows 0..n-1: u = eta*y, rows n..2n-1: the innovations, row 2n: zero
+    src = np.zeros((2 * n + 1, chains))
+    u, innovation = src[:n], src[n:2 * n]
     y = np.zeros((n, chains))
-    # row r's segment: its node's neighbours' rows in CSR order, then innovation row n + r
-    degrees = graph.degrees[order]
-    ends = np.cumsum(degrees)
-    rows = np.insert(rank[graph.indices[_segments(graph.indptr[order], degrees)]], ends,
-                     np.arange(n, 2 * n))
-    bounds = np.concatenate(([0], ends + np.arange(1, n + 1)))
-    gather = rows[:, None] * chains + np.arange(chains)
-    # per class: flat gather indices, gather buffer, segment starts, class rows of y and u
+    # per class: flat gather indices of its (width, size) slots, gather buffer,
+    # class rows of y and u; slot column r holds row r's neighbours' rows in
+    # CSR order, then its innovation row n + r, then the zero row
     plan, lo = [], 0
     for cls in partition.classes:
-        hi = lo + cls.size
-        at = slice(lo, hi)
-        plan.append((gather[bounds[lo]:bounds[hi]], np.empty((bounds[hi] - bounds[lo], chains)),
-                     bounds[at] - bounds[lo], y[at], u[at]))
+        hi, deg = lo + cls.size, graph.degrees[cls]
+        slots = np.full((deg.max(initial=0) + 1, cls.size), 2 * n)
+        slots.T[np.arange(slots.shape[0]) < deg[:, None]] = rank[
+            graph.indices[_segments(graph.indptr[cls], deg)]]
+        slots[deg, np.arange(cls.size)] = np.arange(n + lo, n + hi)
+        idx = slots[..., None] * chains + np.arange(chains)
+        plan.append((idx, np.empty(idx.shape), y[lo:hi], u[lo:hi]))
         lo = hi
     flat = src.reshape(-1)
 
     def sweep():
-        for idx, nbrs, segments, y_cls, u_cls in plan:
+        for idx, nbrs, y_cls, u_cls in plan:
             # every index is in range; "clip" spares the copy "raise" makes of out
             flat.take(idx, out=nbrs, mode="clip")
-            np.add.reduceat(nbrs, segments, axis=0, out=y_cls)
+            # a reduce over the outer axis adds the slots left to right
+            np.add.reduce(nbrs, axis=0, out=y_cls)
             np.multiply(y_cls, eta, out=u_cls)
 
     # the probe for K0: sweeps before skip = iterations - 2*K0 are not run

@@ -209,7 +209,12 @@ def load_graph(path):
 
 
 def save_graph(graph, path):
-    """Write the edge list in the same format load_graph reads."""
+    """Write the edge list in the same format load_graph reads.  An edge list
+    cannot hold a node without edges, so a graph with one raises the
+    ValueError naming the first, and nothing is written."""
+    isolated = np.flatnonzero(graph.degrees == 0)
+    if isolated.size:
+        raise ValueError(f"node {isolated[0]} has no edges, which an edge list cannot hold")
     with open(path, "w") as fh:
         fh.write(f"# {graph.node_count} nodes, {graph.edge_count} edges\n")
         for u, v in graph.edges:

@@ -643,20 +643,20 @@ GOLDEN = {
     "d2_innovations_torus": (
         dict(graph=_TORUS, etas=(0.12, -0.18, 0.12), regression="bivariate_paper",
              coupling="innovations"),
-        "233b148a7c64a7ddcda91d7dfdb7f339a62e013278e62f092d28e669b1d3b714"),
+        "6a4a5d8b09d16a7f9db01056e58e74f84f027738a3ad38aa6c8a4e45c33421e6"),
     "d2_final_knn": (
         dict(graph={"kind": "knn", "points": 300, "k": 6, "point_seed": 3},
              etas=(0.1, 0.1, 0.1), regression="bivariate_paper", coupling="final",
              copula_rho=0.5),
-        "91ac1cfd310fac0821cf7ad4d284f643380412cd8707501e66d7b66a636a423c"),
+        "4a35227cd96c339b13faf117ca34668dc676697b16caa503448bda0b9df1f622"),
     "d1_univariate": (
         dict(graph=_TORUS, etas=(0.12, 0.1), regression="univariate_paper",
              noise_scale=0.5),
-        "e78c9a75fad17bc0f456c7dabb794043678a3905eece2ac4a7bda83086486964"),
+        "f3f17677ee40bef5b623bb414351eb22ceade001c7fa74fc4c9758af6a236375"),
     "d3_expression": (
         dict(graph=_TORUS, etas=(0.1, -0.1, 0.12, 0.1),
              regression="x1 + x2 * x3 - sin(pi * x3)"),
-        "51e18e5dbcee869f16a8ab00e268078a9fb7da9bd4796ff5041cf2f0b1522947"),
+        "1e6fcc4877b40605874e1251bfeec6e5a4131f6b4637e8f220b8093dbe4b0662"),
 }
 
 
@@ -793,3 +793,14 @@ def test_a_run_probes_its_chains_once(monkeypatch):
     table = run_experiment(small_config(replications=3))
     assert not table.failures and all(row.n_reps == 3 for row in table.rows)
     assert len(probes) == 1
+
+
+def test_a_run_builds_one_elimination_plan(monkeypatch):
+    # the plan depends on the graph alone, so the run's two distinct etas share it
+    real, calls = gmrf._elimination_plan, []
+    monkeypatch.delenv(experiment.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(gmrf, "_elimination_plan", lambda graph: calls.append(1) or real(graph))
+    table = run_experiment(small_config(replications=1, etas=(0.12, -0.18, 0.12),
+                                        regression="bivariate_paper"))
+    assert not table.failures and all(row.n_reps == 1 for row in table.rows)
+    assert len(calls) == 1

@@ -1,5 +1,7 @@
+import gc
 import re
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -228,6 +230,24 @@ def test_elimination_plan_is_a_function_of_the_graph(monkeypatch):
         arrays = _plan_arrays(other)
         assert len(arrays) == len(first)
         assert all(np.array_equal(a, b) for a, b in zip(first, arrays))
+
+
+def test_tau_from_eta_builds_one_plan_per_graph_and_drops_it_with_the_graph(monkeypatch):
+    # every eta on a graph reads the plan its first call built, to the bits a
+    # fresh plan gives; the plan lives only as long as its graph
+    monkeypatch.setattr(gmrf, "_PLANS", weakref.WeakKeyDictionary())
+    real, calls = gmrf._elimination_plan, []
+    monkeypatch.setattr(gmrf, "_elimination_plan", lambda graph: calls.append(graph) or real(graph))
+    g = _levelled_graphs()["torus"]
+    first, _, again = (tau_from_eta(g, eta) for eta in (0.12, -0.18, 0.12))
+    assert calls == [g] and len(gmrf._PLANS) == 1
+    fresh = tau_from_eta(Graph(g.node_count, g.edges), 0.12)
+    assert len(calls) == 2
+    assert first.tobytes() == again.tobytes() == fresh.tobytes()
+    calls.clear()
+    del g
+    gc.collect()
+    assert len(gmrf._PLANS) == 0
 
 
 def _no_dense_tail(monkeypatch):
@@ -557,10 +577,9 @@ def reference_sweeps(specs, partition, innovations, iterations):
     """Per-chain, per-class Gibbs sweeps in the engine's arithmetic: each
     chain advances its standardized state y = (x - alpha) / sqrt(tau2), a
     node's new y being the sum of its neighbours' eta*y and its innovation,
-    and returns alpha + sqrt(tau2) * y.  Each sum runs as numpy reduces a
-    segment: the first neighbour's eta*y plus `np.sum` of the remaining
-    terms, which are the other neighbours' eta*y in neighbour-list order and
-    then the innovation; a node without neighbours starts from zero.
+    and returns alpha + sqrt(tau2) * y.  Each sum runs left to right: the
+    neighbours' eta*y in neighbour-list order, then the innovation, added
+    one at a time to a running total that starts from zero.
     `innovations()` returns the next sweep's standard normals, one row per
     chain."""
     ys = [np.zeros(spec.graph.node_count) for spec in specs]
@@ -569,12 +588,11 @@ def reference_sweeps(specs, partition, innovations, iterations):
         pos = 0
         for cls in partition.classes:
             for y, spec, zc in zip(ys, specs, z):
-                new = np.empty(cls.size)
+                new = np.zeros(cls.size)
                 for i, s in enumerate(cls):
                     row = spec.graph.indices[spec.graph.indptr[s]:spec.graph.indptr[s + 1]]
-                    terms = spec.eta * y[row]
-                    first, rest = (terms[0], terms[1:]) if terms.size else (0.0, terms)
-                    new[i] = first + np.sum(np.append(rest, zc[pos + i]))
+                    for term in (*(spec.eta * y[row]), zc[pos + i]):
+                        new[i] += term
                 y[cls] = new
             pos += cls.size
     return np.array([spec.alpha + np.sqrt(spec.tau2) * y for y, spec in zip(ys, specs)])
@@ -707,22 +725,48 @@ def test_gibbs_chains_traced_run_sweeps_every_sweep():
     assert np.array_equal(got, replay(300))
 
 
-@pytest.mark.parametrize("etas, iterations", [
-    ((0.1, -0.15, 0.2), 500),   # eta 0.2 contracts in about 470 sweeps: past the probe's cap
-    ((0.1, -0.15), 12),         # too few sweeps for a skip to pay
-    ((0.0,), 400),              # an eta = 0 chain contracts in one sweep
-    ((0.0, 0.1), 400),
-    ((0.1, -0.15), 0),
-], ids=["near_edge", "short", "eta_zero", "eta_zero_with_other", "zero_iterations"])
-def test_gibbs_chains_short_and_degenerate_runs_match_per_chain_sweeps(etas, iterations):
-    g = torus_with_chords(4, 5, 6, 2)
-    part = concliques(g)
+def _sweep_cases():
+    """(graph, partition) inputs of the engine: the chorded torus (degrees up
+    to 7), a wheel whose hub sums 12 neighbours and its innovation, where
+    numpy's pairwise sum (8 terms and up) rounds otherwise than left to
+    right, the torus's
+    concliques with empty classes among them, and a path whose isolated node
+    shares a class of width 3 with nodes of degree 1 and 2."""
+    torus = torus_with_chords(4, 5, 6, 2)
+    wheel = Graph(13, [(0, k) for k in range(1, 13)] + [(k, k % 12 + 1) for k in range(1, 13)])
+    empty, classes = np.empty(0, np.int64), concliques(torus).classes
+    return {"torus4x5": (torus, concliques(torus)),
+            "wheel12": (wheel, concliques(wheel)),
+            "empty_classes": (torus, ConcliquePartition(
+                (empty, classes[0], empty, *classes[1:], empty))),
+            "isolated_node": (Graph(5, [(0, 1), (1, 2), (2, 3)]),
+                              ConcliquePartition(([0, 2, 4], [1, 3])))}
+
+
+_SHORT_RUNS = {   # name: (etas, iterations)
+    "near_edge": ((0.1, -0.15, 0.2), 500),   # eta 0.2 contracts in about 470 sweeps: past the probe's cap
+    "short": ((0.1, -0.15), 12),             # too few sweeps for a skip to pay
+    "eta_zero": ((0.0,), 400),               # an eta = 0 chain contracts in one sweep
+    "eta_zero_with_other": ((0.0, 0.1), 400),
+    "zero_iterations": ((0.1, -0.15), 0),
+}
+
+
+# each run on each case, untraced and traced; the untraced torus keeps the run's name
+@pytest.mark.parametrize("run, case, trace_every", [
+    pytest.param(run, case, trace_every, id=run if (case, trace_every) == ("torus4x5", 0)
+                 else f"{run}-{case}-{'traced' if trace_every else 'untraced'}")
+    for run in _SHORT_RUNS for case in sorted(_sweep_cases()) for trace_every in (0, 1)])
+def test_gibbs_chains_short_and_degenerate_runs_match_per_chain_sweeps(run, case, trace_every):
+    (etas, iterations), (g, part) = _SHORT_RUNS[run], _sweep_cases()[case]
     specs = [GmrfSpec(g, eta, alpha=0.5) for eta in etas]
     seeds = range(61, 61 + len(etas))
-    got, _ = gibbs_chains(specs, part, [(seed, None) for seed in seeds], iterations)
+    got, trace = gibbs_chains(specs, part, [(seed, None) for seed in seeds], iterations,
+                              trace_every=trace_every)
     normals = [iter(chain_normals(seed, (g.node_count,), iterations)) for seed in seeds]
     want = reference_sweeps(specs, part, lambda: [next(z) for z in normals], iterations)
     assert np.array_equal(got, want)
+    assert not (trace_every and iterations) or np.array_equal(trace[-1], got)
 
 
 def test_gibbs_chains_batched_equal_one_chain_runs():
@@ -844,7 +888,8 @@ def test_skipped_sweeps_reach_the_final_state_only_through_a_negligible_map(g, e
 
 
 def test_gibbs_chains_isolated_node_is_alpha_plus_innovation():
-    # node 4 has no neighbours, so its update reads only the pad zero
+    # node 4 has no neighbours, so its update sums only its innovation and,
+    # if its class is wider, zero rows
     g = Graph(5, [(0, 1), (1, 2), (2, 3)])
     part = concliques(g)
     spec = GmrfSpec(g, -0.3, alpha=0.7)

@@ -76,6 +76,23 @@ def test_save_load_round_trip(tmp_path):
     assert g2.edges == g.edges
 
 
+def test_save_load_round_trip_keeps_every_node_and_edge(tmp_path):
+    for g in (torus_with_chords(6, 7, 9, seed=2), knn_geometric_graph(60, 4, seed=5),
+              Graph(0, [])):
+        p = tmp_path / "g.txt"
+        save_graph(g, p)
+        g2 = load_graph(p)
+        assert (g2.node_count, g2.edges) == (g.node_count, g.edges)
+
+
+def test_save_graph_refuses_a_node_without_edges(tmp_path):
+    # load_graph would read this back as 3 nodes with edges ((0, 1), (1, 2))
+    p = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match="node 1 has no edges"):
+        save_graph(Graph(4, [(0, 2), (2, 3)]), p)
+    assert not p.exists()
+
+
 def test_torus_2x2_collapses_parallel_edges():
     g = torus_lattice(2, 2)
     assert g.node_count == 4
