@@ -47,7 +47,7 @@ print("direct sampler agreement:",
 # pair of chains, correlated 0.7 at every node and sweep; at eta = 0 each
 # state is exactly that sweep's innovations
 flat = ws.GmrfSpec(graph, eta=0.0)
-_, pair_trace = ws.gibbs_chains([flat, flat], part, [(3, 0.7)], 1_500, trace_every=1)
+_, pair_trace = ws.chain_engine([flat, flat], part, 1_500, trace_every=1)([(3, 0.7)])
 pairs = pair_trace.transpose(1, 0, 2).reshape(2, -1)
 print("\ncoupled innovations: sample correlation",
       round(float(np.corrcoef(pairs)[0, 1]), 4))

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .gmrf import GmrfSpec, chain_engine, to_uniform
-from .graphs import (concliques, connected_split, knn_geometric_graph,
+from .graphs import (_count, concliques, connected_split, knn_geometric_graph,
                      load_graph, torus_with_chords)
 from .regression import Dataset, auto_rho, fit, l2_error_mc
 from .rng import child_seed, stream
@@ -100,6 +100,8 @@ class ExperimentConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+        for key in ("copula_rho", "noise_scale", "test_fraction"):
+            object.__setattr__(self, key, float(getattr(self, key)))
         object.__setattr__(self, "etas", tuple(float(eta) for eta in self.etas))
         if self.noise_scale < 0:
             raise ValueError(f"noise_scale must be non-negative, got {self.noise_scale!r}")
@@ -117,25 +119,20 @@ class ExperimentConfig:
                 raise ValueError(f"graph.{key} is required for kind {kind!r}")
         if not isinstance(self.graph.get("path", ""), str):
             raise ValueError(f"graph.path must be a string, got {self.graph['path']!r}")
+        for key in ("replications", "iterations", "seed"):
+            object.__setattr__(self, key, _count(key, getattr(self, key)))
         # every graph key but kind and path is a count or a seed
-        integers = [(key, getattr(self, key)) for key in ("replications", "iterations", "seed")]
-        integers += [(f"graph.{key}", self.graph[key])
-                     for key in sorted(self.graph.keys() - {"kind", "path"})]
-        integers += [(f"levels[{i}]", j) for i, j in enumerate(self.levels)]
-        for key, value in integers:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{key} must be non-negative, got {value!r}")
-        object.__setattr__(self, "levels", tuple(int(j) for j in self.levels))
+        object.__setattr__(self, "graph", {**self.graph, **{
+            key: _count(f"graph.{key}", self.graph[key])
+            for key in sorted(self.graph.keys() - {"kind", "path"})}})
+        object.__setattr__(self, "levels", tuple(_count(f"levels[{i}]", j)
+                                                 for i, j in enumerate(self.levels)))
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not self.levels:
-            raise ValueError("levels must be nonempty")
-        if not self.wavelets:
-            raise ValueError("wavelets must be nonempty")
         for key in ("wavelets", "levels"):
             values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must be nonempty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{key} must not repeat an entry, got {list(values)!r}")
         if self.coupling not in ("innovations", "final"):
@@ -283,9 +280,7 @@ def config_from_dict(doc):
 
 def config_to_dict(cfg):
     doc = asdict(cfg)
-    doc["etas"] = list(cfg.etas)
-    doc["wavelets"] = list(cfg.wavelets)
-    doc["levels"] = list(cfg.levels)
+    doc.update((key, list(getattr(cfg, key))) for key in ("etas", "wavelets", "levels"))
     doc["chain"] = {"iterations": doc.pop("iterations")}
     return doc
 
@@ -439,7 +434,6 @@ def run_experiment(cfg):
     table = ResultTable(tuple(rows), config_to_dict(cfg), cfg.seed, failures)
 
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         emit_table(table, cfg.out_dir)
         _write_log(cfg, outcomes, os.path.join(cfg.out_dir, "replications.log"))
     return table

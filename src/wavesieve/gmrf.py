@@ -11,7 +11,7 @@ precision D^{-1/2} (I - eta*H) D^{-1/2}, D = diag(tau2), is symmetric and the
 conditionals are compatible on every graph (Besag's symmetry condition).  With
 tau2 from `tau_from_eta` every marginal variance of the joint law is one.  In
 the standardized state y = (x - alpha) / sqrt(tau2) the chain is the plain
-eta-CAR with unit innovations, which is what the Gibbs engine `gibbs_chains`
+eta-CAR with unit innovations, which is what the Gibbs engine `chain_engine`
 advances.  Every sampler draws its standard normals with
 `Generator.standard_normal` from the keyed stream of its seed and tag.
 """
@@ -26,7 +26,7 @@ from .rng import normal_cdf, stream
 
 __all__ = [
     "GmrfSpec", "ChainConfig",
-    "tau_from_eta", "gibbs_chain", "gibbs_chains", "chain_engine",
+    "tau_from_eta", "gibbs_chain", "chain_engine",
     "direct_sample", "joint_covariance", "to_uniform", "field_to_csv",
 ]
 
@@ -292,18 +292,23 @@ class GmrfSpec:
 
 
 def gibbs_chain(spec, partition, cfg, trace_every=0):
-    """One chain of `gibbs_chains`, fed by the stream of `cfg.seed`.
+    """One chain of `chain_engine`, fed by the stream of `cfg.seed`.
 
     Returns (final state, trace), where trace stacks every `trace_every`-th
     post-burn-in state, or is None when trace_every == 0.
     """
-    x, trace = gibbs_chains([spec], partition, [(cfg.seed, None)], cfg.iterations,
-                            cfg.burn_in, trace_every)
+    x, trace = chain_engine([spec], partition, cfg.iterations, cfg.burn_in,
+                            trace_every)([(cfg.seed, None)])
     return x[0], None if trace is None else trace[:, 0]
 
 
-def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0):
-    """Conclique-blocked Gibbs sampler advancing one chain per spec in one loop.
+def chain_engine(specs, partition, iterations, burn_in=0, trace_every=0):
+    """Conclique-blocked Gibbs sampler advancing one chain per spec in one
+    loop, built up to its streams: returns run(streams) -> (fields, trace).
+    The checks, the class order, the slot tables, the state buffers and the
+    K0 probe below are done once here.  Each run checks its streams, then
+    sweeps them from zero; a rejected run touches no state.  Runs share the
+    state buffers, so an engine is not for concurrent callers.
 
     Each chain starts at its alpha; each sweep visits the classes in index
     order and redraws every node of a class from its conditional given the
@@ -312,10 +317,11 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     `streams` holds one (seed, rho) per innovation stream, in chain order:
     rho None feeds one chain, n standard normals per sweep; a float feeds two,
     drawing u then v (n each) per sweep, with u driving the first chain and
-    rho*u + sqrt(1 - rho^2)*v the second.  Sweeps b*S .. b*S + S - 1, S =
-    _SWEEP_BLOCK = 32, are one `standard_normal((k, n))` or `((k, 2, n))` call
-    on `stream(seed, _TAG_CHAIN, b)`, k <= S; the key depends only on the sweep
-    index, so batching, coupling and tracing keep each chain's innovations.
+    rho*u + sqrt(1 - rho^2)*v the second (|rho| < 1); they must feed one
+    chain per spec.  Sweeps b*S .. b*S + S - 1, S = _SWEEP_BLOCK = 32, are
+    one `standard_normal((k, n))` or `((k, 2, n))` call on `stream(seed,
+    _TAG_CHAIN, b)`, k <= S; the key depends only on the sweep index, so
+    batching, coupling and tracing keep each chain's innovations.
     The innovation at position p of a sweep goes to the p-th node of the
     classes laid end to end.
 
@@ -346,18 +352,10 @@ def gibbs_chains(specs, partition, streams, iterations, burn_in=0, trace_every=0
     block that ends at or before the first swept sweep is never drawn; the
     innovations of the sweeps that do run are those of a full run.
 
-    Returns the (chains, n) final states alpha + sqrt(tau2) * y and the stack
-    of every `trace_every`-th post-burn-in state, shape (kept, chains, n), or
-    None when trace_every == 0.
+    run returns the (chains, n) final states alpha + sqrt(tau2) * y and the
+    stack of every `trace_every`-th post-burn-in state, shape (kept, chains,
+    n), or None when trace_every == 0.
     """
-    return chain_engine(specs, partition, iterations, burn_in, trace_every)(streams)
-
-
-def chain_engine(specs, partition, iterations, burn_in=0, trace_every=0):
-    """`gibbs_chains` built up to its streams: run(streams) -> (fields, trace).
-    The checks, the class order, the gather rows and the K0 probe are done
-    once here; each run checks its streams and sweeps them from zero.  Runs
-    share the state buffers, so an engine is not for concurrent callers."""
     _check_run(iterations, burn_in, trace_every)
     if not specs:
         raise ValueError("chain_engine needs at least one spec")

@@ -162,6 +162,15 @@ def _integer(name, value):
     return int(value)
 
 
+def _count(name, value):
+    """`_integer(name, value)`, which must not be negative; otherwise a
+    ValueError naming `name`."""
+    value = _integer(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
 def _node_pairs(edges):
     """`edges` as an (E, 2) int64 array.  Node ids must be integers, bool
     excluded; the ValueError names the first edge holding another id."""
@@ -233,11 +242,9 @@ def torus_lattice(rows, cols):
 def torus_with_chords(rows, cols, chords, seed):
     """Torus plus `chords` extra random non-adjacent node pairs (seeded);
     with no chords nothing is drawn and the graph is `torus_lattice`'s."""
-    rows, cols, chords = _integer("rows", rows), _integer("cols", cols), _integer("chords", chords)
+    rows, cols, chords = _integer("rows", rows), _integer("cols", cols), _count("chords", chords)
     if rows < 2 or cols < 2:
         raise ValueError("torus sides must be at least 2")
-    if chords < 0:
-        raise ValueError("chords must be non-negative")
     n = rows * cols
     # each node's edges to its right and lower neighbours, wrapping; on a side
     # of length 2 both directions give one pair, so the pairs are deduplicated

@@ -492,6 +492,29 @@ def test_emit_and_load_round_trip(tmp_path):
     assert len(lines) == 1 + len(table.rows)
 
 
+def test_numpy_scalar_config_writes_the_bytes_of_python_numbers(tmp_path):
+    # numpy numbers pass the config's checks; each must be stored as the
+    # Python number, or results.json cannot be written after the run.  The
+    # float32 values are exact, so both configs hold the same numbers
+    plain = dict(graph={"kind": "torus", "rows": 6, "cols": 6, "chords": 2, "chord_seed": 1},
+                 etas=(0.15, 0.15), levels=(1, 2), replications=1, seed=3, iterations=50,
+                 noise_scale=0.5, test_fraction=0.25, copula_rho=0.5)
+    scalars = dict(plain, graph={"kind": "torus", "rows": np.int64(6), "cols": np.int32(6),
+                                 "chords": np.int16(2), "chord_seed": np.uint8(1)},
+                   etas=(np.float64(0.15), np.float64(0.15)), levels=(np.int64(1), np.int8(2)),
+                   replications=np.int64(1), seed=np.int64(3), iterations=np.int32(50),
+                   noise_scale=np.float32(0.5), test_fraction=np.float32(0.25),
+                   copula_rho=np.float64(0.5))
+    outputs = []
+    for name, values in (("plain", plain), ("numpy", scalars)):
+        cfg = small_config(**values, out_dir=str(tmp_path / name))
+        run_experiment(cfg)
+        doc = json.loads((tmp_path / name / "results.json").read_text())
+        assert config_from_dict(doc["config"]) == cfg
+        outputs.append((tmp_path / name / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_format_table_has_parenthesized_sd():
     table = run_experiment(small_config())
     text = format_table(table)
@@ -690,6 +713,14 @@ def cli_digest(name, tmp_path, env, levels=(1, 2)):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_results_csv_digest(name, tmp_path):
     assert cli_digest(name, tmp_path, {"OPENBLAS_NUM_THREADS": "1"}) == GOLDEN[name][1]
+
+
+def test_readme_lists_the_golden_digests():
+    # the README's "- `name`: `sha256`" lines must be GOLDEN's digests, so a
+    # change to the bytes re-records both
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = dict(re.findall(r"^- `(\w+)`: `([0-9a-f]{64})`$", readme, re.MULTILINE))
+    assert listed == {name: digest for name, (_, digest) in GOLDEN.items()}
 
 
 @golden_numpy

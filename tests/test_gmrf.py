@@ -9,7 +9,7 @@ import pytest
 
 from wavesieve import gmrf
 from wavesieve.gmrf import (ChainConfig, GmrfSpec, direct_sample, field_to_csv,
-                            gibbs_chain, gibbs_chains, joint_covariance,
+                            chain_engine, gibbs_chain, joint_covariance,
                             tau_from_eta, to_uniform)
 from wavesieve.graphs import (ConcliquePartition, Graph, concliques, eta_range,
                               knn_geometric_graph, torus_lattice, torus_with_chords)
@@ -495,14 +495,14 @@ def test_chain_config_validation():
     (5, 0, True, "trace_every must be an integer, got True"),
     (np.float64(5), 0, 0, "iterations must be an integer"),
     (5, 0, 0, "needs at least one spec")])
-def test_gibbs_chains_checks_its_run_length(iterations, burn_in, trace_every, message):
+def test_chain_engine_checks_its_run_length(iterations, burn_in, trace_every, message):
     # the rule of ChainConfig, for callers that pass the run length directly;
     # the last case passes no spec at all
     g = triangle()
     specs = [] if message.startswith("needs") else [GmrfSpec(g, 0.2)]
     with pytest.raises(ValueError, match=message):
-        gibbs_chains(specs, concliques(g), [(1, None)][:len(specs)], iterations, burn_in,
-                     trace_every)
+        chain_engine(specs, concliques(g), iterations, burn_in,
+                     trace_every)([(1, None)][:len(specs)])
 
 
 def test_gibbs_zero_iterations_returns_alpha():
@@ -512,7 +512,7 @@ def test_gibbs_zero_iterations_returns_alpha():
     assert np.array_equal(final, np.full(3, 3.0))
     assert trace is None
     other = GmrfSpec(g, -0.1, alpha=[1.0, -2.0, 0.5])
-    final, trace = gibbs_chains([spec, other], concliques(g), [(1, 0.5)], 0, trace_every=1)
+    final, trace = chain_engine([spec, other], concliques(g), 0, trace_every=1)([(1, 0.5)])
     assert np.array_equal(final, [spec.alpha, other.alpha])
     assert trace.shape == (0, 2, 3)
 
@@ -598,14 +598,14 @@ def reference_sweeps(specs, partition, innovations, iterations):
     return np.array([spec.alpha + np.sqrt(spec.tau2) * y for y, spec in zip(ys, specs)])
 
 
-def test_gibbs_chains_match_per_chain_sweeps_bitwise():
+def test_chain_engine_matches_per_chain_sweeps_bitwise():
     # coupled pair plus an independent chain, over enough sweeps to cross
     # the engine's innovation blocks
     g = torus_with_chords(4, 5, 6, 2)
     part = concliques(g)
     specs = [GmrfSpec(g, 0.1, alpha=0.5), GmrfSpec(g, -0.15), GmrfSpec(g, 0.2, alpha=-1.0)]
     rho, iterations = 0.6, 3500
-    got, _ = gibbs_chains(specs, part, [(31, rho), (32, None)], iterations)
+    got, _ = chain_engine(specs, part, iterations)([(31, rho), (32, None)])
 
     coupled = iter(chain_normals(31, (2, g.node_count), iterations))
     single = iter(chain_normals(32, (g.node_count,), iterations))
@@ -618,7 +618,7 @@ def test_gibbs_chains_match_per_chain_sweeps_bitwise():
 
 
 @pytest.mark.parametrize("case", ["paper_etas_coupled", "range_edges"])
-def test_gibbs_chains_final_state_equals_a_full_run_bitwise(case):
+def test_chain_engine_final_state_equals_a_full_run_bitwise(case):
     # untraced, the engine sweeps only the last K of 3000 sweeps, from zero;
     # a trace forces every sweep, and the final states must be the same bits
     g = torus_with_chords(18, 18, 60, seed=1)
@@ -629,26 +629,27 @@ def test_gibbs_chains_final_state_equals_a_full_run_bitwise(case):
         lo, hi = eta_range(g)
         etas, streams = (0.9 * lo, 0.9 * hi), [(43, None), (44, None)]
     specs = [GmrfSpec(g, eta, alpha=0.5) for eta in etas]
-    got, _ = gibbs_chains(specs, part, streams, 3000)
-    full, _ = gibbs_chains(specs, part, streams, 3000, trace_every=3000)
+    got, _ = chain_engine(specs, part, 3000)(streams)
+    full, _ = chain_engine(specs, part, 3000, trace_every=3000)(streams)
     assert np.array_equal(got, full)
 
 
 @pytest.mark.parametrize("trace_every", [0, 7])
 @pytest.mark.parametrize("name", ["paper", "torus4x5"])
-def test_one_engine_runs_every_set_of_streams_to_the_bits_of_gibbs_chains(name, trace_every):
+def test_one_engine_runs_every_set_of_streams_to_the_bits_of_a_fresh_engine(name, trace_every):
     # the engine is built and probed once; each run starts from zero, so no
     # state of the probe or of an earlier run reaches a later one (with no
-    # burn-in the first traced state shows the start)
+    # burn-in the first traced state shows the start).  Each stream set also
+    # runs on an engine built for it alone.
     g = torus_with_chords(18, 18, 60, seed=1) if name == "paper" else torus_with_chords(4, 5, 6, 2)
     part = concliques(g)
     specs = [GmrfSpec(g, eta, alpha=0.5) for eta in (0.12, -0.18, 0.12)]
     iterations, burn_in = 3000, 0
-    engine = gmrf.chain_engine(specs, part, iterations, burn_in, trace_every)
+    engine = chain_engine(specs, part, iterations, burn_in, trace_every)
     for streams in ([(41, 0.7), (42, None)], [(5, None), (6, None), (7, None)],
                     [(41, 0.7), (42, None)], [(8, -0.3), (9, None)]):
         got = engine(streams)
-        want = gibbs_chains(specs, part, streams, iterations, burn_in, trace_every)
+        want = chain_engine(specs, part, iterations, burn_in, trace_every)(streams)
         assert np.array_equal(got[0], want[0])
         assert (got[1] is None) == (trace_every == 0) == (want[1] is None)
         assert trace_every == 0 or np.array_equal(got[1], want[1])
@@ -679,7 +680,7 @@ def _record_chain_blocks(monkeypatch, poison_before):
     return built
 
 
-def test_gibbs_chains_never_apply_the_sweeps_that_cannot_reach_the_final_state(monkeypatch):
+def test_chain_engine_never_applies_the_sweeps_that_cannot_reach_the_final_state(monkeypatch):
     # K0 = 70 on the paper graph at these etas, so the untraced run sweeps
     # from 2860 = 89*32 + 12: it never builds blocks 0..88, and draws but
     # never applies sweeps 2848..2859.  A NaN innovation poisons every later
@@ -688,27 +689,27 @@ def test_gibbs_chains_never_apply_the_sweeps_that_cannot_reach_the_final_state(m
     part = concliques(g)
     specs = [GmrfSpec(g, eta) for eta in (0.12, -0.18, 0.12)]
     streams = [(41, 0.7), (42, None)]
-    clean, _ = gibbs_chains(specs, part, streams, 3000)
+    clean, _ = chain_engine(specs, part, 3000)(streams)
     skip, blocks = 3000 - 2 * 70, -(-3000 // SWEEP_BLOCK)
     built = _record_chain_blocks(monkeypatch, poison_before=skip)
-    poisoned, _ = gibbs_chains(specs, part, streams, 3000)
+    poisoned, _ = chain_engine(specs, part, 3000)(streams)
     assert sorted(built) == [(seed, b) for seed in (41, 42)
                              for b in range(skip // SWEEP_BLOCK, blocks)]
     assert np.array_equal(poisoned, clean)
     built.clear()
-    traced, _ = gibbs_chains(specs, part, streams, 3000, trace_every=3000)
+    traced, _ = chain_engine(specs, part, 3000, trace_every=3000)(streams)
     assert sorted(built) == [(seed, b) for seed in (41, 42) for b in range(blocks)]
     assert np.isnan(traced).all()
 
 
-def test_gibbs_chains_traced_run_sweeps_every_sweep():
+def test_chain_engine_traced_run_sweeps_every_sweep():
     # untraced, these chains would skip most of their 300 sweeps; traced,
     # every kept state and the final one are the per-chain sweeps from the start
     g = torus_with_chords(4, 5, 6, 2)
     part = concliques(g)
     specs = [GmrfSpec(g, 0.1, alpha=0.5), GmrfSpec(g, -0.15)]
     rho = 0.6
-    got, trace = gibbs_chains(specs, part, [(51, rho)], 300, burn_in=9, trace_every=100)
+    got, trace = chain_engine(specs, part, 300, burn_in=9, trace_every=100)([(51, rho)])
 
     def replay(iterations):
         coupled = iter(chain_normals(51, (2, g.node_count), iterations))
@@ -757,25 +758,25 @@ _SHORT_RUNS = {   # name: (etas, iterations)
     pytest.param(run, case, trace_every, id=run if (case, trace_every) == ("torus4x5", 0)
                  else f"{run}-{case}-{'traced' if trace_every else 'untraced'}")
     for run in _SHORT_RUNS for case in sorted(_sweep_cases()) for trace_every in (0, 1)])
-def test_gibbs_chains_short_and_degenerate_runs_match_per_chain_sweeps(run, case, trace_every):
+def test_chain_engine_short_and_degenerate_runs_match_per_chain_sweeps(run, case, trace_every):
     (etas, iterations), (g, part) = _SHORT_RUNS[run], _sweep_cases()[case]
     specs = [GmrfSpec(g, eta, alpha=0.5) for eta in etas]
     seeds = range(61, 61 + len(etas))
-    got, trace = gibbs_chains(specs, part, [(seed, None) for seed in seeds], iterations,
-                              trace_every=trace_every)
+    got, trace = chain_engine(specs, part, iterations,
+                              trace_every=trace_every)([(seed, None) for seed in seeds])
     normals = [iter(chain_normals(seed, (g.node_count,), iterations)) for seed in seeds]
     want = reference_sweeps(specs, part, lambda: [next(z) for z in normals], iterations)
     assert np.array_equal(got, want)
     assert not (trace_every and iterations) or np.array_equal(trace[-1], got)
 
 
-def test_gibbs_chains_batched_equal_one_chain_runs():
+def test_chain_engine_batched_runs_equal_one_chain_runs():
     g = torus_with_chords(6, 6, 8, 1)
     part = concliques(g)
     specs = [GmrfSpec(g, eta, alpha=a) for eta, a in ((0.12, 0.0), (-0.18, 2.0), (0.05, -1.0))]
     seeds = (3, 4, 5)
-    batched, trace = gibbs_chains(specs, part, [(s, None) for s in seeds], 120,
-                                  burn_in=20, trace_every=25)
+    batched, trace = chain_engine(specs, part, 120, burn_in=20,
+                                  trace_every=25)([(s, None) for s in seeds])
     assert trace.shape == (4, 3, g.node_count)
     for c, (spec, seed) in enumerate(zip(specs, seeds)):
         one, one_trace = gibbs_chain(spec, part, ChainConfig(120, 20, seed), trace_every=25)
@@ -783,14 +784,14 @@ def test_gibbs_chains_batched_equal_one_chain_runs():
         assert np.array_equal(trace[:, c], one_trace)
 
 
-def test_gibbs_chains_sweeps_agree_with_conditional_params():
+def test_chain_engine_sweeps_agree_with_conditional_params():
     # several chains and sweeps by hand through the per-node conditional
     # oracle, replaying each stream's innovations (u then v for the pair)
     g = torus_lattice(3, 4)
     part = concliques(g)
     specs = [GmrfSpec(g, 0.1), GmrfSpec(g, -0.2, alpha=1.5), GmrfSpec(g, 0.15, alpha=-0.5)]
     rho = -0.4
-    got, _ = gibbs_chains(specs, part, [(77, rho), (78, None)], 3)
+    got, _ = chain_engine(specs, part, 3)([(77, rho), (78, None)])
 
     xs = [spec.alpha.copy() for spec in specs]
     for (u, v), w in zip(chain_normals(77, (2, 12), 3), chain_normals(78, (12,), 3)):
@@ -833,8 +834,8 @@ def test_gibbs_engine_is_the_sweep_map_whose_fixed_point_is_the_joint_law():
         spec, part, n = GmrfSpec(g, eta, alpha=0.5), concliques(g), g.node_count
         A, B = sweep_map(spec, part)
         z1, z2 = chain_normals(13, (n,), 2)
-        one, _ = gibbs_chains([spec], part, [(13, None)], 1)
-        two, _ = gibbs_chains([spec], part, [(13, None)], 2)
+        one, _ = chain_engine([spec], part, 1)([(13, None)])
+        two, _ = chain_engine([spec], part, 2)([(13, None)])
         assert np.max(np.abs(one[0] - 0.5 - B @ z1)) < 1e-12
         assert np.max(np.abs(two[0] - 0.5 - (A @ (B @ z1) + B @ z2))) < 1e-12
 
@@ -881,36 +882,58 @@ def test_skipped_sweeps_reach_the_final_state_only_through_a_negligible_map(g, e
     built, firsts = _record_chain_blocks(monkeypatch, poison_before=0), []
     for iterations in (2 * k0 + SWEEP_BLOCK * m, 2 * k0 + SWEEP_BLOCK * m - 1):
         built.clear()
-        gibbs_chains([spec], part, [(1, None)], iterations)
+        chain_engine([spec], part, iterations)([(1, None)])
         firsts.append(min(b for _, b in built))
     assert firsts == [m, m - 1]
     assert np.abs(np.linalg.matrix_power(A, 2 * k0)).sum(axis=1).max() <= 2.0 ** -100
 
 
-def test_gibbs_chains_isolated_node_is_alpha_plus_innovation():
+def test_chain_engine_isolated_node_is_alpha_plus_innovation():
     # node 4 has no neighbours, so its update sums only its innovation and,
     # if its class is wider, zero rows
     g = Graph(5, [(0, 1), (1, 2), (2, 3)])
     part = concliques(g)
     spec = GmrfSpec(g, -0.3, alpha=0.7)
-    got, _ = gibbs_chains([spec], part, [(9, None)], 3)
+    got, _ = chain_engine([spec], part, 3)([(9, None)])
     z = chain_normals(9, (5,), 3)[-1]
     at = int(np.flatnonzero(np.concatenate(part.classes) == 4)[0])
     assert got[0, 4] == 0.7 + np.sqrt(spec.tau2[4]) * z[at]
 
 
-def test_gibbs_chains_rejects_bad_streams():
+def test_chain_engine_rejects_bad_streams():
     g = torus_lattice(3, 3)
     part = concliques(g)
     spec = GmrfSpec(g, 0.1)
     for rho in (1.0, -1.0, 1.2):
         with pytest.raises(ValueError, match="rho"):
-            gibbs_chains([spec, spec], part, [(1, rho)], 5)
+            chain_engine([spec, spec], part, 5)([(1, rho)])
     with pytest.raises(ValueError, match="one chain per spec"):
-        gibbs_chains([spec, spec], part, [(1, None)], 5)
+        chain_engine([spec, spec], part, 5)([(1, None)])
     with pytest.raises(ValueError, match="one graph"):
-        gibbs_chains([spec, GmrfSpec(torus_lattice(3, 3), 0.1)], part,
-                     [(1, None), (2, None)], 5)
+        chain_engine([spec, GmrfSpec(torus_lattice(3, 3), 0.1)], part,
+                     5)([(1, None), (2, None)])
+
+
+@pytest.mark.parametrize("trace_every", [0, 3])
+def test_chain_engine_refused_run_leaves_the_engine_usable(trace_every):
+    # a run refuses its streams before it touches the shared state, so the
+    # next good run has the bits of a freshly built engine
+    g = torus_with_chords(4, 5, 6, 2)
+    part = concliques(g)
+    specs = [GmrfSpec(g, 0.1, alpha=0.5), GmrfSpec(g, -0.15), GmrfSpec(g, 0.2)]
+    engine = chain_engine(specs, part, 40, 5, trace_every)
+    good = [(3, 0.6), (4, None)]
+    engine(good)
+    for bad, match in (([(3, 1.0), (4, None)], "rho"), ([(3, -1.5), (4, None)], "rho"),
+                       ([(3, 0.6)], "one chain per spec"),
+                       ([(3, None), (4, None)], "one chain per spec"),
+                       ([(3, 0.6), (4, None), (5, None)], "one chain per spec")):
+        with pytest.raises(ValueError, match=match):
+            engine(bad)
+        got, trace = engine(good)
+        want, want_trace = chain_engine(specs, part, 40, 5, trace_every)(good)
+        assert np.array_equal(got, want)
+        assert trace_every == 0 or np.array_equal(trace, want_trace)
 
 
 def _bad_partitions():
@@ -926,37 +949,36 @@ def _bad_partitions():
 
 
 @pytest.mark.parametrize("problem", sorted(_bad_partitions()[1]))
-def test_gibbs_chains_rejects_partitions_that_are_not_concliques(problem):
+def test_chain_engine_rejects_partitions_that_are_not_concliques(problem):
     g, partitions = _bad_partitions()
     with pytest.raises(ValueError, match=problem):
-        gibbs_chains([GmrfSpec(g, 0.1)], ConcliquePartition(partitions[problem]),
-                     [(1, None)], 5)
+        chain_engine([GmrfSpec(g, 0.1)], ConcliquePartition(partitions[problem]),
+                     5)([(1, None)])
 
 
-def test_gibbs_chains_take_list_classes_as_arrays():
+def test_chain_engine_takes_list_classes_as_arrays():
     g = torus_lattice(3, 3)
     classes = ([0, 4, 8], [1, 5, 6], [2, 3, 7])
-    runs = [gibbs_chains([GmrfSpec(g, 0.1)], ConcliquePartition(part), [(1, None)], 40,
-                         trace_every=7)
+    runs = [chain_engine([GmrfSpec(g, 0.1)], ConcliquePartition(part), 40,
+                         trace_every=7)([(1, None)])
             for part in (classes, tuple(map(np.array, classes)))]
     for got, want in zip(*runs):
         assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("trace_every", [0, 1])
-def test_gibbs_chains_rejects_a_graph_without_nodes(trace_every):
+def test_chain_engine_rejects_a_graph_without_nodes(trace_every):
     g = Graph(0, [])
     with pytest.raises(ValueError, match="at least one node"):
-        gibbs_chains([GmrfSpec(g, 0.1)], concliques(g), [(1, None)], 10,
-                     trace_every=trace_every)
+        chain_engine([GmrfSpec(g, 0.1)], concliques(g), 10, trace_every=trace_every)([(1, None)])
 
 
-def test_gibbs_chains_eta_zero_chain_returns_its_last_innovations_exactly():
+def test_chain_engine_eta_zero_chain_returns_its_last_innovations_exactly():
     # u = eta*y is zero, so y must come from the sums, never from u / eta
     g = torus_with_chords(4, 5, 6, 2)
     part = concliques(g)
     specs = [GmrfSpec(g, 0.0, alpha=0.25), GmrfSpec(g, 0.1)]
-    got, trace = gibbs_chains(specs, part, [(4, None), (5, None)], 7, trace_every=3)
+    got, trace = chain_engine(specs, part, 7, trace_every=3)([(4, None), (5, None)])
     order = np.concatenate(part.classes)
     z = np.empty(g.node_count)
     z[order] = chain_normals(4, (g.node_count,), 7)[-1]
@@ -1014,14 +1036,13 @@ def test_gibbs_and_direct_agree_in_distribution():
 # ---------------------------------------------------------------------------
 # coupling and transforms
 
-def test_gibbs_chains_coupled_correlates_innovations():
+def test_chain_engine_coupled_correlates_innovations():
     # at eta 0 every kept state is exactly that sweep's innovations, so the
     # trace holds 36 nodes x 3000 sweeps of coupled pairs
     g = torus_lattice(6, 6)
     spec = GmrfSpec(g, 0.0)
     for rho in (0.0, 0.7):
-        _, trace = gibbs_chains([spec, spec], concliques(g), [(9, rho)], 3000,
-                                trace_every=1)
+        _, trace = chain_engine([spec, spec], concliques(g), 3000, trace_every=1)([(9, rho)])
         pairs = trace.transpose(1, 0, 2).reshape(2, -1)
         assert np.corrcoef(pairs)[0, 1] == pytest.approx(rho, abs=0.02)
         # both margins standard normal
@@ -1045,8 +1066,8 @@ def test_coupled_pair_is_the_pair_of_sweep_maps_on_shared_innovations():
         (u1, v1), (u2, v2) = chain_normals(17, (2, n), 2)
         c = np.sqrt(1.0 - rho * rho)
         w1, w2 = rho * u1 + c * v1, rho * u2 + c * v2
-        one, _ = gibbs_chains(specs, part, [(17, rho)], 1)
-        two, _ = gibbs_chains(specs, part, [(17, rho)], 2)
+        one, _ = chain_engine(specs, part, 1)([(17, rho)])
+        two, _ = chain_engine(specs, part, 2)([(17, rho)])
         assert np.max(np.abs(one - [0.5 + B1 @ u1, -1.0 + B2 @ w1])) < 1e-12
         assert np.max(np.abs(two - [0.5 + A1 @ (B1 @ u1) + B1 @ u2,
                                     -1.0 + A2 @ (B2 @ w1) + B2 @ w2])) < 1e-12
