@@ -127,8 +127,9 @@ class ExperimentConfig:
             for key in sorted(self.graph.keys() - {"kind", "path"})}})
         object.__setattr__(self, "levels", tuple(_count(f"levels[{i}]", j)
                                                  for i, j in enumerate(self.levels)))
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        for key in ("replications", "iterations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
         for key in ("wavelets", "levels"):
             values = getattr(self, key)
             if not values:
@@ -289,10 +290,21 @@ def config_to_dict(cfg):
 # the run itself
 
 def _context(cfg):
-    """Validated shared state: the graph, the `chain_engine` of one GmrfSpec
-    per component on its concliques, which runs the K0 probe once per run (a
-    spec is built once per distinct eta, which checks that eta is
-    admissible), one phi table per wavelet, the regression target and d."""
+    """Build the run once and return `replicate(rep)`, which maps each
+    (wavelet, level) to the pair (field error, reference error) of
+    replication `rep`.
+
+    The build raises on a graph without edges, on an eta count that does not
+    fit the regression target and on an inadmissible eta (one GmrfSpec per
+    distinct eta); the `chain_engine` runs its K0 probe here, once per run.
+    A replication runs the engine once: the `innovations` pair shares the
+    design stream; otherwise design component i owns the stream keyed
+    (rep, i), or (rep,) for the first one when d <= 2.  Each fit uses the
+    minimal covering sieve (2^(jd) translates on the unit cube): with the
+    boundary-overhang family, level-1 fits on a few hundred nodes are rich
+    enough that the error curve loses the interior minimum the larger
+    reference tables show.
+    """
     graph = _build_graph(cfg.graph)
     if graph.edge_count == 0:
         raise ValueError(f"the graph has no edges: {graph!r}")
@@ -303,82 +315,61 @@ def _context(cfg):
     tables = {name: cascade(filter_by_name(name)) for name in cfg.wavelets}
     by_eta = {eta: GmrfSpec(graph, eta) for eta in dict.fromkeys(cfg.etas)}
     engine = chain_engine([by_eta[eta] for eta in cfg.etas], concliques(graph), cfg.iterations)
-    return graph, engine, tables, m_true, d
+    pairs = [(name, j) for name in cfg.wavelets for j in cfg.levels]
 
+    def fit_errors(X_learn, y_learn, X_test):
+        """Squared test error for every configured (wavelet, level), in order."""
+        rho = auto_rho(y_learn, len(y_learn))
+        data = Dataset(X_learn, y_learn)
+        errors = []
+        for name, j in pairs:
+            table = tables[name]
+            fitted = fit(data, covering_sieve(table.filter, d, j), table, rho=rho)
+            errors.append(l2_error_mc(fitted, table, m_true, X_test))
+        return errors
 
-def _simulate_design(cfg, engine, d, rep):
-    """Design components mapped to the unit cube, plus the noise component,
-    all simulated by one run of the context's engine.  The `innovations`
-    pair shares the design stream; otherwise design component i owns the
-    stream keyed (rep, i), or (rep,) for the first one when d <= 2."""
-    if d == 2 and cfg.coupling == "innovations":
-        streams = [(child_seed(cfg.seed, _SLOT_DESIGN, rep), cfg.copula_rho)]
-    else:
-        keys = [(rep, i) if i or d > 2 else (rep,) for i in range(d)]
-        streams = [(child_seed(cfg.seed, _SLOT_DESIGN, *key), None) for key in keys]
-    streams.append((child_seed(cfg.seed, _SLOT_NOISE, rep), None))   # the noise chain
-    fields, _ = engine(streams)
-    design = list(fields[:d])
-    if d == 2 and cfg.coupling == "final":
-        mix = math.sqrt(1.0 - cfg.copula_rho ** 2)
-        design[1] = cfg.copula_rho * design[0] + mix * design[1]
-    X = np.column_stack([to_uniform(z) for z in design])
-    return X, fields[-1]
+    def replicate(rep):
+        if d == 2 and cfg.coupling == "innovations":
+            streams = [(child_seed(cfg.seed, _SLOT_DESIGN, rep), cfg.copula_rho)]
+        else:
+            keys = [(rep, i) if i or d > 2 else (rep,) for i in range(d)]
+            streams = [(child_seed(cfg.seed, _SLOT_DESIGN, *key), None) for key in keys]
+        streams.append((child_seed(cfg.seed, _SLOT_NOISE, rep), None))   # the noise chain
+        fields, _ = engine(streams)
+        design = list(fields[:d])
+        if d == 2 and cfg.coupling == "final":
+            mix = math.sqrt(1.0 - cfg.copula_rho ** 2)
+            design[1] = cfg.copula_rho * design[0] + mix * design[1]
+        X = np.column_stack([to_uniform(z) for z in design])
+        y = m_true(*X.T) + cfg.noise_scale * fields[-1]
+        learn, test = connected_split(graph, cfg.test_fraction,
+                                      child_seed(cfg.seed, _SLOT_SPLIT, rep))
+        field_err = fit_errors(X[learn], y[learn], X[test])
 
+        # independent reference sample with the same marginals and sizes
+        rng = stream(cfg.seed, _SLOT_REFERENCE, rep)
+        n = graph.node_count
+        X_ref = rng.uniform(0.0, 1.0, size=(n, d))
+        y_ref = m_true(*X_ref.T) + cfg.noise_scale * rng.standard_normal(n)
+        nl = learn.size
+        ref_err = fit_errors(X_ref[:nl], y_ref[:nl], X_ref[nl:])
+        return dict(zip(pairs, zip(field_err, ref_err)))
 
-def _fit_errors(cfg, tables, m_true, X_learn, y_learn, X_test):
-    """Squared test error for every configured (wavelet, level).
-
-    Uses the minimal covering sieve (2^(jd) translates on the unit cube):
-    with the boundary-overhang family, level-1 fits on a few hundred nodes
-    are rich enough that the error curve loses the interior minimum the
-    larger reference tables show.
-    """
-    n = len(y_learn)
-    rho = auto_rho(y_learn, n)
-    data = Dataset(X_learn, y_learn)
-    out = {}
-    for name in cfg.wavelets:
-        table = tables[name]
-        for j in cfg.levels:
-            sieve = covering_sieve(table.filter, X_learn.shape[1], j)
-            fitted = fit(data, sieve, table, rho=rho)
-            out[(name, j)] = l2_error_mc(fitted, table, m_true, X_test)
-    return out
-
-
-def _replicate(cfg, ctx, rep):
-    graph, engine, tables, m_true, d = ctx
-    X, noise = _simulate_design(cfg, engine, d, rep)
-    y = m_true(*X.T) + cfg.noise_scale * noise
-    learn, test = connected_split(graph, cfg.test_fraction,
-                                  child_seed(cfg.seed, _SLOT_SPLIT, rep))
-    field_err = _fit_errors(cfg, tables, m_true, X[learn], y[learn], X[test])
-
-    # independent reference sample with the same marginals and sizes
-    rng = stream(cfg.seed, _SLOT_REFERENCE, rep)
-    n = graph.node_count
-    X_ref = rng.uniform(0.0, 1.0, size=(n, d))
-    y_ref = m_true(*X_ref.T) + cfg.noise_scale * rng.standard_normal(n)
-    nl = learn.size
-    ref_err = _fit_errors(cfg, tables, m_true, X_ref[:nl], y_ref[:nl], X_ref[nl:])
-    return field_err, ref_err
-
-
-def _attempt(cfg, ctx, rep):
-    """(rep, field errors, reference errors, None), or the error text in place
-    of the errors."""
-    try:
-        return (rep, *_replicate(cfg, ctx, rep), None)
-    except Exception as exc:   # a failed replication is recorded, not fatal
-        return rep, None, None, f"{type(exc).__name__}: {exc}"
+    return replicate
 
 
 def _replicate_chunk(args):
-    """Build the context once, then attempt every replication of the chunk."""
+    """Build the run once, then replicate every rep of the chunk: (rep, pair
+    map, None), or (rep, None, error text) when the replication fails."""
     cfg, reps = args
-    ctx = _context(cfg)
-    return [_attempt(cfg, ctx, rep) for rep in reps]
+    replicate = _context(cfg)
+    outcomes = []
+    for rep in reps:
+        try:
+            outcomes.append((rep, replicate(rep), None))
+        except Exception as exc:   # a failed replication is recorded, not fatal
+            outcomes.append((rep, None, f"{type(exc).__name__}: {exc}"))
+    return outcomes
 
 
 def _workers():
@@ -418,40 +409,38 @@ def run_experiment(cfg):
         done = [_replicate_chunk(chunks[0])]
     outcomes = sorted((o for chunk in done for o in chunk), key=lambda item: item[0])
 
+    kept = [pairs for _, pairs, err in outcomes if err is None]
     rows = []
     for name in cfg.wavelets:
         for j in cfg.levels:
-            errs = [o[1][(name, j)] for o in outcomes if o[3] is None]
-            refs = [o[2][(name, j)] for o in outcomes if o[3] is None]
-            rows.append(ResultRow(
-                name, j,
-                float(np.mean(errs)) if errs else math.nan,
-                float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0,
-                float(np.mean(refs)) if refs else math.nan,
-                float(np.std(refs, ddof=1)) if len(refs) > 1 else 0.0,
-                len(errs)))
-    failures = tuple(f"rep={o[0]} {o[3]}" for o in outcomes if o[3] is not None)
+            errs = [pairs[(name, j)][0] for pairs in kept]
+            refs = [pairs[(name, j)][1] for pairs in kept]
+            rows.append(ResultRow(name, j, *_mean_sd(errs), *_mean_sd(refs), len(errs)))
+    failures = tuple(f"rep={rep} {err}" for rep, _, err in outcomes if err is not None)
     table = ResultTable(tuple(rows), config_to_dict(cfg), cfg.seed, failures)
 
     if cfg.out_dir is not None:
         emit_table(table, cfg.out_dir)
-        _write_log(cfg, outcomes, os.path.join(cfg.out_dir, "replications.log"))
+        _write_log(outcomes, os.path.join(cfg.out_dir, "replications.log"))
     return table
 
 
-def _write_log(cfg, outcomes, path):
+def _mean_sd(values):
+    """Mean and sample standard deviation; nan and 0 for no values, 0 sd for one."""
+    return (float(np.mean(values)) if values else math.nan,
+            float(np.std(values, ddof=1)) if len(values) > 1 else 0.0)
+
+
+def _write_log(outcomes, path):
     with open(path, "w") as fh:
-        for rep, field_err, ref_err, err in outcomes:
+        for rep, pairs, err in outcomes:
             if err is not None:
                 fh.write(f"rep={rep} status=failed error={err}\n")
                 continue
-            for name in cfg.wavelets:
-                for j in cfg.levels:
-                    l2 = field_err[(name, j)]
-                    rl2 = ref_err[(name, j)]
-                    sign = "+" if l2 - rl2 >= 0 else "-"
-                    fh.write(f"rep={rep} wavelet={name} j={j} l2={l2!r} "
-                             f"ref_l2={rl2!r} field_minus_ref_sign={sign}\n")
+            for (name, j), (l2, rl2) in pairs.items():
+                sign = "+" if l2 - rl2 >= 0 else "-"
+                fh.write(f"rep={rep} wavelet={name} j={j} l2={l2!r} "
+                         f"ref_l2={rl2!r} field_minus_ref_sign={sign}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +461,26 @@ def emit_table(table, out_dir):
         for r in table.rows:
             fh.write(f"{r.wavelet},{r.j},{r.mean_l2!r},{r.sd_l2!r},"
                      f"{r.ref_mean_l2!r},{r.ref_sd_l2!r},{r.n_reps}\n")
+    rows = [{**asdict(r), "field_minus_ref": r.field_minus_ref} for r in table.rows]
     doc = {
         "seed": table.seed,
         "config": table.config,
         "failures": list(table.failures),
-        "rows": [dict(wavelet=r.wavelet, j=r.j, mean_l2=r.mean_l2, sd_l2=r.sd_l2,
-                      ref_mean_l2=r.ref_mean_l2, ref_sd_l2=r.ref_sd_l2,
-                      n_reps=r.n_reps, field_minus_ref=r.field_minus_ref)
-                 for r in table.rows],
+        # JSON has no nan or inf: a non-finite value is written as null
+        "rows": [{key: None if isinstance(value, float) and not math.isfinite(value) else value
+                  for key, value in row.items()} for row in rows],
     }
     with open(json_path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
     return csv_path, json_path
 
 
 def load_table(json_path):
+    """The table emit_table wrote; a null row value reads back as nan."""
     with open(json_path) as fh:
         doc = json.load(fh)
-    rows = tuple(ResultRow(r["wavelet"], r["j"], r["mean_l2"], r["sd_l2"],
-                           r["ref_mean_l2"], r["ref_sd_l2"], r["n_reps"])
+    rows = tuple(ResultRow(*(math.nan if r[f.name] is None else r[f.name]
+                             for f in fields(ResultRow)))
                  for r in doc["rows"])
     return ResultTable(rows, doc["config"], doc["seed"], tuple(doc["failures"]))
 

@@ -269,7 +269,7 @@ def _inverse_in_place(M):
     U[...] = B.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmrfSpec:
     """Conditional autoregression on a graph: mean alpha and dependence eta.
 
@@ -277,6 +277,7 @@ class GmrfSpec:
     and edge s-t carries weight eta * sqrt(tau2_s / tau2_t), so the joint law
     is N(alpha, D^{1/2} (I - eta*H)^{-1} D^{1/2}), D = diag(tau2), with every
     marginal variance one.  An inadmissible eta makes construction raise.
+    A spec compares and hashes by identity, as its arrays allow no other.
     """
     graph: object
     eta: float

@@ -227,6 +227,9 @@ def test_config_rejects_unknown_keys():
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(replications=0)
+    # no sweep leaves every field at its mean, so every design point at 0.5
+    with pytest.raises(ValueError, match="iterations must be at least 1"):
+        small_config(iterations=0)
     with pytest.raises(ValueError):
         small_config(levels=())
     with pytest.raises(ValueError):
@@ -359,7 +362,7 @@ def test_config_missing_required_key_is_named(key):
 def test_expression_outside_the_grammar_fails_before_any_replication(text, message,
                                                                      monkeypatch):
     attempted = []
-    monkeypatch.setattr(experiment, "_replicate", lambda *args: attempted.append(args))
+    monkeypatch.setattr(experiment, "connected_split", lambda *args: attempted.append(args))
     with pytest.raises(ValueError, match=re.escape(message)):
         run_experiment(small_config(regression=text, etas=(0.1, 0.1, 0.1)))
     assert attempted == []
@@ -373,7 +376,7 @@ def test_expression_nesting_limit(levels, monkeypatch):
     cfg = small_config(regression="-" * levels + "x1", etas=(0.1, 0.1, 0.1))
     if levels > experiment._EXPR_DEPTH:
         attempted = []
-        monkeypatch.setattr(experiment, "_replicate", lambda *args: attempted.append(args))
+        monkeypatch.setattr(experiment, "connected_split", lambda *args: attempted.append(args))
         with pytest.raises(ValueError, match="nested too deeply"):
             run_experiment(cfg)
         assert attempted == []
@@ -410,7 +413,7 @@ def test_run_never_computes_eigen_bounds(monkeypatch):
 
 def test_graph_without_edges_fails_before_any_replication(tmp_path, monkeypatch, capsys):
     attempted = []
-    monkeypatch.setattr(experiment, "_replicate", lambda *args: attempted.append(args))
+    monkeypatch.setattr(experiment, "connected_split", lambda *args: attempted.append(args))
     empty = tmp_path / "empty.txt"
     empty.write_text("# no edges\n")
     cfg = small_config(graph={"kind": "file", "path": str(empty)})
@@ -652,6 +655,74 @@ def test_failed_replications_are_logged_not_fatal(tmp_path):
     assert log.count("status=failed") == 3
     # numpy turns the division into inf, so the finiteness invariant trips
     assert "non-finite response" in log
+    # no mean is finite, and results.json is still strict JSON: null, not NaN
+    text = (tmp_path / "out" / "results.json").read_text()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    rows = json.loads(text, parse_constant=refuse)["rows"]
+    assert all(r[key] is None for r in rows
+               for key in ("mean_l2", "ref_mean_l2", "field_minus_ref"))
+    loaded = load_table(tmp_path / "out" / "results.json")
+    assert all(math.isnan(r.mean_l2) and math.isnan(r.ref_mean_l2) for r in loaded.rows)
+    assert [r.sd_l2 for r in loaded.rows] == [r.sd_l2 for r in table.rows]
+
+
+def test_aggregate_skips_failed_replications(tmp_path, monkeypatch):
+    # the split of replication 1 alone raises; replications 0 and 2 aggregate
+    cfg = small_config(replications=3, out_dir=str(tmp_path))
+    bad_seed = experiment.child_seed(cfg.seed, experiment._SLOT_SPLIT, 1)
+    real_split = experiment.connected_split
+
+    def split(graph, fraction, seed):
+        if seed == bad_seed:
+            raise RuntimeError("split refused")
+        return real_split(graph, fraction, seed)
+
+    monkeypatch.setattr(experiment, "connected_split", split)
+    table = run_experiment(cfg)
+    assert table.failures == ("rep=1 RuntimeError: split refused",)
+    lines = (tmp_path / "replications.log").read_text().splitlines()
+    assert [line.split()[0] for line in lines] == ["rep=0"] * 2 + ["rep=1"] + ["rep=2"] * 2
+    assert lines[2] == "rep=1 status=failed error=RuntimeError: split refused"
+    logged = [dict(item.split("=", 1) for item in line.split()) for line in lines
+              if "status=failed" not in line]
+    for row in table.rows:
+        assert row.n_reps == 2
+        kept = [e for e in logged if e["wavelet"] == row.wavelet and e["j"] == str(row.j)]
+        assert [e["rep"] for e in kept] == ["0", "2"]
+        assert row.mean_l2 == np.mean([float(e["l2"]) for e in kept])
+        assert row.ref_mean_l2 == np.mean([float(e["ref_l2"]) for e in kept])
+
+
+# the names the benchmark's layer trace (perfbench/tracing.py) replaces on
+# wavesieve.experiment; each must be looked up there at call time
+_TRACED_NAMES = ("GmrfSpec", "concliques", "connected_split", "to_uniform", "cascade",
+                 "covering_sieve", "fit", "l2_error_mc")
+
+
+@pytest.mark.filterwarnings("ignore:learning set is disconnected")
+@pytest.mark.parametrize("kind, builder", [("torus", "torus_with_chords"),
+                                           ("knn", "knn_geometric_graph"),
+                                           ("file", "load_graph")])
+def test_traced_names_are_called_through_the_module(kind, builder, tmp_path, monkeypatch):
+    graph = {"torus": {"kind": "torus", "rows": 6, "cols": 6},
+             "knn": {"kind": "knn", "points": 36, "k": 4},
+             "file": {"kind": "file", "path": str(tmp_path / "torus.txt")}}[kind]
+    graphs.save_graph(graphs.torus_lattice(6, 6), tmp_path / "torus.txt")
+    calls = dict.fromkeys((*_TRACED_NAMES, builder), 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(experiment, name, counted(name, getattr(experiment, name)))
+    table = run_experiment(small_config(graph=graph, etas=(0.05, 0.05)))
+    assert table.failures == ()
+    assert {name for name, n in calls.items() if n < 1} == set()
 
 
 # sha256 of results.csv for one small config per stream layout (the d = 2

@@ -80,6 +80,15 @@ def test_spec_names_the_range_where_lanczos_breaks_down():
         GmrfSpec(Graph(5, [(0, 1)]), 1.5)
 
 
+def test_spec_compares_and_hashes_by_identity():
+    # the array fields would make a field-wise == ambiguous and the hash fail
+    g = triangle()
+    spec, again = GmrfSpec(g, 0.1), GmrfSpec(g, 0.1)
+    assert spec == spec
+    assert len({spec, spec}) == 1
+    assert spec != again and len({spec, again}) == 2
+
+
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
 def test_tau_rejects_non_finite_eta(eta):
     with pytest.raises(ValueError, match="eta must be finite"):
