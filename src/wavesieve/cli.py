@@ -11,7 +11,7 @@ import json
 import re
 import sys
 
-from .experiment import config_from_dict, format_table, run_experiment
+from .experiment import _config_object, config_from_dict, format_table, run_experiment
 
 
 _GRAPH_FORMS = "torus:RxC[+CHORDS] | knn:N,K | file:PATH"
@@ -54,7 +54,7 @@ def main(argv=None):
         doc = {}
         if args.config:
             with open(args.config) as fh:
-                doc = json.load(fh)
+                doc = _config_object(json.load(fh))
         if args.seed is not None:
             doc["seed"] = args.seed
         if args.out is not None:

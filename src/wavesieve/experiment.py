@@ -17,6 +17,7 @@ import multiprocessing
 import numbers
 import operator
 import os
+from collections.abc import Mapping
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -267,7 +268,7 @@ def config_from_dict(doc):
     copula_rho, coupling, noise_scale, test_fraction, seed, out_dir.
     Unknown keys are rejected, in the `chain` and `graph` sections too.
     """
-    doc = dict(doc)
+    doc = dict(_config_object(doc))
     chain = doc.pop("chain", {})
     if not isinstance(chain, dict):
         raise ValueError(f"chain must be an object, got {chain!r}")
@@ -277,6 +278,14 @@ def config_from_dict(doc):
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     return ExperimentConfig(**doc, **chain)
+
+
+def _config_object(doc):
+    """`doc` if it is a mapping, the JSON object form of a config; otherwise
+    the ValueError naming it, so a JSON list is not indexed by key."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"config must be an object, got {doc!r}")
+    return doc
 
 
 def config_to_dict(cfg):

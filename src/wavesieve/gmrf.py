@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _independent_set, _integer, _segments, eta_range
+from .graphs import _count, _independent_set, _integer, _segments, eta_range
 from .rng import normal_cdf, stream
 
 __all__ = [
@@ -465,11 +465,13 @@ def direct_sample(spec, seed, count=None):
     """Exact draw(s) alpha + sqrt(tau2) * (z^T L^{-1}) from the joint law, with
     L L^T = I - eta*H numpy's whole-matrix factor.
 
-    `count=None` returns one draw of shape (n,); an integer returns an array
-    of shape (count, n).
+    `count=None` returns one draw of shape (n,); a non-negative integer,
+    bool excluded, returns an array of shape (count, n); any other count
+    raises the ValueError naming it.
     """
     n = spec.graph.node_count
-    z = stream(seed, _TAG_DIRECT).standard_normal(n if count is None else (int(count), n))
+    shape = n if count is None else (_count("count", count), n)
+    z = stream(seed, _TAG_DIRECT).standard_normal(shape)
     L_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n) - spec.eta * spec.graph.adjacency()))
     return spec.alpha + np.sqrt(spec.tau2) * (z @ L_inv)
 

@@ -27,8 +27,13 @@ DENSE_NODE_LIMIT = 5000
 # tridiagonal eigh per check would otherwise cost more than the steps
 _LANCZOS_CHECK_EVERY = 8
 
-# rows of squared distances the kNN builder forms at once
+# rows of squared distances the kNN builder's exact path forms at once, and
+# the most candidates a grid block may hold before its rows take that path
 _KNN_ROW_BLOCK = 256
+
+# relative slack of the kNN grid certificate; the rounding of the cell
+# coordinates and of the squared distances it covers is near 1e-15
+_KNN_CERTIFICATE_SLACK = 1e-9
 
 # internal stream tags so one root seed can serve several operations
 _TAG_KNN = 11
@@ -287,25 +292,91 @@ def _nearest_pairs(xy, k):
     """[s, t] for every point s and each of its k nearest points t, in
     increasing (s, t) order, picked as a stable argsort of the squared
     distances would: everything below the k-th distance, then the ties at it
-    in index order up to k.  The rule is row-local, so the distances are
-    formed _KNN_ROW_BLOCK rows at a time: the arrays held are n x
-    _KNN_ROW_BLOCK, never n x n."""
+    in index order up to k (`_pick_nearest`).
+
+    Each row is first judged on candidates: the points are bucketed into a
+    G x G grid on their bounding box, G = isqrt(n // k), about k points per
+    cell (an axis of zero extent is one cell wide), and a row's candidates
+    are the points of its cell's 3 x 3 block, in index order.  Every point
+    outside the block lies beyond one of the block's inner edges, so a row
+    whose k-th candidate distance is below the squared distance to the
+    nearest inner edge (edges on the bounding box are infinitely far), with
+    a relative slack of _KNN_CERTIFICATE_SLACK for rounding, has the same
+    picks among all points.  The other rows, and the rows of any block of
+    more than _KNN_ROW_BLOCK candidates, take the exact path: distances to
+    all points, _KNN_ROW_BLOCK rows at a time.  Both paths compute the
+    distances as (x_s - x_t)**2 + (y_s - y_t)**2, so the picks do not depend
+    on the path, and no array held is larger than n x _KNN_ROW_BLOCK, never
+    n x n.  On uniform points almost every row is certified, which costs
+    O(n k) expected time (Bentley, Weide & Yao 1980)."""
     x, y = xy.T
     n = len(xy)
-    pairs = []
-    for lo in range(0, n, _KNN_ROW_BLOCK):
-        hi = min(lo + _KNN_ROW_BLOCK, n)
-        d2 = np.subtract.outer(x[lo:hi], x) ** 2 + np.subtract.outer(y[lo:hi], y) ** 2
-        np.fill_diagonal(d2[:, lo:hi], np.inf)
-        # the fancy index copies the column, so the partitioned block is freed
-        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
-        below = d2 < kth
-        tie = d2 == kth
-        tie &= np.cumsum(tie, axis=1, dtype=np.int32) <= k - below.sum(axis=1, keepdims=True)
-        block = np.argwhere(below | tie)
-        block[:, 0] += lo
-        pairs.append(block)
-    return np.concatenate(pairs)
+    lo = xy.min(axis=0)
+    extent = xy.max(axis=0) - lo
+    side = np.where(extent > 0, math.isqrt(n // k), 1)
+    scale = np.divide(side, extent, out=np.zeros(2), where=extent > 0)
+    u = (xy - lo) * scale   # cell coordinates, >= 0, so truncation floors them
+    cell = np.minimum(u.astype(np.int64), side - 1)
+
+    # each cell's block: the candidates of its 3 x 3 neighbourhood, in index
+    # order, padded with the sentinel n whose coordinates read +inf to at
+    # least k columns, so every row has a k-th distance to partition on
+    ids = cell[:, 0] * side[1] + cell[:, 1]
+    counts = np.bincount(ids, minlength=side.prod())
+    starts = np.cumsum(counts) - counts
+    cx, cy = np.divmod(np.arange(side.prod()), side[1])
+    ox, oy = np.divmod(np.arange(9), 3)
+    nx, ny = cx[:, None] + ox - 1, cy[:, None] + oy - 1
+    inside = (nx >= 0) & (nx < side[0]) & (ny >= 0) & (ny < side[1])
+    near = np.where(inside, nx * side[1] + ny, 0)
+    sizes = np.where(inside, counts[near], 0)
+    small = np.flatnonzero(sizes.sum(axis=1) <= _KNN_ROW_BLOCK)
+    fill = sizes[small].sum(axis=1)
+    members = np.argsort(ids, kind="stable")[_segments(starts[near[small]].ravel(),
+                                                       sizes[small].ravel())]
+    blocks = np.full((small.size, max(fill.max(initial=0), k)), n)
+    blocks[np.repeat(np.arange(small.size), fill), _segments(np.zeros_like(fill), fill)] = members
+    blocks.sort(axis=1)
+    slot = np.full(side.prod(), -1)
+    slot[small] = np.arange(small.size)
+
+    rows = np.flatnonzero(slot[ids] >= 0)
+    cand = blocks[slot[ids[rows]]]
+    d2 = (x[rows, None] - np.append(x, np.inf)[cand]) ** 2
+    d2 += (y[rows, None] - np.append(y, np.inf)[cand]) ** 2
+    d2[cand == rows[:, None]] = np.inf
+    picked, kth = _pick_nearest(d2, k)
+    # distance, in cell units then in coordinates, to the block's nearest inner edge
+    c, uc = cell[rows], u[rows]
+    gap = np.minimum(np.where(c > 1, uc - (c - 1), np.inf),
+                     np.where(c + 2 < side, (c + 2) - uc, np.inf))
+    gap = np.divide(gap, scale, out=np.full_like(gap, np.inf), where=np.isfinite(gap))
+    certified = kth[:, 0] < gap.min(axis=1) ** 2 * (1.0 - _KNN_CERTIFICATE_SLACK)
+
+    nearest = np.empty((n, k), np.int64)
+    nearest[rows[certified]] = cand[picked].reshape(-1, k)[certified]
+    exact = np.ones(n, bool)
+    exact[rows[certified]] = False
+    exact = np.flatnonzero(exact)
+    for start in range(0, exact.size, _KNN_ROW_BLOCK):
+        r = exact[start:start + _KNN_ROW_BLOCK]
+        d2 = np.subtract.outer(x[r], x) ** 2 + np.subtract.outer(y[r], y) ** 2
+        d2[np.arange(r.size), r] = np.inf
+        nearest[r] = np.nonzero(_pick_nearest(d2, k)[0])[1].reshape(-1, k)
+    return np.stack((np.repeat(np.arange(n), k), nearest.ravel()), axis=1)
+
+
+def _pick_nearest(d2, k):
+    """(picked, kth): the mask of each row's k picks among the squared
+    distances d2, as a stable argsort would take them (everything below the
+    row's k-th distance, then the ties at it in index order up to k), and
+    the k-th distances as a column."""
+    # the fancy index copies the column, so the partitioned block is freed
+    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+    below = d2 < kth
+    tie = d2 == kth
+    tie &= np.cumsum(tie, axis=1, dtype=np.int32) <= k - below.sum(axis=1, keepdims=True)
+    return below | tie, kth
 
 
 # ---------------------------------------------------------------------------

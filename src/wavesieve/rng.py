@@ -17,6 +17,11 @@ __all__ = ["stream", "child_seed", "polar_normals", "normal_cdf"]
 
 
 def _entropy(root_seed, keys):
+    # numpy counts int and the numpy integers as integer types, not bool, so
+    # 1.7 and True are refused instead of read as seed 1
+    for entry in (root_seed, *keys):
+        if not np.issubdtype(type(entry), np.integer):
+            raise ValueError(f"seeds and stream keys must be integers, got {entry!r}")
     # the key count disambiguates paths: SeedSequence ignores trailing zeros
     return (int(root_seed), len(keys)) + tuple(int(k) for k in keys)
 
@@ -25,7 +30,8 @@ def stream(root_seed, *keys):
     """Return the generator identified by (root_seed, *keys).
 
     The same arguments always yield the same stream; different key paths
-    yield independent streams.  All entries must be non-negative integers.
+    yield independent streams.  All entries must be non-negative integers,
+    bool excluded; any other entry raises the ValueError naming it.
     """
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(_entropy(root_seed, keys))))

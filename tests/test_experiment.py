@@ -224,6 +224,12 @@ def test_config_rejects_unknown_keys():
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc", [5, [1, 2], "torus", None])
+def test_config_must_be_an_object(doc):
+    with pytest.raises(ValueError, match=f"^config must be an object, got {re.escape(repr(doc))}$"):
+        config_from_dict(doc)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(replications=0)
@@ -589,6 +595,15 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert code != 0
     doc = json.loads(capsys.readouterr().out.strip())
     assert "error" in doc and "type" in doc
+
+
+def test_cli_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    # a JSON list used to fail with "list indices must be integers", a TypeError
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text(json.dumps([{"seed": 1}]))
+    assert main(["--config", str(cfg_path), "--seed", "3"]) != 0
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "config must be an object, got [{'seed': 1}]", "type": "ValueError"}
 
 
 def test_cli_minimal_invocation(tmp_path, capsys):

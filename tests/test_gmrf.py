@@ -492,6 +492,13 @@ def test_chain_config_validation():
             ChainConfig(iterations, burn_in, 1)
 
 
+def test_chain_rejects_a_seed_that_is_not_an_integer():
+    # ChainConfig(10, 2, 1.5) used to run seed 1's chain
+    g = torus_lattice(4, 4)
+    with pytest.raises(ValueError, match="must be integers, got 1.5"):
+        gibbs_chain(GmrfSpec(g, 0.1), concliques(g), ChainConfig(10, 2, 1.5))
+
+
 @pytest.mark.parametrize("iterations, burn_in, trace_every, message", [
     (-1, 0, 0, "iterations and burn_in must be non-negative"),
     (10, -3, 0, "iterations and burn_in must be non-negative"),
@@ -1023,6 +1030,17 @@ def test_direct_sample_single_edge_covariance():
     got = np.cov(draws.T)
     want = np.linalg.solve(np.eye(2) - eta * g.adjacency(), np.diag(spec.tau2))
     assert np.max(np.abs(got - want)) < 0.02
+
+
+@pytest.mark.parametrize("count, message", [(2.7, "count must be an integer, got 2.7"),
+                                            (True, "count must be an integer, got True"),
+                                            (-1, "count must be non-negative, got -1")])
+def test_direct_sample_rejects_counts_that_are_not_counts(count, message):
+    # 2.7 used to give 2 draws and True 1
+    spec = GmrfSpec(torus_lattice(3, 3), 0.1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        direct_sample(spec, seed=5, count=count)
+    assert direct_sample(spec, seed=5, count=np.int64(2)).shape == (2, 9)
 
 
 def test_direct_sample_reproducible():

@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavesieve import graphs
 from wavesieve.graphs import (ConcliquePartition, Graph, PowerIterationError, concliques,
@@ -178,6 +179,12 @@ def test_constructors_reject_counts_that_are_not_integers(build, name):
         build()
 
 
+def test_knn_rejects_a_seed_that_is_not_an_integer():
+    # 2.9 used to build seed 2's graph
+    with pytest.raises(ValueError, match="must be integers, got 2.9"):
+        knn_geometric_graph(30, 3, 2.9)
+
+
 def test_constructors_accept_numpy_integer_counts():
     assert torus_lattice(np.int64(3), np.int32(4)).edges == torus_lattice(3, 4).edges
     assert (knn_geometric_graph(np.int64(30), np.int8(3), seed=0).edges
@@ -227,13 +234,70 @@ def test_knn_ties_break_in_index_order(k):
         assert list(map(tuple, pairs.tolist())) == nearest_pairs_reference(xy, k)
 
 
+@st.composite
+def point_sets(draw):
+    """(xy, k): uniform points on a random box, or the same with duplicates,
+    on one line, or a tight cluster plus a few far points."""
+    n = draw(st.integers(2, 360))
+    k = draw(st.integers(1, n - 1))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    lo, width = draw(st.floats(-50, 50)), draw(st.floats(1e-3, 100))
+    xy = lo + width * rng.uniform(size=(n, 2))
+    shape = draw(st.sampled_from(["uniform", "duplicates", "collinear", "cluster"]))
+    if shape == "duplicates":       # zero distances, ties at zero
+        xy = xy[rng.integers(0, max(1, n // 3), size=n)]
+    elif shape == "collinear":      # an axis of zero extent
+        xy[:, draw(st.integers(0, 1))] = lo
+    elif shape == "cluster":        # one crowded block forces the exact path
+        xy[n // 8:] = lo + 1e-4 * width * rng.uniform(size=(n - n // 8, 2))
+    return xy, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_nearest_pairs_equal_the_reference_at_the_edges(case):
+    xy, k = case
+    pairs = graphs._nearest_pairs(xy, k)
+    assert list(map(tuple, pairs.tolist())) == nearest_pairs_reference(xy, k)
+
+
+def test_knn_rows_are_mostly_certified_on_the_grid(monkeypatch):
+    # only rows on the exact path are judged against all n points; at most
+    # 1% of them may land there on uniform points
+    n, exact = 1600, []
+    pick = graphs._pick_nearest
+
+    def spy(d2, k):
+        if d2.shape[1] == n:
+            exact.append(d2.shape[0])
+        return pick(d2, k)
+    monkeypatch.setattr(graphs, "_pick_nearest", spy)
+    knn_geometric_graph(n, 6, seed=3)
+    assert sum(exact) <= 0.01 * n
+
+
 def test_knn_build_holds_no_n_by_n_array():
-    # the distances are formed in row blocks, so the build's peak stays well
-    # below the 8 n^2 bytes of one n x n array
+    # candidates are capped per grid block and the exact path forms its
+    # distances in row blocks, so the build's peak stays well below the
+    # 8 n^2 bytes of one n x n array
     n = 3000
     tracemalloc.start()
     try:
         knn_geometric_graph(n, 6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 8 * n * n
+
+
+def test_knn_build_of_clustered_points_holds_no_n_by_n_array():
+    # nearly every point in one grid cell, so their rows take the exact path
+    n = 3000
+    rng = stream(9)
+    xy = np.concatenate((0.5 + 1e-4 * rng.uniform(size=(n - 30, 2)), rng.uniform(size=(30, 2))))
+    tracemalloc.start()
+    try:
+        graphs._nearest_pairs(xy, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

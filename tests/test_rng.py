@@ -101,6 +101,20 @@ def test_stream_splitting():
     assert not np.array_equal(stream(3, 1).random(5), stream(4, 1).random(5))
 
 
+@pytest.mark.parametrize("derive", [stream, child_seed])
+@pytest.mark.parametrize("entries, bad", [((1.7,), "1.7"), ((True,), "True"),
+                                          ((3, 2.0), "2.0"), ((3, 1, False), "False")])
+def test_seed_entries_must_be_integers(derive, entries, bad):
+    # 1.7 and True used to be read as seed 1
+    with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+        derive(*entries)
+
+
+def test_seed_entries_accept_numpy_integers():
+    assert np.array_equal(stream(np.int64(3), np.uint8(2)).random(4), stream(3, 2).random(4))
+    assert child_seed(np.int32(9), np.int64(5)) == child_seed(9, 5)
+
+
 def test_child_seed_stable():
     assert child_seed(9, 5) == child_seed(9, 5)
     assert child_seed(9, 5) != child_seed(9, 6)
