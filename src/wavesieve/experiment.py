@@ -11,6 +11,9 @@ function of the root seed.
 """
 
 import ast
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import multiprocessing
@@ -166,6 +169,7 @@ class ResultTable:
     config: dict
     seed: int
     failures: tuple = ()
+    blas_threads: int = None   # the BLAS thread count of the fits; None if not pinned
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +371,66 @@ def _context(cfg):
     return replicate
 
 
+# the (set, get) thread-count pairs OpenBLAS builds export, in lookup order
+_BLAS_THREAD_CALLS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+                      ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+                      ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(set, get) of the thread count of the OpenBLAS that numpy's LAPACK
+    calls run on, looked up once per process; None when numpy's linalg
+    extension exports no known pair (another BLAS)."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for set_name, get_name in _BLAS_THREAD_CALLS:
+        setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with the process's BLAS on one thread and restore the
+    caller's count after it.  Yields the count the body runs at: 1, or None
+    when no setter is found and the body runs at whatever count it has.
+
+    LAPACK's gelsd (the d4 fits from level 3 on) and the dense factor of
+    tau_from_eta round otherwise on two threads than on one, so without the
+    pin the bytes of results.csv would follow the caller's thread count."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield None
+        return
+    set_threads, get_threads = calls
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield 1
+    finally:
+        set_threads(saved)
+
+
 def _replicate_chunk(args):
-    """Build the run once, then replicate every rep of the chunk: (rep, pair
-    map, None), or (rep, None, error text) when the replication fails."""
+    """Build the run once, then replicate every rep of the chunk, all on one
+    BLAS thread: (BLAS thread count, outcomes), each outcome (rep, pair map,
+    None), or (rep, None, error text) when the replication fails."""
     cfg, reps = args
-    replicate = _context(cfg)
-    outcomes = []
-    for rep in reps:
-        try:
-            outcomes.append((rep, replicate(rep), None))
-        except Exception as exc:   # a failed replication is recorded, not fatal
-            outcomes.append((rep, None, f"{type(exc).__name__}: {exc}"))
-    return outcomes
+    with _one_blas_thread() as threads:
+        replicate = _context(cfg)
+        outcomes = []
+        for rep in reps:
+            try:
+                outcomes.append((rep, replicate(rep), None))
+            except Exception as exc:   # a failed replication is recorded, not fatal
+                outcomes.append((rep, None, f"{type(exc).__name__}: {exc}"))
+    return threads, outcomes
 
 
 def _workers():
@@ -391,7 +443,12 @@ def _workers():
 
 def run_experiment(cfg):
     """Run all replications, aggregate to a ResultTable, and (when out_dir is
-    set) write results.csv, results.json and replications.log."""
+    set) write results.csv, results.json and replications.log.
+
+    The replications run with BLAS on one thread, so the bytes follow neither
+    the caller's thread count nor the worker count.  The count is
+    process-wide: the caller's other threads run at 1 thread too until the
+    run restores their count."""
     workers = min(_workers(), cfg.replications)
     chunks = [(cfg, range(w, cfg.replications, workers)) for w in range(workers)]
     if workers > 1:
@@ -402,21 +459,16 @@ def run_experiment(cfg):
         if getattr(multiprocessing.current_process(), "_inheriting", False):
             raise RuntimeError(f"run_experiment called while a worker imports the main module; "
                                f"{guard}")
-        # spawned workers start with OpenBLAS on one thread, set before numpy loads
-        saved = os.environ.get("OPENBLAS_NUM_THREADS")
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
             with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
                 done = list(pool.map(_replicate_chunk, chunks))
         except BrokenProcessPool as exc:   # spawned workers re-import the main module
             raise RuntimeError(f"a worker process died; {guard}") from exc
-        finally:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-            if saved is not None:
-                os.environ["OPENBLAS_NUM_THREADS"] = saved
     else:
         done = [_replicate_chunk(chunks[0])]
-    outcomes = sorted((o for chunk in done for o in chunk), key=lambda item: item[0])
+    # every chunk runs under the same numpy, so each found the same setter
+    blas_threads = done[0][0]
+    outcomes = sorted((o for _, chunk in done for o in chunk), key=lambda item: item[0])
 
     kept = [pairs for _, pairs, err in outcomes if err is None]
     rows = []
@@ -426,7 +478,7 @@ def run_experiment(cfg):
             refs = [pairs[(name, j)][1] for pairs in kept]
             rows.append(ResultRow(name, j, *_mean_sd(errs), *_mean_sd(refs), len(errs)))
     failures = tuple(f"rep={rep} {err}" for rep, _, err in outcomes if err is not None)
-    table = ResultTable(tuple(rows), config_to_dict(cfg), cfg.seed, failures)
+    table = ResultTable(tuple(rows), config_to_dict(cfg), cfg.seed, failures, blas_threads)
 
     if cfg.out_dir is not None:
         emit_table(table, cfg.out_dir)
@@ -475,6 +527,7 @@ def emit_table(table, out_dir):
         "seed": table.seed,
         "config": table.config,
         "failures": list(table.failures),
+        "blas_threads": table.blas_threads,
         # JSON has no nan or inf: a non-finite value is written as null
         "rows": [{key: None if isinstance(value, float) and not math.isfinite(value) else value
                   for key, value in row.items()} for row in rows],

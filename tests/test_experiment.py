@@ -743,9 +743,10 @@ def test_traced_names_are_called_through_the_module(kind, builder, tmp_path, mon
 # sha256 of results.csv for one small config per stream layout (the d = 2
 # `innovations` pair, d = 2 `final`, d = 1 and d >= 3), recorded with
 # numpy 2.4.6; CHANGES.md records each re-recording.  Byte identity
-# is promised only for the same numpy version and the same OpenBLAS thread
-# count, so each config runs in a fresh interpreter with
-# OPENBLAS_NUM_THREADS=1, whatever the host's core count.
+# is promised only for the same numpy version and the same C math library.
+# A run fits on one BLAS thread whatever the environment says, so each
+# config runs in a fresh interpreter in the default environment, with
+# OPENBLAS_NUM_THREADS removed.
 GOLDEN_NUMPY = "2.4.6"
 _TORUS = {"kind": "torus", "rows": 18, "cols": 18, "chords": 60, "chord_seed": 1}
 GOLDEN = {
@@ -775,10 +776,19 @@ golden_numpy = pytest.mark.skipif(
            "bytes are reproducible only under the same numpy version")
 
 
-def cli_digest(name, tmp_path, env, levels=(1, 2)):
+# the CLI with the BLAS thread-count lookup finding nothing, as under a BLAS
+# that exports no setter
+_CLI_WITHOUT_SETTER = ("import sys\nfrom wavesieve import experiment\n"
+                       "from wavesieve.cli import main\n"
+                       "experiment._blas_thread_calls = lambda: None\n"
+                       "sys.exit(main(sys.argv[1:]))\n")
+
+
+def cli_digest(name, tmp_path, env, levels=(1, 2), hide_setter=False):
     """sha256 of the results.csv the CLI writes for golden config `name` at
     `levels`, run in a fresh interpreter with `env` over this process's
-    environment (a None value removes the variable)."""
+    environment (a None value removes the variable), and with the BLAS
+    thread-count setter hidden when `hide_setter`."""
     overrides, _ = GOLDEN[name]
     cfg = ExperimentConfig(wavelets=("haar", "d4"), levels=levels, replications=2,
                            iterations=200, seed=11, out_dir=str(tmp_path), **overrides)
@@ -787,7 +797,8 @@ def cli_digest(name, tmp_path, env, levels=(1, 2)):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "wavesieve.cli", "--config", str(config)],
+    cli = ["-c", _CLI_WITHOUT_SETTER] if hide_setter else ["-m", "wavesieve.cli"]
+    proc = subprocess.run([sys.executable, *cli, "--config", str(config)],
                           env={k: v for k, v in env.items() if v is not None},
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -798,7 +809,7 @@ def cli_digest(name, tmp_path, env, levels=(1, 2)):
 @golden_numpy
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_results_csv_digest(name, tmp_path):
-    assert cli_digest(name, tmp_path, {"OPENBLAS_NUM_THREADS": "1"}) == GOLDEN[name][1]
+    assert cli_digest(name, tmp_path, {"OPENBLAS_NUM_THREADS": None}) == GOLDEN[name][1]
 
 
 def test_readme_lists_the_golden_digests():
@@ -810,32 +821,67 @@ def test_readme_lists_the_golden_digests():
 
 
 @golden_numpy
-def test_pool_workers_run_blas_on_one_thread(tmp_path):
-    # with the thread count left to OpenBLAS, 2 workers must still give the
-    # 1-thread bytes: each worker starts with the variable set to 1.  Up to
-    # level 4 the d4 fits are large enough that 2 BLAS threads give other
-    # bytes, so a worker that kept 2 threads would fail
-    def digest(threads, workers):
-        out = tmp_path / f"{threads}-{workers}"
+def test_results_csv_bytes_follow_neither_the_thread_nor_the_worker_count(tmp_path):
+    # up to level 4 the d4 fits are large enough that 2 BLAS threads round
+    # otherwise than 1, so every environment writes one digest only because
+    # the run pins one thread
+    def digest(env, hide_setter=False):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
         out.mkdir()
-        env = {"OPENBLAS_NUM_THREADS": threads, experiment.WORKERS_ENV: workers}
-        return cli_digest("d2_innovations_torus", out, env, levels=(1, 2, 3, 4))
+        return cli_digest("d2_innovations_torus", out, env, levels=(1, 2, 3, 4),
+                          hide_setter=hide_setter)
 
-    sequential = digest("1", None)
+    digests = {(threads, workers): digest({"OPENBLAS_NUM_THREADS": threads,
+                                           experiment.WORKERS_ENV: workers})
+               for threads in (None, "1", "2") for workers in (None, "2")}
+    assert len(set(digests.values())) == 1, digests
+    pinned = digests[None, None]
+    # with the setter hidden the variable chooses the bytes again
+    assert digest({"OPENBLAS_NUM_THREADS": "1"}, hide_setter=True) == pinned
     if (os.cpu_count() or 1) > 1:   # on one CPU OpenBLAS runs one thread whatever the variable says
-        assert digest("2", None) != sequential
-    assert digest(None, "2") == sequential
+        assert digest({"OPENBLAS_NUM_THREADS": "2"}, hide_setter=True) != pinned
 
 
-@pytest.mark.parametrize("threads", [None, "3"])
-def test_pool_restores_the_callers_thread_variable(threads, monkeypatch):
-    monkeypatch.setenv(experiment.WORKERS_ENV, "2")
-    if threads is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+@pytest.mark.parametrize("workers", [None, "2"])
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_run_leaves_the_callers_blas_threads_as_it_found_them(workers, fails, monkeypatch):
+    # the run sets the process's BLAS thread count while it runs; after it,
+    # also after a run whose _context raises, the caller's count and
+    # variable are as they were
+    calls = experiment._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no known thread-count setter")
+    set_threads, get_threads = calls
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    if workers is None:
+        monkeypatch.delenv(experiment.WORKERS_ENV, raising=False)
     else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-    run_experiment(small_config())
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == threads
+        monkeypatch.setenv(experiment.WORKERS_ENV, workers)
+    saved = get_threads()
+    set_threads(2)
+    try:
+        caller = get_threads()
+        if fails:   # a univariate target with three etas fails in _context
+            with pytest.raises(ValueError, match="needs 2 etas"):
+                run_experiment(small_config(etas=(0.1, 0.1, 0.1)))
+        else:
+            assert run_experiment(small_config()).failures == ()
+        assert get_threads() == caller
+    finally:
+        set_threads(saved)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+@pytest.mark.parametrize("hidden", [False, True])
+def test_results_json_records_the_blas_thread_count(hidden, tmp_path, monkeypatch):
+    # 1 when the run pinned one thread, null when no setter was found
+    pinned = None if hidden or experiment._blas_thread_calls() is None else 1
+    if hidden:
+        monkeypatch.setattr(experiment, "_blas_thread_calls", lambda: None)
+    monkeypatch.delenv(experiment.WORKERS_ENV, raising=False)
+    table = run_experiment(small_config(out_dir=str(tmp_path)))
+    assert table.blas_threads == pinned
+    assert json.loads((tmp_path / "results.json").read_text())["blas_threads"] == pinned
 
 
 def test_unguarded_pool_script_names_the_missing_guard(tmp_path):
