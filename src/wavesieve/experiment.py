@@ -148,6 +148,9 @@ class ExperimentConfig:
             raise ValueError("|copula_rho| must be below 1")
 
 
+# ResultRow and ResultTable are the schema of the run record: emit_table
+# writes their fields to results.csv and results.json, load_table reads them back
+
 @dataclass(frozen=True)
 class ResultRow:
     wavelet: str
@@ -507,44 +510,57 @@ def _write_log(outcomes, path):
 # ---------------------------------------------------------------------------
 # table io
 
-_CSV_HEADER = "wavelet,j,mean_l2,sd_l2,ref_mean_l2,ref_sd_l2,n_reps"
+def _csv_cell(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _json_row(row):
+    # JSON has no nan or inf: a non-finite value is written as null
+    doc = {**asdict(row), "field_minus_ref": row.field_minus_ref}
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in doc.items()}
 
 
 def emit_table(table, out_dir):
-    """Write results.csv and results.json; returns the two paths."""
+    """Write results.csv and results.json; returns the two paths.
+
+    The fields of ResultRow and ResultTable are the schema: the CSV has one
+    column per ResultRow field (floats by repr, the rest by str), and
+    results.json has one top-level key per ResultTable field.  Each JSON row
+    also holds its field_minus_ref, and a non-finite row value is written as
+    null, since strict JSON holds no nan or inf."""
     if not table.rows:
         raise ValueError("table has no rows")
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "results.json")
     os.makedirs(out_dir, exist_ok=True)
+    columns = [f.name for f in fields(ResultRow)]
     with open(csv_path, "w") as fh:
-        fh.write(_CSV_HEADER + "\n")
+        fh.write(",".join(columns) + "\n")
         for r in table.rows:
-            fh.write(f"{r.wavelet},{r.j},{r.mean_l2!r},{r.sd_l2!r},"
-                     f"{r.ref_mean_l2!r},{r.ref_sd_l2!r},{r.n_reps}\n")
-    rows = [{**asdict(r), "field_minus_ref": r.field_minus_ref} for r in table.rows]
-    doc = {
-        "seed": table.seed,
-        "config": table.config,
-        "failures": list(table.failures),
-        "blas_threads": table.blas_threads,
-        # JSON has no nan or inf: a non-finite value is written as null
-        "rows": [{key: None if isinstance(value, float) and not math.isfinite(value) else value
-                  for key, value in row.items()} for row in rows],
-    }
+            fh.write(",".join(_csv_cell(getattr(r, name)) for name in columns) + "\n")
+    doc = {f.name: getattr(table, f.name) for f in fields(ResultTable)}
+    doc["rows"] = [_json_row(r) for r in table.rows]
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
     return csv_path, json_path
 
 
 def load_table(json_path):
-    """The table emit_table wrote; a null row value reads back as nan."""
+    """The table emit_table wrote, every ResultTable field read back.
+
+    A field missing from an older file takes its dataclass default (a file
+    written before blas_threads was recorded loads with None).  A null row
+    value, written for nan or +-inf, reads back as nan."""
     with open(json_path) as fh:
         doc = json.load(fh)
-    rows = tuple(ResultRow(*(math.nan if r[f.name] is None else r[f.name]
-                             for f in fields(ResultRow)))
-                 for r in doc["rows"])
-    return ResultTable(rows, doc["config"], doc["seed"], tuple(doc["failures"]))
+    # the table's sequences are tuples; JSON reads them back as lists
+    values = {f.name: tuple(doc[f.name]) if isinstance(doc[f.name], list) else doc[f.name]
+              for f in fields(ResultTable) if f.name in doc}
+    values["rows"] = tuple(ResultRow(**{f.name: math.nan if r[f.name] is None else r[f.name]
+                                        for f in fields(ResultRow)})
+                           for r in values["rows"])
+    return ResultTable(**values)
 
 
 def format_table(table):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +501,52 @@ def test_emit_and_load_round_trip(tmp_path):
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert lines[0] == "wavelet,j,mean_l2,sd_l2,ref_mean_l2,ref_sd_l2,n_reps"
     assert len(lines) == 1 + len(table.rows)
+
+
+_L2 = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+RESULT_ROWS = st.builds(experiment.ResultRow, st.sampled_from(["haar", "d4", "d6"]),
+                        st.integers(0, 6), _L2, _L2, _L2, _L2, st.integers(0, 50))
+RESULT_TABLES = st.builds(
+    experiment.ResultTable,
+    rows=st.lists(RESULT_ROWS, min_size=1, max_size=4).map(tuple),
+    config=st.just(config_to_dict(small_config())),
+    seed=st.integers(0, 2 ** 63),
+    failures=st.lists(st.text(max_size=20), max_size=3).map(tuple),
+    blas_threads=st.sampled_from([1, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=RESULT_TABLES)
+def test_every_table_field_reads_back(table):
+    with tempfile.TemporaryDirectory() as out:
+        loaded = load_table(emit_table(table, out)[1])
+    for f in dataclasses.fields(experiment.ResultTable):
+        if f.name != "rows":
+            assert getattr(loaded, f.name) == getattr(table, f.name), f.name
+    assert len(loaded.rows) == len(table.rows)
+    for got, want in zip(loaded.rows, table.rows):
+        for f in dataclasses.fields(experiment.ResultRow):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            # strict JSON holds nan and +-inf as null, which reads back as nan
+            if isinstance(w, float) and not math.isfinite(w):
+                assert math.isnan(g), (f.name, g, w)
+            else:
+                assert g == w and type(g) is type(w), (f.name, g, w)
+
+
+def test_a_results_json_without_blas_threads_loads_with_none(tmp_path):
+    # files written before blas_threads was recorded lack the key
+    table = experiment.ResultTable(
+        (experiment.ResultRow("haar", 1, 0.5, 0.25, 0.75, 0.0, 2),), {"seed": 3}, 3,
+        ("rep=1 boom",), 1)
+    json_path = emit_table(table, str(tmp_path))[1]
+    doc = json.loads(Path(json_path).read_text())
+    del doc["blas_threads"]
+    Path(json_path).write_text(json.dumps(doc))
+    loaded = load_table(json_path)
+    assert loaded.blas_threads is None
+    assert loaded == dataclasses.replace(table, blas_threads=None)
 
 
 def test_numpy_scalar_config_writes_the_bytes_of_python_numbers(tmp_path):
