@@ -29,7 +29,7 @@ import numpy as np
 from .gmrf import GmrfSpec, chain_engine, to_uniform
 from .graphs import (_count, concliques, connected_split, knn_geometric_graph,
                      load_graph, torus_with_chords)
-from .regression import Dataset, auto_rho, fit, l2_error_mc
+from .regression import Dataset, auto_rho, sieve_errors
 from .rng import child_seed, stream
 from .wavelets import cascade, covering_sieve, filter_by_name
 
@@ -332,17 +332,17 @@ def _context(cfg):
     by_eta = {eta: GmrfSpec(graph, eta) for eta in dict.fromkeys(cfg.etas)}
     engine = chain_engine([by_eta[eta] for eta in cfg.etas], concliques(graph), cfg.iterations)
     pairs = [(name, j) for name in cfg.wavelets for j in cfg.levels]
+    sieves = {name: [covering_sieve(tables[name].filter, d, j) for j in cfg.levels]
+              for name in cfg.wavelets}
 
     def fit_errors(X_learn, y_learn, X_test):
-        """Squared test error for every configured (wavelet, level), in order."""
+        """Squared test error for every configured (wavelet, level), in order:
+        one sieve pass per wavelet."""
         rho = auto_rho(y_learn, len(y_learn))
         data = Dataset(X_learn, y_learn)
-        errors = []
-        for name, j in pairs:
-            table = tables[name]
-            fitted = fit(data, covering_sieve(table.filter, d, j), table, rho=rho)
-            errors.append(l2_error_mc(fitted, table, m_true, X_test))
-        return errors
+        truth = m_true(*X_test.T)
+        return [error for name in cfg.wavelets
+                for error in sieve_errors(data, X_test, truth, tables[name], sieves[name], rho)]
 
     def replicate(rep):
         if d == 2 and cfg.coupling == "innovations":

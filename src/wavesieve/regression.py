@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Dataset", "RegressionFit", "SvdReport",
     "design_matrix", "svd_lstsq", "fit", "predict", "predict_batch",
-    "auto_rho", "select_level", "l2_error_mc", "fit_to_json",
+    "auto_rho", "select_level", "l2_error_mc", "sieve_errors", "fit_to_json",
 ]
 
 SVD_RTOL = 1e-10
@@ -74,24 +74,45 @@ class RegressionFit:
     svd_report: SvdReport
 
 
-def _design(X, sieve, table):
+def _points(X):
+    """X as an n x d float array of finite points."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if X.shape[1] != sieve.d:
-        raise ValueError(f"points have dimension {X.shape[1]}, sieve expects {sieve.d}")
+    if X.size and not np.all(np.isfinite(X)):
+        raise ValueError("non-finite design value")
+    return X
+
+
+def _check_sieve(d, sieve, table):
+    if d != sieve.d:
+        raise ValueError(f"points have dimension {d}, sieve expects {sieve.d}")
     if table.filter.name != sieve.filter.name or not np.array_equal(table.filter.h,
                                                                     sieve.filter.h):
         raise ValueError(f"table of filter {table.filter.name!r} cannot evaluate a sieve "
                          f"of filter {sieve.filter.name!r}")
-    # one n x |axis| factor table per axis, multiplied in axis order into the
-    # row-wise Kronecker product: the columns follow the lexicographic K
-    n, scale = X.shape[0], 2.0 ** sieve.j
+
+
+def _factors(X, sieve, table):
+    """One n x |axis| factor table per axis: phi(2^j x_i - gamma_i)."""
+    scale = 2.0 ** sieve.j
+    return [table.eval(scale * x[:, None] - axis[None, :]) for x, axis in zip(X.T, sieve.axes)]
+
+
+def _kron_rows(n, sieve, factors):
+    """The design of n rows from their factor tables: the row-wise Kronecker
+    product, multiplied in axis order, so the columns follow the
+    lexicographic K."""
     out = np.full((n, 1), sieve.scale)
-    for x, axis in zip(X.T, sieve.axes):
-        factor = table.eval(scale * x[:, None] - axis[None, :])
-        out = (out[:, :, None] * factor[:, None, :]).reshape(n, out.shape[1] * axis.size)
+    for factor in factors:
+        out = (out[:, :, None] * factor[:, None, :]).reshape(n, out.shape[1] * factor.shape[1])
     return out
+
+
+def _design(X, sieve, table):
+    X = _points(X)
+    _check_sieve(X.shape[1], sieve, table)
+    return _kron_rows(X.shape[0], sieve, _factors(X, sieve, table))
 
 
 def design_matrix(data, sieve, table):
@@ -132,16 +153,28 @@ def svd_lstsq(B, y):
     return coeffs, report
 
 
-def fit(data, sieve, table, rho=np.inf):
-    """Truncated least-squares fit of the sieve coefficients on a dataset."""
+def _check_fit(data, rho):
     if len(data) < 1:
         raise ValueError("need at least one observation")
-    if rho < 0:
-        raise ValueError("truncation bound must be non-negative")
-    B = design_matrix(data, sieve, table)
-    coeffs, report = svd_lstsq(B, data.y)
+    if not rho >= 0:   # nan too: it would turn every prediction into nan
+        raise ValueError(f"truncation bound rho must be non-negative, got {rho!r}")
+
+
+def _solve(B, y):
+    """svd_lstsq(B, y), warning when every singular value is dropped.  The
+    name is looked up in this module at each call, so a wrapper set on
+    `regression.svd_lstsq` sees every fit; the warning points at the caller
+    of `fit` or `sieve_errors`."""
+    coeffs, report = svd_lstsq(B, y)
     if report.degenerate:
-        warnings.warn("degenerate design: all singular values dropped", stacklevel=2)
+        warnings.warn("degenerate design: all singular values dropped", stacklevel=3)
+    return coeffs, report
+
+
+def fit(data, sieve, table, rho=np.inf):
+    """Truncated least-squares fit of the sieve coefficients on a dataset."""
+    _check_fit(data, rho)
+    coeffs, report = _solve(design_matrix(data, sieve, table), data.y)
     return RegressionFit(sieve, coeffs, float(rho), report)
 
 
@@ -185,16 +218,61 @@ def l2_error_mc(fit_result, table, m_true, test_X):
 
     m_true is called once, with the columns of test_X as arrays, and must
     act elementwise; a scalar result stands for every point."""
-    test_X = np.asarray(test_X, dtype=float)
-    if test_X.ndim == 1:
-        test_X = test_X[:, None]
+    test_X = _test_points(test_X)
+    pred = predict_batch(fit_result, table, test_X)
+    return _squared_error(pred, _truth(m_true(*test_X.T), pred.shape[0]))
+
+
+def _test_points(test_X):
+    test_X = _points(test_X)
     if test_X.shape[0] == 0:
         raise ValueError("test set is empty")
-    pred = predict_batch(fit_result, table, test_X)
-    truth = np.broadcast_to(np.asarray(m_true(*test_X.T), dtype=float), pred.shape)
+    return test_X
+
+
+def _truth(values, n):
+    """The regression function's values at n test points, a scalar standing
+    for every point, checked finite."""
+    truth = np.broadcast_to(np.asarray(values, dtype=float), (n,))
     if not np.all(np.isfinite(truth)):
         raise ValueError("non-finite regression value on the test set")
+    return truth
+
+
+def _squared_error(pred, truth):
     return float(np.mean((pred - truth) ** 2))
+
+
+def sieve_errors(data, test_X, truth, table, sieves, rho=np.inf):
+    """`l2_error_mc(fit(data, sieve, table, rho), table, m, test_X)` for each
+    sieve in order, bit for bit, where `truth` holds m's values at test_X
+    (a scalar stands for every point).
+
+    One pass: per sieve, one `PhiTable.eval` per axis over the learn and the
+    test points together; the learn design and the test design are each
+    formed from those factor tables, the learn design is solved and dropped
+    before the test design is formed, so at most one design is held at a
+    time.  A degenerate level warns as `fit` does."""
+    _check_fit(data, rho)
+    test_X = _test_points(test_X)
+    truth = _truth(truth, test_X.shape[0])
+    if test_X.shape[1] != data.d:
+        raise ValueError(f"test points have dimension {test_X.shape[1]}, "
+                         f"learn points {data.d}")
+    X = np.concatenate([data.X, test_X])
+    nl, nt = len(data), test_X.shape[0]
+    errors = []
+    for sieve in sieves:
+        _check_sieve(data.d, sieve, table)
+        factors = _factors(X, sieve, table)
+        B = _kron_rows(nl, sieve, [f[:nl] for f in factors])
+        # the learn rows' tables are freed before the solve
+        factors = [f[nl:].copy() for f in factors]
+        coeffs, _ = _solve(B, data.y)
+        del B
+        raw = _kron_rows(nt, sieve, factors) @ coeffs
+        errors.append(_squared_error(np.clip(raw, -rho, rho), truth))
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -104,14 +104,18 @@ class PhiTable:
         return 2.0 ** (-self.resolution)
 
     def eval(self, x):
-        """phi(x), vectorized; exact at dyadic grid points."""
+        """phi(x), vectorized; exact at dyadic grid points, 0 at any x outside
+        the support, however far, and at nan."""
         x = np.asarray(x, dtype=float)
         t = x * (1 << self.resolution)
         last = self.values.size - 1
-        inside = (t >= 0.0) & (t <= last)
-        idx = np.clip(np.floor(t).astype(np.int64), 0, last - 1)
-        frac = np.clip(t - idx, 0.0, 1.0)
-        out = (1.0 - frac) * self.values[idx] + frac * self.values[idx + 1]
+        # clamped onto the table, nan to 0, so that no argument reaches the
+        # int cast out of range; an argument the clamp moved lies outside
+        clamped = np.fmin(np.fmax(t, 0.0), last)
+        inside = clamped == t
+        idx = np.minimum(np.floor(clamped).astype(np.int64), last - 1)
+        frac = clamped - idx
+        out = (1.0 - frac) * self.values[idx] + frac * self.values[1:][idx]
         return np.where(inside, out, 0.0)
 
 

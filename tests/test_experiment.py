@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavesieve import experiment, gmrf, graphs
+from wavesieve import experiment, gmrf, graphs, regression
 from wavesieve.cli import _parse_graph, main
 from wavesieve.experiment import (ExperimentConfig, config_from_dict,
                                   config_to_dict, emit_table, format_table,
@@ -761,7 +761,7 @@ def test_aggregate_skips_failed_replications(tmp_path, monkeypatch):
 # the names the benchmark's layer trace (perfbench/tracing.py) replaces on
 # wavesieve.experiment; each must be looked up there at call time
 _TRACED_NAMES = ("GmrfSpec", "concliques", "connected_split", "to_uniform", "cascade",
-                 "covering_sieve", "fit", "l2_error_mc")
+                 "covering_sieve")
 
 
 @pytest.mark.filterwarnings("ignore:learning set is disconnected")
@@ -786,6 +786,28 @@ def test_traced_names_are_called_through_the_module(kind, builder, tmp_path, mon
     table = run_experiment(small_config(graph=graph, etas=(0.05, 0.05)))
     assert table.failures == ()
     assert {name for name, n in calls.items() if n < 1} == set()
+
+
+@pytest.mark.filterwarnings("ignore:learning set is disconnected")
+def test_a_replication_solves_through_the_module_once_per_fit(monkeypatch):
+    # the trace times every fit as a regression.svd span, so the sieve pass
+    # must look svd_lstsq up in wavesieve.regression at call time
+    cfg = small_config(wavelets=("haar", "d4"), levels=(2, 0, 1), etas=(0.05, 0.05))
+    replicate = experiment._context(cfg)
+    calls = []
+    real = regression.svd_lstsq
+
+    def counted(B, y):
+        calls.append(B.shape)
+        return real(B, y)
+
+    monkeypatch.setattr(regression, "svd_lstsq", counted)
+    errors = replicate(0)
+    assert len(calls) == 2 * len(cfg.wavelets) * len(cfg.levels)
+    # field then reference, each wavelet's levels in config order
+    columns = [2 ** j for name in cfg.wavelets for j in cfg.levels]
+    assert [c for _, c in calls] == columns * 2
+    assert list(errors) == [(name, j) for name in cfg.wavelets for j in cfg.levels]
 
 
 # sha256 of results.csv for one small config per stream layout (the d = 2

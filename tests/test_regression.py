@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from wavesieve.regression import (SVD_RTOL, Dataset, SvdReport, auto_rho,
                                   design_matrix, fit, fit_to_json, l2_error_mc,
-                                  predict, predict_batch, select_level, svd_lstsq)
+                                  predict, predict_batch, select_level, sieve_errors,
+                                  svd_lstsq)
 from wavesieve.rng import stream
 from wavesieve.wavelets import (WaveletSieve, cascade, covering_sieve, d4_filter,
                                 haar_filter, sieve_for_box)
@@ -444,6 +447,129 @@ def test_l2_error_empty_test_set():
     f = fit(Dataset(np.array([0.5]), np.array([2.0])), sieve, HAAR_TABLE)
     with pytest.raises(ValueError):
         l2_error_mc(f, HAAR_TABLE, lambda x: 0.0, np.empty(0))
+
+
+def test_predict_rejects_a_point_that_is_not_finite():
+    # phi of inf or nan is no number; such a point is refused, as in a Dataset
+    sieve = box_sieve(HAAR, 2, 0, 0)
+    f = fit(Dataset(np.array([[0.5, 0.5]]), np.array([2.0])), sieve, HAAR_TABLE)
+    for point in ([np.inf, 0.4], [0.4, np.nan], [-np.inf, 0.4]):
+        with pytest.raises(ValueError, match="non-finite design value"):
+            predict(f, HAAR_TABLE, point)
+        with pytest.raises(ValueError, match="non-finite design value"):
+            predict_batch(f, HAAR_TABLE, np.array([[0.5, 0.5], point]))
+        with pytest.raises(ValueError, match="non-finite design value"):
+            l2_error_mc(f, HAAR_TABLE, lambda x1, x2: 2.0, np.array([point]))
+
+
+def test_predict_far_outside_the_support_is_zero():
+    sieve = box_sieve(HAAR, 1, 0, 0)
+    f = fit(Dataset(np.array([0.5]), np.array([2.0])), sieve, HAAR_TABLE)
+    assert predict(f, HAAR_TABLE, (1e300,)) == 0.0
+    assert list(predict_batch(f, HAAR_TABLE, np.array([-1e300, 0.5, 1e300]))) == [0.0, 2.0, 0.0]
+
+
+@pytest.mark.parametrize("rho", [math.nan, -1.0])
+def test_fit_rejects_a_truncation_bound_that_is_not_non_negative(rho):
+    # a nan bound would make every prediction and every error nan
+    data = Dataset(np.array([0.5]), np.array([2.0]))
+    sieve = box_sieve(HAAR, 1, 0, 0)
+    with pytest.raises(ValueError, match=f"truncation bound rho must be non-negative, got {rho}"):
+        fit(data, sieve, HAAR_TABLE, rho=rho)
+    with pytest.raises(ValueError, match="truncation bound rho"):
+        sieve_errors(data, np.array([0.25]), 2.0, HAAR_TABLE, [sieve], rho)
+
+
+# ---------------------------------------------------------------------------
+# the sieve pass
+
+def _degenerate_warnings(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, sum("degenerate design" in str(w.message) for w in caught)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 3), name=st.sampled_from(sorted(TABLES)),
+       levels=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+       n_learn=st.integers(1, 40), n_test=st.integers(1, 20), seed=st.integers(0, 2 ** 32),
+       outside=st.booleans(), scalar_truth=st.booleans(),
+       rho=st.sampled_from([np.inf, 2.0, 0.5, 0.0]))
+def test_sieve_errors_equal_fit_and_l2_error_mc_bit_for_bit(d, name, levels, n_learn, n_test,
+                                                           seed, outside, scalar_truth, rho):
+    table = TABLES[name][1]
+    levels = [j for j in levels if j * d <= 6] or [0]   # at most 64 columns
+    sieves = [covering_sieve(table.filter, d, j) for j in levels]
+    rng = stream(seed)
+    # learn points past the supports give all-zero designs, degenerate fits
+    X = rng.uniform(0.0, 1.0, (n_learn, d)) + (4.0 if outside else 0.0)
+    y = rng.standard_normal(n_learn) + X.sum(axis=1)
+    test_X = rng.uniform(0.0, 1.0, (n_test, d))
+
+    def m(*xs):
+        return 1.5 if scalar_truth else sum(np.cos(3.0 * x) for x in xs)
+
+    data = Dataset(X, y)
+    got, got_warned = _degenerate_warnings(
+        lambda: sieve_errors(data, test_X, m(*test_X.T), table, sieves, rho))
+    want, want_warned = _degenerate_warnings(   # the oracle: fit, then score, per sieve
+        lambda: [l2_error_mc(fit(data, s, table, rho=rho), table, m, test_X) for s in sieves])
+    assert got == want
+    assert got_warned == want_warned
+    assert not outside or got_warned == len(sieves)
+
+
+@pytest.mark.parametrize("truth", [lambda x: np.log(x - 0.5), lambda x: np.inf,
+                                   lambda x: np.ones(3), lambda x: np.ones((2, 2))])
+def test_sieve_errors_reject_a_truth_as_l2_error_mc_does(truth):
+    sieve = box_sieve(HAAR, 1, 0, 0)
+    data = Dataset(np.array([0.5]), np.array([2.0]))
+    xs = np.array([0.25, 0.75])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError) as want:
+            l2_error_mc(fit(data, sieve, HAAR_TABLE), HAAR_TABLE, truth, xs)
+        with pytest.raises(ValueError) as got:
+            sieve_errors(data, xs, truth(xs), HAAR_TABLE, [sieve])
+    assert str(got.value) == str(want.value)
+
+
+def test_sieve_errors_check_their_points():
+    sieve = box_sieve(HAAR, 2, 0, 0)
+    data = Dataset(np.array([[0.5, 0.5]]), np.array([2.0]))
+    with pytest.raises(ValueError, match="non-finite design value"):
+        sieve_errors(data, np.array([[0.5, np.inf]]), 2.0, HAAR_TABLE, [sieve])
+    with pytest.raises(ValueError, match="test set is empty"):
+        sieve_errors(data, np.empty((0, 2)), 2.0, HAAR_TABLE, [sieve])
+    with pytest.raises(ValueError, match="test points have dimension 1, learn points 2"):
+        sieve_errors(data, np.array([0.5]), 2.0, HAAR_TABLE, [sieve])
+    with pytest.raises(ValueError, match="points have dimension 2, sieve expects 1"):
+        sieve_errors(data, np.array([[0.5, 0.5]]), 2.0, HAAR_TABLE, [box_sieve(HAAR, 1, 0, 0)])
+    with pytest.raises(ValueError, match="cannot evaluate"):
+        sieve_errors(data, np.array([[0.5, 0.5]]), 2.0, TABLES["d4"][1], [sieve])
+    assert sieve_errors(data, np.array([[0.5, 0.5]]), 2.0, HAAR_TABLE, []) == []
+
+
+def test_sieve_pass_holds_one_design_at_a_time():
+    # the knn_fit shape: d4 at j = 5 on 1600 points, 1120 learn and 480 test
+    # rows.  fit + l2_error_mc peak at 1.13 learn designs; one design over
+    # learn and test rows together would need 1.43 or more
+    table = TABLES["d4"][1]
+    sieve = covering_sieve(table.filter, 2, 5)
+    rng = stream(41)
+    X = rng.uniform(0.0, 1.0, (1600, 2))
+    y = np.sin(3.0 * X.sum(axis=1)) + rng.standard_normal(1600)
+    data, test_X = Dataset(X[:1120], y[:1120]), X[1120:]
+    truth = np.sin(3.0 * test_X.sum(axis=1))
+    design_bytes = 1120 * sieve.size * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sieve_errors(data, test_X, truth, table, [sieve], 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * design_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,30 @@ def test_cascade_haar_is_indicator():
     assert table.eval(-0.1) == 0.0
 
 
+def test_eval_is_zero_far_outside_the_support(filt):
+    # runs under the suite's error::RuntimeWarning, so an out-of-range cast
+    # of the cell index would fail here
+    table = cascade(filt, 10)
+    far = np.array([1e300, -1e300, 1e20, -1e20, np.inf, -np.inf, np.nan])
+    assert np.array_equal(table.eval(far), np.zeros(far.size))
+    assert table.eval(1e300) == 0.0
+
+
+def test_eval_inside_the_support_keeps_its_interpolation(filt):
+    # the clamped-cell formula, written out, at every grid point, every
+    # midpoint and random points on and around the support
+    table = cascade(filt, 10)
+    last = table.values.size - 1
+    x = np.concatenate([np.arange(-4, last + 5) / 1024.0, (np.arange(last) + 0.5) / 1024.0,
+                        np.random.default_rng(5).uniform(-0.5, filt.support + 0.5, 5000)])
+    t = x * 1024.0
+    idx = np.clip(np.floor(t).astype(np.int64), 0, last - 1)
+    frac = np.clip(t - idx, 0.0, 1.0)
+    want = (1.0 - frac) * table.values[idx] + frac * table.values[idx + 1]
+    want = np.where((t >= 0.0) & (t <= last), want, 0.0)
+    assert np.array_equal(table.eval(x), want)
+
+
 def test_cascade_d4_integer_values():
     table = cascade(d4_filter(), 10)
     step = 1 << 10
