@@ -452,10 +452,9 @@ def joint_covariance(spec):
     The covariance D^{1/2} (I - eta*H)^{-1} D^{1/2} is formed as M^T M with
     M = L^{-1} D^{1/2}, so it is symmetric by construction; the max entrywise
     asymmetry residual is returned as a check.  L L^T = I - eta*H is numpy's
-    whole-matrix factor, which shares no code with `tau_from_eta`.
+    whole-matrix factor (`_dense_inverse_factor`).
     """
-    n = spec.graph.node_count
-    M = np.linalg.inv(np.linalg.cholesky(np.eye(n) - spec.eta * spec.graph.adjacency()))
+    M = _dense_inverse_factor(spec)
     M *= np.sqrt(spec.tau2)
     cov = M.T @ M
     return cov, float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
@@ -463,7 +462,7 @@ def joint_covariance(spec):
 
 def direct_sample(spec, seed, count=None):
     """Exact draw(s) alpha + sqrt(tau2) * (z^T L^{-1}) from the joint law, with
-    L L^T = I - eta*H numpy's whole-matrix factor.
+    L L^T = I - eta*H numpy's whole-matrix factor (`_dense_inverse_factor`).
 
     `count=None` returns one draw of shape (n,); a non-negative integer,
     bool excluded, returns an array of shape (count, n); any other count
@@ -472,8 +471,15 @@ def direct_sample(spec, seed, count=None):
     n = spec.graph.node_count
     shape = n if count is None else (_count("count", count), n)
     z = stream(seed, _TAG_DIRECT).standard_normal(shape)
-    L_inv = np.linalg.inv(np.linalg.cholesky(np.eye(n) - spec.eta * spec.graph.adjacency()))
-    return spec.alpha + np.sqrt(spec.tau2) * (z @ L_inv)
+    return spec.alpha + np.sqrt(spec.tau2) * (z @ _dense_inverse_factor(spec))
+
+
+def _dense_inverse_factor(spec):
+    """L^{-1} for L L^T = I - eta*H, numpy's whole-matrix Cholesky factor of
+    the dense adjacency.  The oracles above share it and no code with
+    `tau_from_eta`."""
+    n = spec.graph.node_count
+    return np.linalg.inv(np.linalg.cholesky(np.eye(n) - spec.eta * spec.graph.adjacency()))
 
 
 def to_uniform(values):

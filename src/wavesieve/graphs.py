@@ -49,8 +49,11 @@ class PowerIterationError(RuntimeError):
 class Graph:
     """Immutable undirected graph on nodes 0..n-1 without self loops.
 
-    A plain value holding its edges and their CSR arrays (`indptr`, `indices`,
-    `degrees`), nothing computed later, so it is safe to share across threads.
+    A plain value holding its adjacency once, as CSR arrays (`indptr`,
+    `indices`, `degrees`): node s's neighbours, increasing, are
+    indices[indptr[s]:indptr[s+1]].  `edges` and `edge_count` are computed
+    from those arrays on each access, and nothing is stored later, so a graph
+    is safe to share across threads.
     """
 
     def __init__(self, node_count, edges):
@@ -58,25 +61,34 @@ class Graph:
             raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
         n = int(node_count)
         pairs = _node_pairs(edges)
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+        s, t = pairs.T
+        bad = np.flatnonzero((s == t) | (np.minimum(s, t) < 0) | (np.maximum(s, t) >= n))
         if bad.size:
             s, t = pairs[bad[0]].tolist()
             if s == t:
                 raise ValueError(f"self-loop at node {s}")
             raise ValueError(f"edge ({s},{t}) outside 0..{n - 1}")
-        # sorted keys lo*n + hi are the sorted (lo, hi) pairs; np.unique would add 1.5 MB RSS
-        keys = np.sort(lo * n + hi)
-        lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+        # sorted keys head*n + tail of both directions are the CSR entries in
+        # row order; np.unique would add 1.5 MB RSS
+        keys = np.concatenate((s * n + t, t * n + s))
+        keys.sort()
+        heads, self.indices = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
         self.node_count = n
-        self.edges = tuple(zip(lo.tolist(), hi.tolist()))
-        self.edge_count = len(self.edges)
-
-        # CSR: node s's neighbours, increasing, are indices[indptr[s]:indptr[s+1]]
-        heads, tails = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-        self.indices = tails[np.argsort(heads * n + tails)]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n))))
         self.degrees = np.diff(self.indptr)
+
+    @property
+    def edges(self):
+        """The edges as a tuple of (s, t) Python-int pairs, s < t, in
+        increasing order: the CSR entries above the diagonal, row by row."""
+        heads = np.repeat(np.arange(self.node_count), self.degrees)
+        upper = heads < self.indices
+        return tuple(zip(heads[upper].tolist(), self.indices[upper].tolist()))
+
+    @property
+    def edge_count(self):
+        """Number of edges: each is stored once in either direction."""
+        return self.indices.size // 2
 
     def neighbor_sums(self, x):
         """Vector of sums of x over each node's neighbors (H @ x).
@@ -85,6 +97,9 @@ class Graph:
         neighbours in increasing order, on every graph, so the sums depend
         neither on the graph's size nor on the BLAS a dense H @ x would call.
         """
+        if np.shape(x) != (self.node_count,):
+            raise ValueError(f"x must have shape ({self.node_count},), one entry per node, "
+                             f"got shape {np.shape(x)}")
         sums = np.zeros(self.node_count)
         rows = self.degrees > 0
         sums[rows] = np.add.reduceat(x[self.indices], self.indptr[:-1][rows])
@@ -256,7 +271,7 @@ def torus_with_chords(rows, cols, chords, seed):
     s = np.tile(np.arange(n), 2)
     r, c = np.divmod(s[:n], cols)
     t = np.concatenate((r * cols + (c + 1) % cols, (r + 1) % rows * cols + c))
-    present = set(zip(np.minimum(s, t).tolist(), np.maximum(s, t).tolist()))
+    present = set((np.minimum(s, t) * n + np.maximum(s, t)).tolist())
     free = n * (n - 1) // 2 - len(present)
     if chords > free:
         raise ValueError(f"a {rows}x{cols} torus has {free} free node pairs, "
@@ -264,16 +279,17 @@ def torus_with_chords(rows, cols, chords, seed):
     rng = stream(seed, _TAG_CHORDS)
     extra = []
     while len(extra) < chords:
-        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        # one draw of two per attempt: batching them would change the chords
+        u, v = rng.integers(0, n, size=2).tolist()
         if u == v:
             continue
-        key = (u, v) if u < v else (v, u)
+        key = u * n + v if u < v else v * n + u
         if key in present:
             continue
         present.add(key)
         extra.append(key)
     return Graph(n, np.concatenate((np.stack((s, t), axis=1),
-                                    np.array(extra, np.int64).reshape(-1, 2))))
+                                    np.stack(np.divmod(np.array(extra, np.int64), n), axis=1))))
 
 
 def knn_geometric_graph(points, k, seed):

@@ -20,11 +20,13 @@ def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def random_graph(n, p, seed):
+def random_pairs(n, p, seed):
     rng = stream(seed, 999)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def random_graph(n, p, seed):
+    return Graph(n, random_pairs(n, p, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -327,24 +329,27 @@ def test_neighbor_sums_match_dense():
         assert np.allclose(g.neighbor_sums(x), H @ x, atol=1e-12)
 
 
-def neighbor_lists_reference(g):
-    """Each node's sorted neighbour list, built edge by edge from `edges`."""
-    lists = [[] for _ in range(g.node_count)]
-    for u, v in g.edges:
-        lists[u].append(v)
-        lists[v].append(u)
+def neighbor_lists_reference(n, pairs):
+    """Each node's sorted neighbour list, built pair by pair from the pairs a
+    graph was given, repeats and both directions collapsed."""
+    lists = [set() for _ in range(n)]
+    for u, v in pairs:
+        lists[u].add(int(v))
+        lists[v].add(int(u))
     return [sorted(a) for a in lists]
 
 
 def test_csr_matches_the_per_node_lists():
     # isolated nodes (the last one too), an edgeless graph, no nodes at all,
     # edges given twice and backwards, and knn-300's ndarray of pairs
-    graphs = [Graph(7, [(0, 1), (1, 2), (4, 5), (5, 0), (2, 1)]), Graph(3, []), Graph(0, []),
-              Graph(5, [(4, 0), (0, 4), (3, 1)]), random_graph(40, 0.1, seed=4),
-              random_graph(30, 0.3, seed=5), knn_geometric_graph(300, 6, seed=3)]
-    for g in graphs:
-        lists = neighbor_lists_reference(g)
-        n = g.node_count
+    xy = stream(3, graphs._TAG_KNN).uniform(0.0, 1.0, size=(300, 2))
+    cases = [(7, [(0, 1), (1, 2), (4, 5), (5, 0), (2, 1)]), (3, []), (0, []),
+             (5, [(4, 0), (0, 4), (3, 1)]), (40, random_pairs(40, 0.1, seed=4)),
+             (30, random_pairs(30, 0.3, seed=5)), (300, graphs._nearest_pairs(xy, 6))]
+    for n, pairs in cases:
+        g = Graph(n, pairs)
+        lists = neighbor_lists_reference(n, pairs)
+        assert g.edges == tuple((s, t) for s in range(n) for t in lists[s] if s < t)
         assert g.edges == tuple(sorted(set(g.edges))) and g.edge_count == len(g.edges)
         assert all(type(s) is int and type(t) is int and s < t for s, t in g.edges)
         assert g.indptr.dtype == g.indices.dtype == g.degrees.dtype == np.int64
@@ -357,6 +362,28 @@ def test_csr_matches_the_per_node_lists():
         x = stream(7).standard_normal(n)
         want = [np.add.reduceat(x[a], [0])[0] if a else 0.0 for a in lists]
         assert np.array_equal(g.neighbor_sums(x), np.array(want))
+
+
+def test_graph_holds_only_its_csr_arrays():
+    # the dense workload's graph: edges and edge_count are read off the CSR
+    # arrays, so the build keeps nothing beyond them
+    pairs = np.array(torus_with_chords(70, 70, 900, seed=1).edges)
+    tracemalloc.start()
+    try:
+        g = Graph(4900, pairs)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert set(vars(g)) == {"node_count", "indptr", "indices", "degrees"}
+    assert held <= 1.25 * (g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes)
+    assert g.edge_count == 10700 and g.edges == tuple(map(tuple, pairs.tolist()))
+
+
+@pytest.mark.parametrize("shape", [(12,), (5,), (0,), (9, 1), (1, 9), ()])
+def test_neighbor_sums_refuse_x_of_another_length(shape):
+    g = torus_lattice(3, 3)
+    with pytest.raises(ValueError, match=re.escape(f"shape (9,), one entry per node, got shape {shape}")):
+        g.neighbor_sums(np.ones(shape))
 
 
 def test_graph_canonicalizes_edges():
@@ -540,7 +567,7 @@ def test_concliques_even_torus_checkerboard():
     _assert_valid_concliques(g, part)
     # independent bipartition oracle: the parity of the BFS depth 2-colors
     # the even torus, and the classes must agree with it
-    depth = bfs_reference(neighbor_lists_reference(g), 0, [False] * 36)
+    depth = bfs_reference(neighbor_lists_reference(g.node_count, g.edges), 0, [False] * 36)
     assert sorted(c.tolist() for c in part.classes) == sorted(
         [[s for s in range(36) if depth[s] % 2 == parity] for parity in (0, 1)])
 
@@ -631,7 +658,7 @@ def split_reference(g, test_fraction, seed):
     is the first ceil(test_fraction * n) nodes of `bfs_reference` from the
     seeded start, and a walk from each learning node not yet reached counts the
     learning set's components; None when the graph is disconnected."""
-    n, lists = g.node_count, neighbor_lists_reference(g)
+    n, lists = g.node_count, neighbor_lists_reference(g.node_count, g.edges)
     start = int(stream(seed, graphs._TAG_SPLIT).integers(0, n))
     order = list(bfs_reference(lists, start, [False] * n))
     if len(order) < n:
@@ -708,7 +735,8 @@ def test_connected_split_torus():
     # BFS reachability oracle within the test set: the learning set is marked
     members = set(test.tolist())
     seen = [s not in members for s in range(36)]
-    assert set(bfs_reference(neighbor_lists_reference(g), int(test[0]), seen)) == members
+    lists = neighbor_lists_reference(g.node_count, g.edges)
+    assert set(bfs_reference(lists, int(test[0]), seen)) == members
     # exact partition
     assert sorted(learn.tolist() + test.tolist()) == list(range(36))
 
