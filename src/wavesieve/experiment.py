@@ -29,7 +29,7 @@ import numpy as np
 from .gmrf import GmrfSpec, chain_engine, to_uniform
 from .graphs import (_count, concliques, connected_split, knn_geometric_graph,
                      load_graph, torus_with_chords)
-from .regression import Dataset, auto_rho, sieve_errors
+from .regression import Dataset, _json_value, auto_rho, sieve_errors
 from .rng import child_seed, stream
 from .wavelets import cascade, covering_sieve, filter_by_name
 
@@ -401,31 +401,31 @@ def _blas_thread_calls():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with the process's BLAS on one thread and restore the
-    caller's count after it.  Yields the count the body runs at: 1, or None
-    when no setter is found and the body runs at whatever count it has.
+    caller's count after it; when no setter is found the body runs at
+    whatever count it has.
 
     LAPACK's gelsd (the d4 fits from level 3 on) and the dense factor of
     tau_from_eta round otherwise on two threads than on one, so without the
     pin the bytes of results.csv would follow the caller's thread count."""
     calls = _blas_thread_calls()
     if calls is None:
-        yield None
+        yield
         return
     set_threads, get_threads = calls
     saved = get_threads()
     set_threads(1)
     try:
-        yield 1
+        yield
     finally:
         set_threads(saved)
 
 
 def _replicate_chunk(args):
     """Build the run once, then replicate every rep of the chunk, all on one
-    BLAS thread: (BLAS thread count, outcomes), each outcome (rep, pair map,
-    None), or (rep, None, error text) when the replication fails."""
+    BLAS thread; returns the outcomes, each (rep, pair map, None), or (rep,
+    None, error text) when the replication fails."""
     cfg, reps = args
-    with _one_blas_thread() as threads:
+    with _one_blas_thread():
         replicate = _context(cfg)
         outcomes = []
         for rep in reps:
@@ -433,7 +433,7 @@ def _replicate_chunk(args):
                 outcomes.append((rep, replicate(rep), None))
             except Exception as exc:   # a failed replication is recorded, not fatal
                 outcomes.append((rep, None, f"{type(exc).__name__}: {exc}"))
-    return threads, outcomes
+    return outcomes
 
 
 def _workers():
@@ -452,6 +452,8 @@ def run_experiment(cfg):
     the caller's thread count nor the worker count.  The count is
     process-wide: the caller's other threads run at 1 thread too until the
     run restores their count."""
+    # spawned workers load this process's numpy, so they find the same setter
+    blas_threads = None if _blas_thread_calls() is None else 1
     workers = min(_workers(), cfg.replications)
     chunks = [(cfg, range(w, cfg.replications, workers)) for w in range(workers)]
     if workers > 1:
@@ -469,9 +471,7 @@ def run_experiment(cfg):
             raise RuntimeError(f"a worker process died; {guard}") from exc
     else:
         done = [_replicate_chunk(chunks[0])]
-    # every chunk runs under the same numpy, so each found the same setter
-    blas_threads = done[0][0]
-    outcomes = sorted((o for _, chunk in done for o in chunk), key=lambda item: item[0])
+    outcomes = sorted((o for chunk in done for o in chunk), key=lambda item: item[0])
 
     kept = [pairs for _, pairs, err in outcomes if err is None]
     rows = []
@@ -515,10 +515,8 @@ def _csv_cell(value):
 
 
 def _json_row(row):
-    # JSON has no nan or inf: a non-finite value is written as null
     doc = {**asdict(row), "field_minus_ref": row.field_minus_ref}
-    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
-            for key, value in doc.items()}
+    return {key: _json_value(value) for key, value in doc.items()}
 
 
 def emit_table(table, out_dir):

@@ -12,7 +12,7 @@ Predictions are clamped to [-rho, rho].  The level rule picks j with
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,16 @@ __all__ = [
 SVD_RTOL = 1e-10
 
 
+def _points(X):
+    """X as an n x d float array of finite points."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.size and not np.all(np.isfinite(X)):
+        raise ValueError("non-finite design value")
+    return X
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Design sites X (one row per observation) and responses y."""
@@ -32,14 +42,10 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _points(self.X)
         y = np.asarray(self.y, dtype=float).reshape(-1)
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y lengths differ")
-        if X.size and not np.all(np.isfinite(X)):
-            raise ValueError("non-finite design value")
         if y.size and not np.all(np.isfinite(y)):
             raise ValueError("non-finite response value")
         object.__setattr__(self, "X", X)
@@ -74,16 +80,6 @@ class RegressionFit:
     svd_report: SvdReport
 
 
-def _points(X):
-    """X as an n x d float array of finite points."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.size and not np.all(np.isfinite(X)):
-        raise ValueError("non-finite design value")
-    return X
-
-
 def _check_sieve(d, sieve, table):
     if d != sieve.d:
         raise ValueError(f"points have dimension {d}, sieve expects {sieve.d}")
@@ -110,7 +106,7 @@ def _kron_rows(n, sieve, factors):
 
 
 def _design(X, sieve, table):
-    X = _points(X)
+    """The design of the finite n x d points X."""
     _check_sieve(X.shape[1], sieve, table)
     return _kron_rows(X.shape[0], sieve, _factors(X, sieve, table))
 
@@ -186,13 +182,13 @@ def predict(fit_result, table, x):
 
 def predict_batch(fit_result, table, X):
     """Truncated predictions for an array of points."""
-    raw = _design(X, fit_result.sieve, table) @ fit_result.coeffs
+    raw = _design(_points(X), fit_result.sieve, table) @ fit_result.coeffs
     return np.clip(raw, -fit_result.rho, fit_result.rho)
 
 
 def auto_rho(y, sample_size):
-    """Default bound max(log n, 2 max|y|): grows logarithmically but stays
-    non-binding on well-scaled problems."""
+    """Default bound c log n with c = max(1, 2 max|y| / log n), max(log n,
+    2 max|y|) up to the last bit: non-binding on well-scaled problems."""
     if sample_size < 2:
         raise ValueError("sample_size must be at least 2")
     c = max(1.0, 2.0 * float(np.max(np.abs(y))) / math.log(sample_size))
@@ -278,8 +274,18 @@ def sieve_errors(data, test_X, truth, table, sieves, rho=np.inf):
 # ---------------------------------------------------------------------------
 # io
 
+def _json_value(value):
+    """`value` as strict JSON holds it: an ndarray as a list, a non-finite
+    float as None (JSON has no nan or inf), anything else as is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def fit_to_json(fit_result, path=None):
-    """Serialize a fit; returns the dict and optionally writes it."""
+    """Serialize a fit as strict JSON; returns the dict and optionally writes it."""
     sieve = fit_result.sieve
     rep = fit_result.svd_report
     doc = {
@@ -287,13 +293,8 @@ def fit_to_json(fit_result, path=None):
         "d": sieve.d,
         "j": sieve.j,
         "w": sieve.w,
-        "rho": None if math.isinf(fit_result.rho) else fit_result.rho,
-        "svd_report": {
-            "rank": rep.rank,
-            "condition": None if math.isinf(rep.condition) else rep.condition,
-            "dropped": [float(v) for v in rep.dropped],
-            "total_columns": rep.total_columns,
-        },
+        "rho": _json_value(fit_result.rho),
+        "svd_report": {f.name: _json_value(getattr(rep, f.name)) for f in fields(SvdReport)},
         "coefficients": [
             {"gamma": [int(v) for v in gamma], "a": float(a)}
             for gamma, a in zip(sieve.K, fit_result.coeffs)
@@ -301,5 +302,5 @@ def fit_to_json(fit_result, path=None):
     }
     if path is not None:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1, allow_nan=False)
     return doc

@@ -242,6 +242,15 @@ def test_config_validation():
         small_config(levels=())
     with pytest.raises(ValueError):
         small_config(coupling="sideways")
+    with pytest.raises(ValueError, match="unknown graph kind 'grid'"):
+        small_config(graph={"kind": "grid"})
+
+
+def test_expression_regression_needs_a_design_component():
+    # the last eta drives the noise, so one eta leaves no design component;
+    # the run's build refuses it before any replication
+    with pytest.raises(ValueError, match="expression regression needs at least two etas"):
+        experiment._context(small_config(etas=(0.1,), regression="x1"))
 
 
 @pytest.mark.parametrize("key, value, match", [
@@ -501,6 +510,12 @@ def test_emit_and_load_round_trip(tmp_path):
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert lines[0] == "wavelet,j,mean_l2,sd_l2,ref_mean_l2,ref_sd_l2,n_reps"
     assert len(lines) == 1 + len(table.rows)
+
+
+def test_emit_table_refuses_a_table_without_rows(tmp_path):
+    with pytest.raises(ValueError, match="table has no rows"):
+        emit_table(experiment.ResultTable((), {}, 0), str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 _L2 = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

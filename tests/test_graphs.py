@@ -96,6 +96,15 @@ def test_save_graph_refuses_a_node_without_edges(tmp_path):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("line, message", [("0 x", r"g\.txt:2: non-integer node id in '0 x'"),
+                                           ("0 -1", r"g\.txt:2: negative node id in '0 -1'")])
+def test_load_graph_names_a_bad_node_id(line, message, tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text(f"0 1\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        load_graph(p)
+
+
 def test_torus_2x2_collapses_parallel_edges():
     g = torus_lattice(2, 2)
     assert g.node_count == 4
@@ -306,9 +315,11 @@ def test_knn_build_of_clustered_points_holds_no_n_by_n_array():
     assert peak <= 0.5 * 8 * n * n
 
 
-def test_knn_rejects_large_k():
+def test_knn_rejects_k_out_of_range():
     with pytest.raises(ValueError):
         knn_geometric_graph(5, 5, seed=1)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        knn_geometric_graph(10, 0, 1)
 
 
 def test_graph_rejects_self_loop():
@@ -432,6 +443,11 @@ def test_validate_names_the_first_edge_inside_a_class():
         with pytest.raises(ValueError, match=f"class {label[s]} is not independent: "
                                              f"it holds adjacent nodes {s} and {t}$"):
             part.validate(g)
+
+
+def test_validate_names_a_node_outside_the_graph():
+    with pytest.raises(ValueError, match=r"classes hold node 7 outside 0\.\.2"):
+        ConcliquePartition((np.array([0, 1, 7]),)).validate(Graph(3, [(0, 1)]))
 
 
 def test_partition_classes_may_be_lists_or_any_integer_arrays():
@@ -752,3 +768,6 @@ def test_connected_split_rejects_bad_fraction():
     for frac in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError):
             connected_split(g, frac, seed=0)
+    # 0.95 of 9 nodes rounds up to a test set of all 9
+    with pytest.raises(ValueError, match="empty learning set"):
+        connected_split(torus_lattice(3, 3), 0.95, 1)

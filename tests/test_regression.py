@@ -2,7 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -480,6 +480,11 @@ def test_fit_rejects_a_truncation_bound_that_is_not_non_negative(rho):
         sieve_errors(data, np.array([0.25]), 2.0, HAAR_TABLE, [sieve], rho)
 
 
+def test_fit_needs_an_observation():
+    with pytest.raises(ValueError, match="need at least one observation"):
+        fit(Dataset(np.empty((0, 1)), np.empty(0)), box_sieve(HAAR, 1, 0, 0), HAAR_TABLE)
+
+
 # ---------------------------------------------------------------------------
 # the sieve pass
 
@@ -550,6 +555,21 @@ def test_sieve_errors_check_their_points():
     assert sieve_errors(data, np.array([[0.5, 0.5]]), 2.0, HAAR_TABLE, []) == []
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND: the haar PhiTable interpolates linearly across its last cell, "
+    "so 3 of these 600 points get a factor below 1; ROADMAP's exact scaling-function "
+    "values item makes phi exact and must remove this mark"))
+def test_noiseless_haar_fit_of_a_cell_constant_function_is_exact():
+    # m is constant on the level-2 cells, so the haar covering sieve at j = 2
+    # spans it; the design scale 4 and the cell means are exact in binary, so
+    # with phi the indicator of [0, 1) the test error is exactly 0
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (600, 2))
+    m = np.floor(4.0 * X[:, 0]) + 10.0 * np.floor(4.0 * X[:, 1])
+    sieve = covering_sieve(HAAR, 2, 2)
+    assert sieve_errors(Dataset(X[:400], m[:400]), X[400:], m[400:], HAAR_TABLE,
+                        [sieve]) == [0.0]
+
+
 def test_sieve_pass_holds_one_design_at_a_time():
     # the knn_fit shape: d4 at j = 5 on 1600 points, 1120 learn and 480 test
     # rows.  fit + l2_error_mc peak at 1.13 learn designs; one design over
@@ -576,10 +596,15 @@ def test_sieve_pass_holds_one_design_at_a_time():
 # io
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="X and y lengths differ"):
         Dataset(np.array([1.0, 2.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite design value"):
         Dataset(np.array([np.nan]), np.array([1.0]))
+    # the point rule comes first, as in predict_batch
+    with pytest.raises(ValueError, match="non-finite design value"):
+        Dataset(np.array([np.nan, 1.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="non-finite response value"):
+        Dataset(np.array([1.0]), np.array([np.inf]))
 
 
 def test_fit_to_json_fields(tmp_path):
@@ -598,6 +623,8 @@ def test_fit_to_json_fields(tmp_path):
     assert doc["svd_report"] == {"rank": rep.rank, "condition": rep.condition,
                                  "dropped": rep.dropped.tolist(),
                                  "total_columns": rep.total_columns}
+    # one key per SvdReport field, in field order
+    assert list(doc["svd_report"]) == [field.name for field in fields(SvdReport)]
     assert [c["gamma"] for c in doc["coefficients"]] == sieve.K.tolist()
     assert [c["a"] for c in doc["coefficients"]] == f.coeffs.tolist()
     # an unbounded fit records its infinite bound as null

@@ -112,6 +112,8 @@ def test_partition_validation():
         blocking_partition((4, 4), 2)   # needs 2q < min n
     with pytest.raises(ValueError):
         blocking_partition((9, 9), 0)
+    with pytest.raises(ValueError, match="need at least one axis"):
+        blocking_partition((), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,3 +193,12 @@ def test_rate_curve_csv(tmp_path):
     assert lines[0] == "size,value"
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == pytest.approx(vals[0])
+
+
+@pytest.mark.parametrize("d, r, sizes, message", [
+    (1, 1.5, [10], r"must lie in \(0, 1\]"),
+    (0, 1.0, [10], "dimensions must be at least 1"),
+    (1, 1.0, [1], "sizes must be at least 2")])
+def test_rate_curve_validation(d, r, sizes, message):
+    with pytest.raises(ValueError, match=message):
+        rate_curve(d=d, r=r, N=1, sizes=sizes)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from wavesieve import wavelets
 from wavesieve.wavelets import (WaveletSieve, cascade, covering_sieve,
                                 d4_filter, filter_by_name, haar_filter,
                                 mother_tensor_coeffs,
@@ -37,6 +38,14 @@ def test_filter_identity_families(filt):
         assert abs(shifted_inner(h, h, z) - want) < TOL
         assert abs(shifted_inner(g, g, z) - want) < TOL
         assert abs(shifted_inner(g, h, z)) < TOL
+
+
+@pytest.mark.parametrize("h, message", [
+    ([1.0, 1.0], r"bad: coefficients must sum to sqrt\(2\)"),
+    ([np.sqrt(2.0) / 2 + 0.1, np.sqrt(2.0) / 2 - 0.1], "bad: orthonormality fails at shift 0")])
+def test_make_filter_names_the_identity_that_fails(h, message):
+    with pytest.raises(ValueError, match=message):
+        wavelets._make_filter("bad", h)
 
 
 def test_haar_coefficients():
@@ -154,6 +163,12 @@ def test_phi_eval_partition_of_unity_scaled():
             assert total == pytest.approx(2.0 ** (j * d / 2.0), abs=1e-5)
 
 
+def test_phi_eval_rejects_a_translation_of_another_dimension():
+    sieve = box_sieve(haar_filter(), 2, 1, 0)
+    with pytest.raises(ValueError, match="sieve dimension"):
+        phi_eval(sieve, cascade(haar_filter(), 4), [0], [0.5, 0.5])
+
+
 def test_mother_tensor_coeff_sums():
     f = haar_filter()
     c1 = mother_tensor_coeffs(f, 1)
@@ -162,6 +177,11 @@ def test_mother_tensor_coeff_sums():
     assert np.allclose(c1[(1,)], np.sqrt(2.0) * f.g, atol=TOL)
     c2 = mother_tensor_coeffs(f, 2)
     assert c2[(0, 0)].sum() == pytest.approx(4.0, abs=TOL)    # |M| = 2^d
+
+
+def test_mother_tensor_coeffs_need_a_dimension():
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        mother_tensor_coeffs(haar_filter(), 0)
 
 
 def _tensor_identity_residual(filt, d=2, gamma_range=2):
@@ -204,6 +224,12 @@ def test_sieve_for_box_covers_unit_interval():
         assert ks.min() <= 0 and ks.max() >= (1 << j) - 1
         # full box invariant before pruning
         assert sieve.size <= (2 * sieve.w + 1) ** sieve.d
+
+
+@pytest.mark.parametrize("family", [sieve_for_box, covering_sieve])
+def test_sieve_families_reject_a_negative_level(family):
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        family(haar_filter(), 1, -1)
 
 
 def test_haar_orthonormality_riemann():
