@@ -89,26 +89,20 @@ def _check_sieve(d, sieve, table):
                          f"of filter {sieve.filter.name!r}")
 
 
-def _factors(X, sieve, table):
-    """One n x |axis| factor table per axis: phi(2^j x_i - gamma_i)."""
-    scale = 2.0 ** sieve.j
-    return [table.eval(scale * x[:, None] - axis[None, :]) for x, axis in zip(X.T, sieve.axes)]
-
-
-def _kron_rows(n, sieve, factors):
-    """The design of n rows from their factor tables: the row-wise Kronecker
-    product, multiplied in axis order, so the columns follow the
-    lexicographic K."""
-    out = np.full((n, 1), sieve.scale)
-    for factor in factors:
-        out = (out[:, :, None] * factor[:, None, :]).reshape(n, out.shape[1] * factor.shape[1])
-    return out
-
-
 def _design(X, sieve, table):
-    """The design of the finite n x d points X."""
+    """The design of the finite n x d points X: one `PhiTable.eval` gives
+    the n x d x |axis| factor tables phi(2^j x_i - gamma_i), and their
+    row-wise Kronecker product, multiplied in axis order, has its columns in
+    the lexicographic K.  Broadcast products keep the design C-ordered, the
+    layout `svd_lstsq` reads without a copy; a gather such as X[:, idx]
+    would give F order, on which the closed form's y @ B rounds otherwise."""
     _check_sieve(X.shape[1], sieve, table)
-    return _kron_rows(X.shape[0], sieve, _factors(X, sieve, table))
+    n = X.shape[0]
+    factors = table.eval(2.0 ** sieve.j * X[:, :, None] - sieve.axis)
+    out = np.full((n, 1), sieve.scale)
+    for i in range(sieve.d):
+        out = (out[:, :, None] * factors[:, i, None, :]).reshape(n, -1)
+    return out
 
 
 def design_matrix(data, sieve, table):
@@ -125,11 +119,12 @@ def svd_lstsq(B, y):
     the singular values are the column norms, and each column whose norm
     passes the cutoff gets (B[:, k] . y) / |B[:, k]|^2, the others 0.  Any
     other B is solved by np.linalg.lstsq (LAPACK gelsd) with rcond=SVD_RTOL,
-    the same rule; neither path forms the singular vectors.  Returns
+    the same rule; neither path forms the singular vectors.  B is read in C
+    order, so the result does not depend on B's memory layout.  Returns
     (coefficients, SvdReport); a fully degenerate matrix yields all-zero
     coefficients with rank 0.
     """
-    B = np.asarray(B, dtype=float)
+    B = np.ascontiguousarray(B, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.all(np.count_nonzero(B, axis=1) <= 1):
         norms2 = np.einsum("ij,ij->j", B, B)
@@ -156,21 +151,12 @@ def _check_fit(data, rho):
         raise ValueError(f"truncation bound rho must be non-negative, got {rho!r}")
 
 
-def _solve(B, y):
-    """svd_lstsq(B, y), warning when every singular value is dropped.  The
-    name is looked up in this module at each call, so a wrapper set on
-    `regression.svd_lstsq` sees every fit; the warning points at the caller
-    of `fit` or `sieve_errors`."""
-    coeffs, report = svd_lstsq(B, y)
-    if report.degenerate:
-        warnings.warn("degenerate design: all singular values dropped", stacklevel=3)
-    return coeffs, report
-
-
 def fit(data, sieve, table, rho=np.inf):
     """Truncated least-squares fit of the sieve coefficients on a dataset."""
     _check_fit(data, rho)
-    coeffs, report = _solve(design_matrix(data, sieve, table), data.y)
+    coeffs, report = svd_lstsq(design_matrix(data, sieve, table), data.y)
+    if report.degenerate:
+        warnings.warn("degenerate design: all singular values dropped", stacklevel=2)
     return RegressionFit(sieve, coeffs, float(rho), report)
 
 
@@ -244,31 +230,18 @@ def sieve_errors(data, test_X, truth, table, sieves, rho=np.inf):
     sieve in order, bit for bit, where `truth` holds m's values at test_X
     (a scalar stands for every point).
 
-    One pass: per sieve, one `PhiTable.eval` per axis over the learn and the
-    test points together; the learn design and the test design are each
-    formed from those factor tables, the learn design is solved and dropped
-    before the test design is formed, so at most one design is held at a
-    time.  A degenerate level warns as `fit` does."""
+    The arguments and the truth are checked once; then each sieve is `fit`
+    on the learn points and scored by `predict_batch` at the test points.
+    The learn design is freed when `fit` returns, so at most one design is
+    held at a time.  A degenerate level warns as `fit` does."""
     _check_fit(data, rho)
     test_X = _test_points(test_X)
     truth = _truth(truth, test_X.shape[0])
     if test_X.shape[1] != data.d:
         raise ValueError(f"test points have dimension {test_X.shape[1]}, "
                          f"learn points {data.d}")
-    X = np.concatenate([data.X, test_X])
-    nl, nt = len(data), test_X.shape[0]
-    errors = []
-    for sieve in sieves:
-        _check_sieve(data.d, sieve, table)
-        factors = _factors(X, sieve, table)
-        B = _kron_rows(nl, sieve, [f[:nl] for f in factors])
-        # the learn rows' tables are freed before the solve
-        factors = [f[nl:].copy() for f in factors]
-        coeffs, _ = _solve(B, data.y)
-        del B
-        raw = _kron_rows(nt, sieve, factors) @ coeffs
-        errors.append(_squared_error(np.clip(raw, -rho, rho), truth))
-    return errors
+    return [_squared_error(predict_batch(fit(data, sieve, table, rho), table, test_X), truth)
+            for sieve in sieves]
 
 
 # ---------------------------------------------------------------------------

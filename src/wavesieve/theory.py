@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _integer
+
 __all__ = [
     "BlockingPartition", "block_size_q", "blocking_partition",
     "covering_bound", "rate_curve", "write_xy_csv",
@@ -81,8 +83,8 @@ def blocking_partition(n, q):
     {1..2qR_i}; each big interval splits into a low and a high q-interval,
     and the choice pattern across axes indexes the 2^N classes.
     """
-    n = tuple(int(v) for v in n)
-    q = int(q)
+    n = tuple(_integer(f"n[{i}]", v) for i, v in enumerate(n))
+    q = _integer("q", q)
     N = len(n)
     if N < 1:
         raise ValueError("need at least one axis")

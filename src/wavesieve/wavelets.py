@@ -9,16 +9,17 @@ d-dimensional design functions are
 
     Phi_{j,gamma}(x) = 2^{jd/2} * prod_i phi(2^j x_i - gamma_i),
 
-with translations gamma the product of one integer range per axis: the
-ranges whose supports meet the unit cube, or the minimal ones covering it.
+with translations gamma the d-fold product of one integer range: the range
+whose supports meet the unit cube, or the minimal one covering it.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+
+from .graphs import _integer
 
 __all__ = [
     "ScalingFilter", "PhiTable", "WaveletSieve",
@@ -155,6 +156,7 @@ def cascade(filt, resolution=10):
     levels are filled exactly by the two-scale relation, so table entries are
     interpolation-free.
     """
+    resolution = _integer("resolution", resolution)
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     L = filt.length
@@ -176,30 +178,27 @@ def cascade(filt, resolution=10):
 
 @dataclass(frozen=True)
 class WaveletSieve:
-    """Design-function family at one level: filter, scale j and one
-    increasing int64 translation vector per axis.  The translations are the
-    Cartesian product of the axes."""
+    """Design-function family at one level: filter, scale j, one increasing
+    int64 translation range and the dimension d.  The translations are the
+    d-fold Cartesian product of the range."""
     filter: ScalingFilter
     j: int
-    axes: tuple
-
-    @property
-    def d(self):
-        return len(self.axes)
+    axis: np.ndarray
+    d: int
 
     @property
     def w(self):
         """Sup-norm bound of the translations, max |gamma_i|."""
-        return max(int(np.abs(axis).max()) for axis in self.axes)
+        return int(np.abs(self.axis).max())
 
     @property
     def size(self):
-        return math.prod(axis.size for axis in self.axes)
+        return self.axis.size ** self.d
 
     @property
     def K(self):
         """Translation rows (size x d), lexicographically ordered."""
-        grid = np.meshgrid(*self.axes, indexing="ij")
+        grid = np.meshgrid(*(self.axis,) * self.d, indexing="ij")
         return np.stack([g.ravel() for g in grid], axis=1)
 
     @property
@@ -207,19 +206,23 @@ class WaveletSieve:
         return 2.0 ** (self.j * self.d / 2.0)
 
 
-def _product_sieve(filt, d, j, first, last):
-    """Sieve with the translations first..last on each of the d axes."""
-    axis = np.arange(first, last + 1, dtype=np.int64)
-    return WaveletSieve(filt, int(j), (axis,) * int(d))
+def _product_sieve(filt, d, j, below, above):
+    """Sieve of dimension d at level j whose range is the covering range
+    0..2^j - 1 extended by `below` translations below and `above` above."""
+    d, j = _integer("d", d), _integer("j", j)
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    if j < 0:
+        raise ValueError("level must be non-negative")
+    axis = np.arange(-below, (1 << j) + above, dtype=np.int64)
+    return WaveletSieve(filt, j, axis, d)
 
 
 def sieve_for_box(filt, d, j):
     """Sieve whose translations exactly cover the unit cube plus the filter
     support overhang at level j: on each axis the gamma whose scaled support
     [gamma, gamma + support] / 2^j meets [0, 1], that is -support..2^j."""
-    if j < 0:
-        raise ValueError("level must be non-negative")
-    return _product_sieve(filt, d, j, -filt.support, 1 << j)
+    return _product_sieve(filt, d, j, filt.support, 1)
 
 
 def covering_sieve(filt, d, j):
@@ -230,9 +233,7 @@ def covering_sieve(filt, d, j):
     Smaller than sieve_for_box: near the low boundary fewer translates
     overlap each point, trading boundary bias for fewer coefficients.
     """
-    if j < 0:
-        raise ValueError("level must be non-negative")
-    return _product_sieve(filt, d, j, 0, (1 << j) - 1)
+    return _product_sieve(filt, d, j, 0, 0)
 
 
 def phi_eval(sieve, table, gamma, x):
@@ -251,7 +252,7 @@ def mother_tensor_coeffs(filt, d):
     a_k is the d-dimensional array with a_k[gamma] = prod_i a^{k_i}_{gamma_i}
     where a^0 = sqrt(2) h and a^1 = sqrt(2) g, gamma in {0..L-1}^d.
     """
-    if d < 1:
+    if _integer("d", d) < 1:
         raise ValueError("dimension must be at least 1")
     one = {0: np.sqrt(2.0) * filt.h, 1: np.sqrt(2.0) * filt.g}
     out = {}

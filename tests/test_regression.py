@@ -15,8 +15,8 @@ from wavesieve.regression import (SVD_RTOL, Dataset, SvdReport, auto_rho,
                                   predict, predict_batch, select_level, sieve_errors,
                                   svd_lstsq)
 from wavesieve.rng import stream
-from wavesieve.wavelets import (WaveletSieve, cascade, covering_sieve, d4_filter,
-                                haar_filter, sieve_for_box)
+from wavesieve.wavelets import (PhiTable, WaveletSieve, cascade, covering_sieve,
+                                d4_filter, haar_filter, sieve_for_box)
 
 
 def gauss_solve(A, b):
@@ -54,7 +54,7 @@ HAAR_TABLE = cascade(HAAR, 10)
 
 def box_sieve(filt, d, j, w):
     """The sieve whose translations are -w..w on each of the d axes."""
-    return WaveletSieve(filt, j, (np.arange(-w, w + 1, dtype=np.int64),) * d)
+    return WaveletSieve(filt, j, np.arange(-w, w + 1, dtype=np.int64), d)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,30 @@ def test_svd_lstsq_dense_rank_deficient_matches_reference(name):
     assert spy.call_count == 1
     assert rep.rank == rank
     assert_matches_reference(B, y, coeffs, rep, rtol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["one_hot", "dense"])
+def test_svd_lstsq_gives_the_same_bits_whatever_the_layout_of_B(kind):
+    # the closed form's y @ B rounds differently on an F-ordered B
+    rng = stream(39)
+    B = rng.standard_normal((60, 12))
+    if kind == "one_hot":
+        B = np.where(np.arange(12) == rng.integers(0, 12, (60, 1)), B, 0.0)
+    y = rng.standard_normal(60)
+    want_coeffs, want = svd_lstsq(B, y)
+    got_coeffs, got = svd_lstsq(np.asfortranarray(B), y)
+    assert got_coeffs.tobytes() == want_coeffs.tobytes()
+    assert (got.rank, got.condition, got.dropped.tobytes(), got.total_columns) == \
+        (want.rank, want.condition, want.dropped.tobytes(), want.total_columns)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_design_matrix_is_c_ordered(d, order):
+    X = np.asarray(stream(40).uniform(0.0, 1.0, (30, d)), order=order)
+    for f, table in TABLES.values():
+        B = design_matrix(Dataset(X, np.zeros(30)), covering_sieve(f, d, 2), table)
+        assert B.flags.c_contiguous
 
 
 def test_svd_lstsq_drops_a_singular_value_at_the_cutoff():
@@ -590,6 +614,25 @@ def test_sieve_pass_holds_one_design_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * design_bytes
+
+
+def test_sieve_pass_makes_one_table_lookup_per_design(monkeypatch):
+    # d = 3 over 2 sieves: one learn and one test design each
+    table = TABLES["d4"][1]
+    calls = []
+    real = PhiTable.eval
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return real(self, x)
+
+    monkeypatch.setattr(PhiTable, "eval", counted)
+    rng = stream(42)
+    data = Dataset(rng.uniform(0.0, 1.0, (40, 3)), rng.standard_normal(40))
+    test_X = rng.uniform(0.0, 1.0, (10, 3))
+    sieves = [covering_sieve(table.filter, 3, j) for j in (0, 1)]
+    sieve_errors(data, test_X, 0.0, table, sieves)
+    assert calls == [(40, 3, 1), (10, 3, 1), (40, 3, 2), (10, 3, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,18 @@ def test_partition_1d_six_points():
     assert class2 == [2, 4, 6]
 
 
+@pytest.mark.parametrize("n, q, message", [
+    ((8.9, 8), 1, "n[0] must be an integer, got 8.9"),
+    ((8, True), 1, "n[1] must be an integer, got True"),
+    ((8, 8), 1.5, "q must be an integer, got 1.5")],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else None)
+def test_partition_shapes_must_be_integers(n, q, message):
+    # each was once truncated to an int
+    with pytest.raises(ValueError) as caught:
+        blocking_partition(n, q)
+    assert str(caught.value) == message
+
+
 def test_partition_8x8_q2():
     bp = blocking_partition((8, 8), 2)
     assert all(pts.shape[0] == 4 for pts in bp.blocks.values())

@@ -21,7 +21,7 @@ D4_PHI2 = (1.0 - np.sqrt(3.0)) / 2.0
 
 def box_sieve(filt, d, j, w):
     """The sieve whose translations are -w..w on each of the d axes."""
-    return WaveletSieve(filt, j, (np.arange(-w, w + 1, dtype=np.int64),) * d)
+    return WaveletSieve(filt, j, np.arange(-w, w + 1, dtype=np.int64), d)
 
 
 @pytest.fixture(scope="module", params=["haar", "d4"])
@@ -230,6 +230,23 @@ def test_sieve_for_box_covers_unit_interval():
 def test_sieve_families_reject_a_negative_level(family):
     with pytest.raises(ValueError, match="level must be non-negative"):
         family(haar_filter(), 1, -1)
+
+
+@pytest.mark.parametrize("family, args, message", [
+    ("covering_sieve", (2.5, 1), "d must be an integer, got 2.5"),
+    ("covering_sieve", (-1, 1), "dimension must be at least 1"),
+    ("covering_sieve", (True, True), "d must be an integer, got True"),
+    ("covering_sieve", (1, True), "j must be an integer, got True"),
+    ("sieve_for_box", (2.9, 2), "d must be an integer, got 2.9"),
+    ("sieve_for_box", (2, 1.0), "j must be an integer, got 1.0"),
+    ("cascade", (True,), "resolution must be an integer, got True"),
+    ("mother_tensor_coeffs", (True,), "d must be an integer, got True")],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else None)
+def test_shapes_must_be_integers(family, args, message):
+    # each was once truncated to an int, or took True for 1
+    with pytest.raises(ValueError) as caught:
+        getattr(wavelets, family)(haar_filter(), *args)
+    assert str(caught.value) == message
 
 
 def test_haar_orthonormality_riemann():
