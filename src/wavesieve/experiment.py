@@ -28,8 +28,8 @@ import numpy as np
 
 from .gmrf import GmrfSpec, chain_engine, to_uniform
 from .graphs import (_count, concliques, connected_split, knn_geometric_graph,
-                     load_graph, torus_with_chords)
-from .regression import Dataset, _json_value, auto_rho, sieve_errors
+                     load_graph, split_order, torus_with_chords)
+from .regression import Dataset, _json_value, auto_rho, fit, l2_error_mc
 from .rng import child_seed, stream
 from .wavelets import cascade, covering_sieve, filter_by_name
 
@@ -310,9 +310,11 @@ def _context(cfg):
     (wavelet, level) to the pair (field error, reference error) of
     replication `rep`.
 
-    The build raises on a graph without edges, on an eta count that does not
-    fit the regression target and on an inadmissible eta (one GmrfSpec per
-    distinct eta); the `chain_engine` runs its K0 probe here, once per run.
+    The build raises on a graph without edges, on one that is not connected
+    or that the test fraction leaves no learning node of (`split_order`), on
+    an eta count that does not fit the regression target and on an
+    inadmissible eta (one GmrfSpec per distinct eta); the `chain_engine`
+    runs its K0 probe here, once per run.
     A replication runs the engine once: the `innovations` pair shares the
     design stream; otherwise design component i owns the stream keyed
     (rep, i), or (rep,) for the first one when d <= 2.  Each fit uses the
@@ -324,6 +326,7 @@ def _context(cfg):
     graph = _build_graph(cfg.graph)
     if graph.edge_count == 0:
         raise ValueError(f"the graph has no edges: {graph!r}")
+    split_order(graph, cfg.test_fraction)
     m_true, d = _regression_target(cfg)
     if len(cfg.etas) != d + 1:
         raise ValueError(f"regression dimension {d} needs {d + 1} etas "
@@ -332,17 +335,14 @@ def _context(cfg):
     by_eta = {eta: GmrfSpec(graph, eta) for eta in dict.fromkeys(cfg.etas)}
     engine = chain_engine([by_eta[eta] for eta in cfg.etas], concliques(graph), cfg.iterations)
     pairs = [(name, j) for name in cfg.wavelets for j in cfg.levels]
-    sieves = {name: [covering_sieve(tables[name].filter, d, j) for j in cfg.levels]
-              for name in cfg.wavelets}
+    sieves = [covering_sieve(tables[name].filter, d, j) for name, j in pairs]
 
     def fit_errors(X_learn, y_learn, X_test):
-        """Squared test error for every configured (wavelet, level), in order:
-        one sieve pass per wavelet."""
+        """Squared test error for every configured (wavelet, level), in order."""
         rho = auto_rho(y_learn, len(y_learn))
         data = Dataset(X_learn, y_learn)
-        truth = m_true(*X_test.T)
-        return [error for name in cfg.wavelets
-                for error in sieve_errors(data, X_test, truth, tables[name], sieves[name], rho)]
+        return [l2_error_mc(fit(data, sieve, tables[name], rho), tables[name], m_true, X_test)
+                for (name, _), sieve in zip(pairs, sieves)]
 
     def replicate(rep):
         if d == 2 and cfg.coupling == "innovations":

@@ -18,7 +18,7 @@ __all__ = [
     "Graph", "ConcliquePartition", "PowerIterationError",
     "load_graph", "save_graph", "torus_lattice", "torus_with_chords",
     "knn_geometric_graph", "eigen_bounds", "eta_range", "concliques",
-    "connected_split",
+    "split_order", "connected_split",
 ]
 
 DENSE_NODE_LIMIT = 5000
@@ -499,27 +499,41 @@ def _bfs_order(graph, start, seen):
     return np.concatenate(levels)
 
 
+def split_order(graph, test_fraction, start=0):
+    """(order, size): every node in the first-in first-out BFS order from
+    `start` that takes each node's neighbours in increasing order, and the
+    test-set size ceil(test_fraction * n) of a connected split.
+
+    Raises ValueError when test_fraction is not strictly between 0 and 1,
+    when the graph is not connected, or when the test set would hold every
+    node.  Each depends on the graph and the fraction alone, so a run checks
+    them once, before its first replication."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must be strictly between 0 and 1")
+    n = graph.node_count
+    order = _bfs_order(graph, start, np.zeros(n, dtype=bool)) if n else np.empty(0, np.int64)
+    if order.size < n:
+        raise ValueError("connected_split requires a connected graph")
+    size = math.ceil(test_fraction * n)
+    if size >= n:
+        raise ValueError("test fraction leaves an empty learning set")
+    return order, size
+
+
 def connected_split(graph, test_fraction, seed):
     """(learn_nodes, test_nodes): test set grown by BFS from a seeded start node.
 
     The test set, connected by construction, is the first ceil(test_fraction
-    * n) nodes of a first-in first-out BFS that takes each node's neighbours
-    in increasing order; results.csv's bytes depend on that order.  The
-    learning complement can come out disconnected on some graphs; that is
-    reported as a warning, not an error.  Deterministic given the seed.
+    * n) nodes of the `split_order` from that node; results.csv's bytes
+    depend on that order.  The learning complement can come out disconnected
+    on some graphs; that is reported as a warning, not an error.
+    Deterministic given the seed.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be strictly between 0 and 1")
     n = graph.node_count
     rng = stream(seed, _TAG_SPLIT)
-    seen = np.zeros(n, dtype=bool)
-    order = _bfs_order(graph, int(rng.integers(0, n)), seen) if n else np.empty(0, np.int64)
-    if order.size < n:
-        raise ValueError("connected_split requires a connected graph")
-    target = math.ceil(test_fraction * n)
-    if target >= n:
-        raise ValueError("test fraction leaves an empty learning set")
+    order, target = split_order(graph, test_fraction, int(rng.integers(0, n)) if n else 0)
     test = np.sort(order[:target])
+    seen = np.ones(n, dtype=bool)
     seen[order[target:]] = False
     learn = np.flatnonzero(~seen)
 

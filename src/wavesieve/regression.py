@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Dataset", "RegressionFit", "SvdReport",
     "design_matrix", "svd_lstsq", "fit", "predict", "predict_batch",
-    "auto_rho", "select_level", "l2_error_mc", "sieve_errors", "fit_to_json",
+    "auto_rho", "select_level", "l2_error_mc", "fit_to_json",
 ]
 
 SVD_RTOL = 1e-10
@@ -35,7 +35,7 @@ def _points(X):
     return X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design sites X (one row per observation) and responses y."""
     X: np.ndarray
@@ -59,7 +59,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdReport:
     rank: int
     condition: float
@@ -71,7 +71,7 @@ class SvdReport:
         return self.rank == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionFit:
     """Fitted sieve coefficients plus the truncation bound used at prediction."""
     sieve: object
@@ -144,16 +144,12 @@ def svd_lstsq(B, y):
     return coeffs, report
 
 
-def _check_fit(data, rho):
+def fit(data, sieve, table, rho=np.inf):
+    """Truncated least-squares fit of the sieve coefficients on a dataset."""
     if len(data) < 1:
         raise ValueError("need at least one observation")
     if not rho >= 0:   # nan too: it would turn every prediction into nan
         raise ValueError(f"truncation bound rho must be non-negative, got {rho!r}")
-
-
-def fit(data, sieve, table, rho=np.inf):
-    """Truncated least-squares fit of the sieve coefficients on a dataset."""
-    _check_fit(data, rho)
     coeffs, report = svd_lstsq(design_matrix(data, sieve, table), data.y)
     if report.degenerate:
         warnings.warn("degenerate design: all singular values dropped", stacklevel=2)
@@ -200,48 +196,14 @@ def l2_error_mc(fit_result, table, m_true, test_X):
 
     m_true is called once, with the columns of test_X as arrays, and must
     act elementwise; a scalar result stands for every point."""
-    test_X = _test_points(test_X)
-    pred = predict_batch(fit_result, table, test_X)
-    return _squared_error(pred, _truth(m_true(*test_X.T), pred.shape[0]))
-
-
-def _test_points(test_X):
     test_X = _points(test_X)
     if test_X.shape[0] == 0:
         raise ValueError("test set is empty")
-    return test_X
-
-
-def _truth(values, n):
-    """The regression function's values at n test points, a scalar standing
-    for every point, checked finite."""
-    truth = np.broadcast_to(np.asarray(values, dtype=float), (n,))
+    pred = predict_batch(fit_result, table, test_X)
+    truth = np.broadcast_to(np.asarray(m_true(*test_X.T), dtype=float), pred.shape)
     if not np.all(np.isfinite(truth)):
         raise ValueError("non-finite regression value on the test set")
-    return truth
-
-
-def _squared_error(pred, truth):
     return float(np.mean((pred - truth) ** 2))
-
-
-def sieve_errors(data, test_X, truth, table, sieves, rho=np.inf):
-    """`l2_error_mc(fit(data, sieve, table, rho), table, m, test_X)` for each
-    sieve in order, bit for bit, where `truth` holds m's values at test_X
-    (a scalar stands for every point).
-
-    The arguments and the truth are checked once; then each sieve is `fit`
-    on the learn points and scored by `predict_batch` at the test points.
-    The learn design is freed when `fit` returns, so at most one design is
-    held at a time.  A degenerate level warns as `fit` does."""
-    _check_fit(data, rho)
-    test_X = _test_points(test_X)
-    truth = _truth(truth, test_X.shape[0])
-    if test_X.shape[1] != data.d:
-        raise ValueError(f"test points have dimension {test_X.shape[1]}, "
-                         f"learn points {data.d}")
-    return [_squared_error(predict_batch(fit(data, sieve, table, rho), table, test_X), truth)
-            for sieve in sieves]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ __all__ = [
 _IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingFilter:
     """Refinement coefficients h plus derived mother coefficients g."""
     name: str
@@ -92,7 +92,7 @@ def filter_by_name(name):
         raise ValueError(f"unknown filter {name!r}, expected one of {sorted(_FILTERS)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiTable:
     """phi sampled on [0, L-1] at dyadic step 2^-resolution, with linear
     interpolation between grid points and zero outside the support."""
@@ -108,16 +108,27 @@ class PhiTable:
         """phi(x), vectorized; exact at dyadic grid points, 0 at any x outside
         the support, however far, and at nan."""
         x = np.asarray(x, dtype=float)
-        t = x * (1 << self.resolution)
+        # at least 1-d: on a 0-d argument each step would give a scalar,
+        # which out= cannot take
+        t = np.atleast_1d(x) * (1 << self.resolution)
         last = self.values.size - 1
         # clamped onto the table, nan to 0, so that no argument reaches the
-        # int cast out of range; an argument the clamp moved lies outside
-        clamped = np.fmin(np.fmax(t, 0.0), last)
-        inside = clamped == t
-        idx = np.minimum(np.floor(clamped).astype(np.int64), last - 1)
-        frac = clamped - idx
-        out = (1.0 - frac) * self.values[idx] + frac * self.values[1:][idx]
-        return np.where(inside, out, 0.0)
+        # int cast out of range; an argument the clamp moved lies outside.
+        # The steps reuse their buffers and round as (1 - frac) * phi[idx]
+        # + frac * phi[idx + 1] does
+        frac = np.fmax(t, 0.0)
+        np.fmin(frac, last, out=frac)
+        inside = frac == t
+        idx = np.floor(frac, out=t).astype(np.int64)
+        del t
+        np.minimum(idx, last - 1, out=idx)
+        frac -= idx
+        out = self.values[idx]
+        out *= 1.0 - frac
+        frac *= self.values[1:][idx]
+        out += frac
+        out[~inside] = 0.0
+        return out.reshape(x.shape)
 
 
 def _integer_values(filt):
@@ -176,7 +187,7 @@ def cascade(filt, resolution=10):
     return PhiTable(filt, resolution, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletSieve:
     """Design-function family at one level: filter, scale j, one increasing
     int64 translation range and the dimension d.  The translations are the

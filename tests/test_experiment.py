@@ -445,6 +445,21 @@ def test_graph_without_edges_fails_before_any_replication(tmp_path, monkeypatch,
                    "type": "ValueError"}
 
 
+@pytest.mark.parametrize("graph, test_fraction, message", [
+    ({"kind": "knn", "points": 60, "k": 1}, 0.3, "connected_split requires a connected graph"),
+    ({"kind": "torus", "rows": 3, "cols": 3}, 0.95, "test fraction leaves an empty learning set"),
+])
+def test_a_graph_no_split_can_use_fails_before_any_replication(graph, test_fraction, message,
+                                                               monkeypatch):
+    # both rules depend on the graph and the fraction alone
+    attempted = []
+    monkeypatch.setattr(experiment, "chain_engine", lambda *args: attempted.append(args))
+    cfg = small_config(graph=graph, test_fraction=test_fraction, replications=3)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+    assert attempted == []
+
+
 def test_config_eta_count_checked():
     cfg = small_config(etas=(0.1, 0.1, 0.1))   # univariate wants 2
     with pytest.raises(ValueError, match="etas"):
@@ -776,7 +791,7 @@ def test_aggregate_skips_failed_replications(tmp_path, monkeypatch):
 # the names the benchmark's layer trace (perfbench/tracing.py) replaces on
 # wavesieve.experiment; each must be looked up there at call time
 _TRACED_NAMES = ("GmrfSpec", "concliques", "connected_split", "to_uniform", "cascade",
-                 "covering_sieve")
+                 "covering_sieve", "fit", "l2_error_mc")
 
 
 @pytest.mark.filterwarnings("ignore:learning set is disconnected")
@@ -805,8 +820,8 @@ def test_traced_names_are_called_through_the_module(kind, builder, tmp_path, mon
 
 @pytest.mark.filterwarnings("ignore:learning set is disconnected")
 def test_a_replication_solves_through_the_module_once_per_fit(monkeypatch):
-    # the trace times every fit as a regression.svd span, so the sieve pass
-    # must look svd_lstsq up in wavesieve.regression at call time
+    # the trace times every fit as a regression.svd span, so `fit` must look
+    # svd_lstsq up in wavesieve.regression at call time
     cfg = small_config(wavelets=("haar", "d4"), levels=(2, 0, 1), etas=(0.05, 0.05))
     replicate = experiment._context(cfg)
     calls = []

@@ -763,6 +763,18 @@ def test_connected_split_rejects_disconnected():
         connected_split(g, 0.5, seed=0)
 
 
+def test_split_order_is_the_reference_bfs_order():
+    g = torus_with_chords(18, 18, 60, seed=1)
+    order, size = graphs.split_order(g, 0.3, start=17)
+    assert size == 98 and sorted(order.tolist()) == list(range(g.node_count))
+    lists = neighbor_lists_reference(g.node_count, g.edges)
+    assert order.tolist() == list(bfs_reference(lists, 17, [False] * g.node_count))
+    with pytest.raises(ValueError, match="connected graph"):
+        graphs.split_order(Graph(4, [(0, 1), (2, 3)]), 0.5)
+    with pytest.raises(ValueError, match="empty learning set"):
+        graphs.split_order(torus_lattice(3, 3), 0.95)
+
+
 def test_connected_split_rejects_bad_fraction():
     g = path_graph(5)
     for frac in (0.0, 1.0, -0.1):
